@@ -58,6 +58,9 @@ class WorkerFault(RuntimeError):
     """A worker answered with an error frame or broke the protocol."""
 
 
+_ERROR_PAYLOAD_CAP = 1 << 16  # largest ERROR payload a coordinator reads
+
+
 @dataclass(frozen=True)
 class LayerPlan:
     policy: str  # "tensor" | "data" | "master"
@@ -159,16 +162,27 @@ class WorkerConnection:
         self._next_tag += 1
         return tag
 
-    def collect(self, tag: int) -> Result:
-        reply = protocol.read_message(self._sock)
+    def collect(self, tag: int, shapes: tuple) -> Result:
+        """The reply to request `tag`: a RESULT carrying matrices of
+        exactly `shapes` (() for an ack).  A frame declaring more payload
+        than that, or than an ERROR frame's cap, is refused from its
+        header before its body is read."""
+        bound = max(protocol.result_size(shapes), _ERROR_PAYLOAD_CAP)
+        try:
+            reply = protocol.read_message(self._sock, bound)
+        except (protocol.ProtocolError, UnicodeDecodeError) as exc:
+            raise WorkerFault(f"bad reply to request {tag}: {exc}") from exc
         if isinstance(reply, protocol.Error):
             raise WorkerFault(f"worker error {reply.code}: {reply.text}")
         if not isinstance(reply, Result) or reply.request_tag != tag:
             raise WorkerFault(f"expected result for request {tag}, got {reply!r}")
+        got = tuple(m.shape for m in reply.matrices)
+        if got != shapes:
+            raise WorkerFault(f"result for request {tag} carries shapes {got}, expected {shapes}")
         return reply
 
-    def call(self, msg) -> Result:
-        return self.collect(self.request(msg))
+    def call(self, msg, shapes: tuple) -> Result:
+        return self.collect(self.request(msg), shapes)
 
     def close(self):
         try:
@@ -199,8 +213,8 @@ class WorkerPool:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 conn = WorkerConnection(sock, tap=tap)
                 conns.append(conn)
-                conn.call(Hello(worker_id=i))
-                conn.call(Config(n_layers=n_layers, mode=mode))
+                conn.call(Hello(worker_id=i), ())
+                conn.call(Config(n_layers=n_layers, mode=mode), ())
         except BaseException:
             for conn in conns:
                 conn.close()
@@ -357,10 +371,8 @@ class EncryptedExecutor(nn.MatMulExecutor):
         z_parts = []
         for j, rec in enumerate(records):
             conn = self.pool.conn(j)
-            conn.collect(rec["tags"][0])  # store ack
-            reply = conn.collect(rec["tags"][1])
-            if len(reply.matrices) != 1:
-                raise WorkerFault(f"forward result carries {len(reply.matrices)} matrices")
+            conn.collect(rec["tags"][0], ())  # store ack
+            reply = conn.collect(rec["tags"][1], ((rec["w"].shape[0], rec["x"].shape[1]),))
             z_parts.append(self._dec(rec["sk"], reply.matrices[0], rec["w"], rec["x"]))
 
         self._ctx[lid] = {"policy": policy, "records": records, "w": w, "x": x}
@@ -409,9 +421,8 @@ class EncryptedExecutor(nn.MatMulExecutor):
             self.stats.products_offloaded += 2
         t1_parts, t2_parts = [], []
         for j, rec in enumerate(records):
-            reply = self.pool.conn(j).collect(tags[j])
-            if len(reply.matrices) != 2:
-                raise WorkerFault(f"backward result carries {len(reply.matrices)} matrices")
+            (m, n), p = rec["w"].shape, rec["x"].shape[1]
+            reply = self.pool.conn(j).collect(tags[j], ((n, m), (p, n)))
             sk, d_t = rec["sk"], rec["d_t"]
             t1_parts.append(self._dec(key_shift(sk, 1), reply.matrices[0], rec["x"], d_t))
             t2_parts.append(self._dec(key_shift(sk, 2), reply.matrices[1], d_t, rec["w"]))
@@ -440,12 +451,13 @@ class EncryptedExecutor(nn.MatMulExecutor):
         t1_parts, t2_parts = [], []
         for j, rec in enumerate(records):
             k1, k2, d_t, store1, tag1, store2, tag2 = sent[j]
+            (m, n), p = rec["w"].shape, rec["x"].shape[1]
             conn = self.pool.conn(j)
-            conn.collect(store1)  # store ack
-            r1 = conn.collect(tag1)
+            conn.collect(store1, ())  # store ack
+            r1 = conn.collect(tag1, ((n, m),))
             t1_parts.append(self._dec(k1, r1.matrices[0], rec["x"], d_t))
-            conn.collect(store2)
-            r2 = conn.collect(tag2)
+            conn.collect(store2, ())
+            r2 = conn.collect(tag2, ((p, n),))
             t2_parts.append(self._dec(k2, r2.matrices[0], d_t, rec["w"]))
         return t1_parts, t2_parts
 

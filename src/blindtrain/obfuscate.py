@@ -10,9 +10,9 @@ coefficients cancel term by term and the permutations invert.
 Decryption can additionally verify the returned product with k rounds
 of randomized binary probes before releasing it; a single corrupted
 entry survives one round with probability 1/2, so k rounds leave a
-2**-k escape probability.  min_rounds() turns a whole-run error budget
-into the per-product k, and brute_force_bound() gives the log2 cost of
-enumerating keys.
+2**-k escape probability.  All k probes go through one matrix product.
+min_rounds() turns a whole-run error budget into the per-product k, and
+brute_force_bound() gives the log2 cost of enumerating keys.
 """
 from __future__ import annotations
 
@@ -185,20 +185,22 @@ def _verify(
 ) -> None:
     """k rounds of binary probing of c_dec against a_plain @ b_plain.
 
-    Each round draws r in {0,1}^p and compares A(Br) with C r; the
-    bracketing keeps every step a matrix-vector product.  The threshold
+    The k probes are the columns of one R in {0,1}^(p x k), compared as
+    A(BR) against CR; the bracketing keeps every step a product with a
+    k-column matrix.  The columns are independent, so each still lets a
+    corrupted product through with probability 1/2.  The threshold
     scales with the operand magnitudes so honest float64 rounding never
-    trips it.
+    trips it; a NaN residual fails it too.
     """
     n = a_plain.shape[1]
     p = b_plain.shape[1]
     threshold = tol * max(1.0, max_abs(a_plain) * max_abs(b_plain) * n)
-    for i in range(k):
-        r = rng.integers(0, 2, size=p).astype(np.float64)
-        probe = a_plain @ (b_plain @ r) - c_dec @ r
-        residual = float(np.max(np.abs(probe)))
-        if residual > threshold:
-            raise IntegrityFailure(i, residual, threshold)
+    r = rng.integers(0, 2, size=(p, k)).astype(np.float64)
+    residuals = np.max(np.abs(a_plain @ (b_plain @ r) - c_dec @ r), axis=0)
+    failed = np.flatnonzero(~(residuals <= threshold))
+    if failed.size:
+        i = int(failed[0])
+        raise IntegrityFailure(i, float(residuals[i]), threshold)
 
 
 def dec(
@@ -212,9 +214,9 @@ def dec(
 ) -> np.ndarray:
     """Unblind a returned product and verify it against the retained operands.
 
-    Raises IntegrityFailure (carrying the failing round and residual) if
-    any of the k probe rounds exceeds tolerance; otherwise returns the
-    decrypted product.
+    Raises IntegrityFailure (carrying the first failing round and its
+    residual) if any of the k probe rounds exceeds tolerance or is not a
+    number; otherwise returns the decrypted product.
     """
     m, n, p = sk.dims
     if a_plain.shape != (m, n) or b_plain.shape != (n, p):

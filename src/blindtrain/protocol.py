@@ -46,6 +46,7 @@ __all__ = [
     "iter_messages",
     "send_message",
     "read_message",
+    "result_size",
 ]
 
 MAGIC = b"TEMP"
@@ -171,17 +172,19 @@ ERR_BAD_ORDER = 3
 ERR_UNSUPPORTED = 4
 
 
-def _encode_matrix(a: np.ndarray) -> bytes:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def _wire_matrix(a) -> np.ndarray:
+    a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"wire matrices are 2-D, got ndim={a.ndim}")
     rows, cols = a.shape
     if rows == 0 or cols == 0:
         raise ValueError(f"wire matrices need positive dims, got ({rows} x {cols})")
-    return _MAT_HEADER.pack(rows, cols) + a.astype("<f8", copy=False).tobytes(order="C")
+    return a
 
 
-def _decode_matrix(payload: bytes, offset: int) -> tuple[np.ndarray, int]:
+def _decode_matrix(payload, offset: int) -> tuple[np.ndarray, int]:
+    """The matrix at `offset`, as a view into `payload` where that view
+    is writable, aligned and native-endian, else as a copy."""
     if offset + _MAT_HEADER.size > len(payload):
         raise TruncatedFrame("payload ends inside a matrix header")
     rows, cols = _MAT_HEADER.unpack_from(payload, offset)
@@ -193,40 +196,41 @@ def _decode_matrix(payload: bytes, offset: int) -> tuple[np.ndarray, int]:
         raise TruncatedFrame(
             f"matrix body needs {nbytes} bytes, payload has {len(payload) - offset}"
         )
-    flat = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=offset)
-    return flat.reshape(rows, cols).astype(np.float64), offset + nbytes
+    mat = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=offset)
+    mat = mat.reshape(rows, cols)
+    if not (mat.flags.writeable and mat.flags.aligned and mat.dtype.isnative):
+        mat = mat.astype(np.float64)
+    return mat, offset + nbytes
 
 
-def _encode_payload(msg) -> tuple[int, bytes]:
+def _payload_parts(msg) -> tuple[int, bytes, tuple]:
+    """Message type, fixed leading fields and matrices of a payload."""
     if isinstance(msg, Hello):
-        return MsgType.HELLO, _HELLO.pack(msg.worker_id)
+        return MsgType.HELLO, _HELLO.pack(msg.worker_id), ()
     if isinstance(msg, Config):
-        return MsgType.CONFIG, _CONFIG.pack(msg.n_layers, msg.mode)
+        return MsgType.CONFIG, _CONFIG.pack(msg.n_layers, msg.mode), ()
     if isinstance(msg, StorePair):
-        return MsgType.STORE_PAIR, (
-            _PAIR_HEADER.pack(msg.layer_id, msg.shard_id)
-            + _encode_matrix(msg.a_enc)
-            + _encode_matrix(msg.b_enc)
-        )
+        return (MsgType.STORE_PAIR, _PAIR_HEADER.pack(msg.layer_id, msg.shard_id),
+                (msg.a_enc, msg.b_enc))
     if isinstance(msg, MultFwd):
-        return MsgType.MULT_FWD, _PAIR_HEADER.pack(msg.layer_id, msg.shard_id)
+        return MsgType.MULT_FWD, _PAIR_HEADER.pack(msg.layer_id, msg.shard_id), ()
     if isinstance(msg, MultBwd):
-        return MsgType.MULT_BWD, (
-            _PAIR_HEADER.pack(msg.layer_id, msg.shard_id) + _encode_matrix(msg.d_enc)
-        )
+        return MsgType.MULT_BWD, _PAIR_HEADER.pack(msg.layer_id, msg.shard_id), (msg.d_enc,)
     if isinstance(msg, Result):
         if len(msg.matrices) > 255:
             raise ValueError("result carries at most 255 matrices")
-        body = _RESULT_HEADER.pack(msg.request_tag, len(msg.matrices))
-        for mat in msg.matrices:
-            body += _encode_matrix(mat)
-        return MsgType.RESULT, body
+        return MsgType.RESULT, _RESULT_HEADER.pack(msg.request_tag, len(msg.matrices)), msg.matrices
     if isinstance(msg, Error):
-        return MsgType.ERROR, _ERROR_HEADER.pack(msg.code) + msg.text.encode("utf-8")
+        return MsgType.ERROR, _ERROR_HEADER.pack(msg.code) + msg.text.encode("utf-8"), ()
     raise ValueError(f"cannot encode {type(msg).__name__}")
 
 
-def _decode_payload(msg_type: int, payload: bytes):
+def result_size(shapes) -> int:
+    """Payload bytes of a RESULT carrying matrices of these shapes."""
+    return _RESULT_HEADER.size + sum(_MAT_HEADER.size + 8 * r * c for r, c in shapes)
+
+
+def _decode_payload(msg_type: int, payload):
     def exact(size: int):
         if len(payload) != size:
             raise TruncatedFrame(
@@ -275,16 +279,30 @@ def _decode_payload(msg_type: int, payload: bytes):
         if len(payload) < _ERROR_HEADER.size:
             raise TruncatedFrame("error payload shorter than its fixed header")
         (code,) = _ERROR_HEADER.unpack_from(payload, 0)
-        return Error(code, payload[_ERROR_HEADER.size :].decode("utf-8"))
+        return Error(code, bytes(payload[_ERROR_HEADER.size :]).decode("utf-8"))
     raise UnknownMessageType(f"message type 0x{msg_type:02x}")
 
 
-def encode(msg) -> bytes:
-    msg_type, payload = _encode_payload(msg)
-    return HEADER.pack(MAGIC, VERSION, msg_type, len(payload)) + payload
+def encode(msg) -> bytearray:
+    """The frame of one message, built in a single buffer: each matrix
+    is copied once, straight into its place in the frame."""
+    msg_type, fields, matrices = _payload_parts(msg)
+    matrices = [_wire_matrix(a) for a in matrices]
+    length = len(fields) + sum(_MAT_HEADER.size + a.nbytes for a in matrices)
+    frame = bytearray(HEADER.size + length)
+    HEADER.pack_into(frame, 0, MAGIC, VERSION, msg_type, length)
+    offset = HEADER.size + len(fields)
+    frame[HEADER.size : offset] = fields
+    for a in matrices:
+        _MAT_HEADER.pack_into(frame, offset, *a.shape)
+        offset += _MAT_HEADER.size
+        body = np.frombuffer(frame, dtype="<f8", count=a.size, offset=offset)
+        np.copyto(body.reshape(a.shape), a)
+        offset += a.nbytes
+    return frame
 
 
-def _parse_header(data: bytes, offset: int = 0) -> tuple[int, int]:
+def _parse_header(data, offset: int = 0, max_payload: int = MAX_PAYLOAD) -> tuple[int, int]:
     if len(data) - offset < HEADER.size:
         raise TruncatedFrame(
             f"frame header needs {HEADER.size} bytes, got {len(data) - offset}"
@@ -294,24 +312,28 @@ def _parse_header(data: bytes, offset: int = 0) -> tuple[int, int]:
         raise BadMagic(f"bad magic {magic!r}")
     if version != VERSION:
         raise BadVersion(f"unsupported version {version}")
-    if length > MAX_PAYLOAD:
-        raise TruncatedFrame(f"declared payload of {length} bytes exceeds cap")
+    if length > max_payload:
+        raise TruncatedFrame(
+            f"declared payload of {length} bytes exceeds the cap of {max_payload}"
+        )
     return msg_type, length
 
 
-def decode(data: bytes):
+def decode(data):
     """Decode exactly one frame; trailing bytes are an error.  Use
-    iter_messages for a buffer holding several frames back to back."""
+    iter_messages for a buffer holding several frames back to back.
+    Matrices decoded from a writable buffer are views into it."""
     msg_type, length = _parse_header(data)
     if len(data) != HEADER.size + length:
         raise TruncatedFrame(
             f"frame declares {length} payload bytes, buffer has {len(data) - HEADER.size}"
         )
-    return _decode_payload(msg_type, data[HEADER.size :])
+    return _decode_payload(msg_type, memoryview(data)[HEADER.size :])
 
 
-def iter_messages(data: bytes):
+def iter_messages(data):
     """Yield consecutive messages from a buffer of concatenated frames."""
+    view = memoryview(data)
     offset = 0
     while offset < len(data):
         msg_type, length = _parse_header(data, offset)
@@ -320,7 +342,7 @@ def iter_messages(data: bytes):
             raise TruncatedFrame(
                 f"frame declares {length} payload bytes, buffer has {len(data) - offset - HEADER.size}"
             )
-        yield _decode_payload(msg_type, data[offset + HEADER.size : end])
+        yield _decode_payload(msg_type, view[offset + HEADER.size : end])
         offset = end
 
 
@@ -328,20 +350,23 @@ def send_message(sock: socket.socket, msg) -> None:
     sock.sendall(encode(msg))
 
 
-def _recv_exact(sock: socket.socket, nbytes: int) -> bytes:
-    chunks = []
-    remaining = nbytes
-    while remaining > 0:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            raise ConnectionError(f"peer closed with {remaining} bytes outstanding")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+def _recv_exact(sock: socket.socket, nbytes: int) -> bytearray:
+    buf = bytearray(nbytes)
+    with memoryview(buf) as view:
+        got = 0
+        while got < nbytes:
+            n = sock.recv_into(view[got:])
+            if not n:
+                raise ConnectionError(f"peer closed with {nbytes - got} bytes outstanding")
+            got += n
+    return buf
 
 
-def read_message(sock: socket.socket):
+def read_message(sock: socket.socket, max_payload: int = MAX_PAYLOAD):
+    """Read one frame.  A frame declaring more than `max_payload` bytes
+    is refused from its header, before any of its payload is read.
+    Matrices whose bodies sit at 8-byte offsets of the payload are
+    decoded as views into the frame's own receive buffer."""
     header = _recv_exact(sock, HEADER.size)
-    msg_type, length = _parse_header(header)
-    payload = _recv_exact(sock, length) if length else b""
-    return _decode_payload(msg_type, payload)
+    msg_type, length = _parse_header(header, max_payload=max_payload)
+    return _decode_payload(msg_type, _recv_exact(sock, length))

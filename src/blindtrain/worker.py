@@ -174,7 +174,9 @@ class WorkerSession:
 
 
 class WorkerServer:
-    """Threaded TCP server; one WorkerSession per connection."""
+    """Threaded TCP server; one `session_class` instance per connection."""
+
+    session_class = WorkerSession
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  mode: WorkerMode | None = None, seed: int = 0):
@@ -201,15 +203,24 @@ class WorkerServer:
                 conn, _ = self._listener.accept()
             except OSError:
                 return  # listener closed
+            # replies go out as soon as they are written; with Nagle's
+            # algorithm on, a RESULT sent right after its STORE_PAIR ack
+            # waits for the coordinator's delayed ACK (about 40 ms)
+            try:
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            except OSError:
+                conn.close()  # the peer is already gone
+                continue
             # distinct rng per connection keeps adversary draws reproducible
             rng = make_rng(self.seed + 1000003 * self._conn_count)
             self._conn_count += 1
             t = threading.Thread(target=self._serve, args=(conn, rng), daemon=True)
-            t.start()
+            # listed before it runs: once a reply is out, stop() must see it
             self._threads.append(t)
+            t.start()
 
     def _serve(self, conn: socket.socket, rng: np.random.Generator):
-        session = WorkerSession(self.mode, rng)
+        session = self.session_class(self.mode, rng)
         try:
             with conn:
                 while True:
@@ -238,7 +249,8 @@ class WorkerServer:
         except OSError:
             pass
         for t in self._threads:
-            t.join(timeout=1.0)
+            if t.is_alive():  # one listed but not yet started cannot be joined
+                t.join(timeout=1.0)
 
 
 class spawn_local_workers:

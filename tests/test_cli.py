@@ -258,8 +258,8 @@ def test_worker_subprocess_serves_over_tcp(tmp_path):
         with pool:
             a = np.ones((2, 3))
             b = np.full((3, 2), 2.0)
-            pool.conn(0).call(StorePair(0, 0, a, b))
-            reply = pool.conn(0).call(MultFwd(0, 0))
+            pool.conn(0).call(StorePair(0, 0, a, b), ())
+            reply = pool.conn(0).call(MultFwd(0, 0), ((2, 2),))
             assert np.max(np.abs(reply.matrices[0] - a @ b)) < 1e-12
     finally:
         proc.terminate()

@@ -1,3 +1,5 @@
+import socket
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from blindtrain.master import (
     LayerPlan,
     PartitionPlan,
     WorkerFault,
+    WorkerConnection,
     WorkerPool,
     plan_partition,
     run_inference,
@@ -15,8 +18,19 @@ from blindtrain.master import (
 )
 from blindtrain.nn import LocalExecutor, Network, TrainConfig, train
 from blindtrain.obfuscate import IntegrityFailure, KeySpaceConfig
+from blindtrain.protocol import (
+    HEADER,
+    MAGIC,
+    MAX_PAYLOAD,
+    VERSION,
+    Error,
+    MsgType,
+    MultFwd,
+    Result,
+    send_message,
+)
 from blindtrain.tensor import make_rng
-from blindtrain.worker import WorkerMode, spawn_local_workers
+from blindtrain.worker import WorkerMode, WorkerServer, WorkerSession, spawn_local_workers
 
 
 def make_net(dims=(3, 5, 4, 2), policies=None, seed=11):
@@ -314,7 +328,96 @@ def test_worker_error_frame_raises_worker_fault():
         with pool_for(addresses, net) as pool:
             from blindtrain.protocol import MultFwd
             with pytest.raises(WorkerFault):
-                pool.conn(0).call(MultFwd(9, 9))  # nothing stored there
+                pool.conn(0).call(MultFwd(9, 9), ((4, 1),))  # nothing stored there
+
+
+class PoisonSession(WorkerSession):
+    """Answers every product request with NaN in place of the product."""
+
+    def _emit(self, honest):
+        return np.full_like(honest, np.nan)
+
+
+class MisshapenSession(WorkerSession):
+    """Answers every product request with one row too many."""
+
+    def _emit(self, honest):
+        return np.vstack([honest, honest[:1]])
+
+
+def serving(session_class):
+    return type("Server", (WorkerServer,), {"session_class": session_class})().start()
+
+
+def test_nan_returning_worker_aborts_training_weights_unchanged():
+    ds = gen_blobs(10, 2, 2, separation=8.0, seed=3)
+    net = make_net((2, 4, 2), seed=3)
+    before = [(lin.W.copy(), lin.b.copy()) for lin in net.linears]
+    server = serving(PoisonSession)
+    try:
+        with pool_for([server.address], net) as pool:
+            with pytest.raises(IntegrityFailure):
+                run_training(net, ds, pool, learning_rate=0.1, batch_size=10,
+                             epochs=1, seed=3)
+    finally:
+        server.stop()
+    for lin, (w, b) in zip(net.linears, before):
+        assert np.array_equal(lin.W, w) and np.array_equal(lin.b, b)
+
+
+def test_wrong_shape_result_is_a_worker_fault():
+    ds = gen_blobs(10, 2, 2, separation=8.0, seed=3)
+    net = make_net((2, 4, 2), seed=3)
+    server = serving(MisshapenSession)
+    try:
+        with pool_for([server.address], net) as pool:
+            with pytest.raises(WorkerFault, match="shapes"):
+                run_training(net, ds, pool, learning_rate=0.1, batch_size=10,
+                             epochs=1, seed=3)
+    finally:
+        server.stop()
+
+
+def raw_peer():
+    """A WorkerConnection and the raw socket playing its worker."""
+    left, right = socket.socketpair()
+    left.settimeout(5)
+    right.settimeout(5)
+    return WorkerConnection(left), right
+
+
+def test_oversized_reply_refused_before_its_body_is_read():
+    conn, peer = raw_peer()
+    try:
+        tag = conn.request(MultFwd(0, 0))
+        # the header claims a 1 GiB reply, and no body follows: a reader
+        # that trusted it would allocate the lot and then wait forever
+        peer.sendall(HEADER.pack(MAGIC, VERSION, MsgType.RESULT, MAX_PAYLOAD))
+        with pytest.raises(WorkerFault, match="exceeds the cap"):
+            conn.collect(tag, ((2, 3),))
+    finally:
+        conn.close()
+        peer.close()
+
+
+def test_raw_peer_wrong_shape_and_error_frames():
+    conn, peer = raw_peer()
+    try:
+        tags = [conn.request(MultFwd(0, 0)) for _ in range(4)]
+        send_message(peer, Result(tags[0], (np.ones((3, 3)),)))
+        with pytest.raises(WorkerFault, match="shapes"):
+            conn.collect(tags[0], ((2, 3),))
+        send_message(peer, Error(2, "x" * 1000))  # an error frame fits the cap
+        with pytest.raises(WorkerFault, match="worker error 2"):
+            conn.collect(tags[1], ((2, 3),))
+        peer.sendall(HEADER.pack(MAGIC, VERSION, MsgType.ERROR, 4) + b"\x02\x00\xff\xfe")
+        with pytest.raises(WorkerFault, match="bad reply"):  # text is not UTF-8
+            conn.collect(tags[2], ((2, 3),))
+        send_message(peer, Result(tags[3], (np.ones((2, 3)),)))
+        assert conn.collect(tags[3], ((2, 3),)).matrices[0].shape == (2, 3)
+    finally:
+        conn.close()
+        peer.close()
 
 
 def test_unreachable_worker_names_address():

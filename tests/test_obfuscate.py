@@ -236,6 +236,61 @@ def test_integrity_failure_carries_diagnostics():
     assert err.value.residual > err.value.threshold
 
 
+@pytest.mark.parametrize("k", [1, 2, 30])
+@pytest.mark.parametrize("poison", ["one", "all"])
+def test_non_finite_product_never_verifies(k, poison):
+    # a NaN residual compares False against any threshold, so the test
+    # must be "not <= threshold", not "> threshold"
+    rng = make_rng(33)
+    for _ in range(50):
+        sk, a, b = random_case(rng)
+        c_enc = enc_left(sk, a) @ enc_right(sk, b)
+        if poison == "one":
+            c_enc[int(rng.integers(c_enc.shape[0])), int(rng.integers(c_enc.shape[1]))] = np.nan
+        else:
+            c_enc[:] = np.nan
+        with pytest.raises(IntegrityFailure):
+            dec(sk, c_enc, a, b, k=k, rng=rng)
+
+
+class FixedProbes:
+    """Stands in for the generator: hands out a preset probe matrix."""
+
+    def __init__(self, probes):
+        self.probes = probes
+
+    def integers(self, low, high, size):
+        assert (low, high, size) == (0, 2, self.probes.shape)
+        return self.probes
+
+
+def test_probe_matrix_matches_column_by_column_reference():
+    # the k probes run as one product; checking them one vector at a
+    # time must fail on the same first column with the same residual
+    rng = make_rng(34)
+    first_failures = set()
+    for _ in range(200):
+        sk, a, b = random_case(rng)
+        m, n, p = sk.dims
+        k = int(rng.integers(1, 6))
+        c_enc = enc_left(sk, a) @ enc_right(sk, b)
+        c_enc[int(rng.integers(m)), int(rng.integers(p))] += 1.0
+        probes = rng.integers(0, 2, size=(p, k))
+        c = dec_only(sk, c_enc)
+        threshold = 1e-8 * max(1.0, np.max(np.abs(a)) * np.max(np.abs(b)) * n)
+        residuals = [np.max(np.abs(a @ (b @ r) - c @ r)) for r in probes.T.astype(np.float64)]
+        failing = [i for i, res in enumerate(residuals) if not res <= threshold]
+        if not failing:
+            dec(sk, c_enc, a, b, k=k, rng=FixedProbes(probes))
+            continue
+        with pytest.raises(IntegrityFailure) as err:
+            dec(sk, c_enc, a, b, k=k, rng=FixedProbes(probes))
+        assert err.value.round_index == failing[0]
+        assert err.value.residual == pytest.approx(residuals[failing[0]], rel=1e-9)
+        first_failures.add(failing[0])
+    assert len(first_failures) > 1  # later columns were reached too
+
+
 def test_dec_validates_plaintext_shapes():
     rng = make_rng(31)
     sk, a, b = random_case(rng)

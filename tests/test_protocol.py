@@ -250,3 +250,42 @@ def test_read_message_detects_peer_close():
             read_message(right)
     finally:
         right.close()
+
+
+def test_read_message_refuses_oversized_frame_from_its_header():
+    left, right = socket.socketpair()
+    try:
+        frame = encode(Result(1, (np.ones((4, 4)),)))
+        left.sendall(frame[:HEADER.size])  # the body never comes
+        with pytest.raises(TruncatedFrame, match="exceeds the cap"):
+            read_message(right, len(frame) - HEADER.size - 1)
+        send_message(left, Hello(3))
+        assert read_message(right, 4) == Hello(3)  # a bound the frame meets
+    finally:
+        left.close()
+        right.close()
+
+
+def test_decoded_matrices_are_writable_native_float64():
+    msgs = [StorePair(0, 1, np.ones((2, 3)), np.ones((3, 2))),
+            Result(4, (np.ones((2, 2)), np.full((1, 3), 2.0)))]
+    left, right = socket.socketpair()
+    try:
+        for msg in msgs:
+            send_message(left, msg)
+        received = [read_message(right) for _ in msgs]
+    finally:
+        left.close()
+        right.close()
+    from_bytes = [decode(bytes(encode(msg))) for msg in msgs]
+    for got in received + from_bytes:
+        for mat in (getattr(got, "a_enc", None), getattr(got, "b_enc", None),
+                    *getattr(got, "matrices", ())):
+            if mat is not None:
+                assert mat.dtype == np.float64 and mat.dtype.isnative
+                assert mat.flags.writeable and mat.flags.aligned
+    # STORE_PAIR bodies sit at 8-byte offsets, so they stay views into the
+    # receive buffer; RESULT bodies follow a 9-byte header and are copied
+    assert not received[0].a_enc.flags.owndata
+    assert not received[0].b_enc.flags.owndata
+    assert received[1].matrices[0].flags.owndata

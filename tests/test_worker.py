@@ -1,3 +1,4 @@
+import queue
 import socket
 
 import numpy as np
@@ -21,6 +22,7 @@ from blindtrain.protocol import (
 from blindtrain.tensor import make_rng
 from blindtrain.worker import (
     WorkerMode,
+    WorkerServer,
     WorkerSession,
     apply_adversary,
     spawn_local_workers,
@@ -235,6 +237,22 @@ def test_server_reports_protocol_garbage_then_closes():
             assert sock.recv(1) == b""  # server hung up
         finally:
             sock.close()
+
+
+def test_accepted_connections_disable_nagle():
+    seen = queue.Queue()
+
+    class Recording(WorkerServer):
+        def _serve(self, conn, rng):
+            seen.put(conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            super()._serve(conn, rng)
+
+    server = Recording().start()
+    try:
+        with socket.create_connection(server.address, timeout=5):
+            assert seen.get(timeout=5) != 0
+    finally:
+        server.stop()
 
 
 def test_each_connection_gets_a_fresh_session():
