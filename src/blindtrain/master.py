@@ -55,7 +55,8 @@ __all__ = [
 
 
 class WorkerFault(RuntimeError):
-    """A worker answered with an error frame or broke the protocol."""
+    """A worker answered with an error frame, broke the protocol, hung
+    up or stalled past the socket timeout."""
 
 
 _ERROR_PAYLOAD_CAP = 1 << 16  # largest ERROR payload a coordinator reads
@@ -155,10 +156,15 @@ class WorkerConnection:
         self._tap = tap
 
     def request(self, msg) -> int:
+        """Send one request; a worker that hung up is a WorkerFault."""
         if self._tap is not None:
             self._tap(msg)
-        protocol.send_message(self._sock, msg)
         tag = self._next_tag
+        try:
+            protocol.send_message(self._sock, msg)
+        except OSError as exc:
+            raise WorkerFault(
+                f"cannot send request {tag} ({type(msg).__name__}): {exc!r}") from exc
         self._next_tag += 1
         return tag
 
@@ -166,12 +172,15 @@ class WorkerConnection:
         """The reply to request `tag`: a RESULT carrying matrices of
         exactly `shapes` (() for an ack).  A frame declaring more payload
         than that, or than an ERROR frame's cap, is refused from its
-        header before its body is read."""
+        header before its body is read.  A worker that hangs up or stalls
+        past the socket timeout is a WorkerFault too."""
         bound = max(protocol.result_size(shapes), _ERROR_PAYLOAD_CAP)
         try:
             reply = protocol.read_message(self._sock, bound)
         except (protocol.ProtocolError, UnicodeDecodeError) as exc:
             raise WorkerFault(f"bad reply to request {tag}: {exc}") from exc
+        except OSError as exc:  # reset, closed mid-frame, timed out
+            raise WorkerFault(f"no reply to request {tag}: {exc!r}") from exc
         if isinstance(reply, protocol.Error):
             raise WorkerFault(f"worker error {reply.code}: {reply.text}")
         if not isinstance(reply, Result) or reply.request_tag != tag:

@@ -137,11 +137,31 @@ def key_shift(sk: SecretKey, phi: int) -> SecretKey:
     return SecretKey(tuple(sk.slots[(i + phi) % 3] for i in range(3)))
 
 
+def _gather_scale(a, rows: np.ndarray, cols: np.ndarray,
+                  num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """out(i, j) = a(rows(i), cols(j)) * (num / den)(i, j), as float64.
+
+    Two axis gathers make one fresh C-order array, which is then scaled
+    in place: one rounding per entry, as in (num / den) * a[np.ix_(rows,
+    cols)], and since IEEE multiplication commutes the bytes are the
+    same.  The ratio matrix is built only once the row gather is freed,
+    so at most two operand-sized temporaries are alive at a time.
+    """
+    out = np.asarray(a, dtype=np.float64).take(rows, axis=0).take(cols, axis=1)
+    out *= num / den
+    return out
+
+
 def _enc(row_slot: KeySlot, col_slot: KeySlot, a: np.ndarray) -> np.ndarray:
-    # out(i, j) = (c_row(i) / c_col(j)) * a(perm_row(i), perm_col(j))
-    return (row_slot.coeffs[:, None] / col_slot.coeffs[None, :]) * a[
-        np.ix_(row_slot.perm, col_slot.perm)
-    ]
+    """out(i, j) = (c_row(i) / c_col(j)) * a(perm_row(i), perm_col(j)).
+
+    This is E_row A E_col^-1 (see encryption_matrix) up to rounding,
+    computed as a row gather, a column gather and one in-place scaling
+    by the coefficient ratios.  Any real input comes back as a new
+    float64 array; the input is never written.
+    """
+    return _gather_scale(a, row_slot.perm, col_slot.perm,
+                         row_slot.coeffs[:, None], col_slot.coeffs[None, :])
 
 
 def enc_left(sk: SecretKey, a: np.ndarray) -> np.ndarray:
@@ -172,7 +192,7 @@ def dec_only(sk: SecretKey, c_enc: np.ndarray) -> np.ndarray:
         raise ShapeError(f"dec_only: product {c_enc.shape} does not match key dims ({m}, {p})")
     row, col = sk.slots[0], sk.slots[2]
     im, ip = row.inv_perm, col.inv_perm
-    return (col.coeffs[ip][None, :] / row.coeffs[im][:, None]) * c_enc[np.ix_(im, ip)]
+    return _gather_scale(c_enc, im, ip, col.coeffs[ip][None, :], row.coeffs[im][:, None])
 
 
 def _verify(

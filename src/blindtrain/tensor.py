@@ -12,10 +12,6 @@ import numpy as np
 __all__ = [
     "ShapeError",
     "make_rng",
-    "as_matrix",
-    "matmul",
-    "transpose",
-    "hadamard",
     "split",
     "concat",
     "sum_all",
@@ -36,30 +32,6 @@ def make_rng(seed: int) -> np.random.Generator:
     key generation, batching and verification probes all depend on.
     """
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-D float64 C-order array, rejecting anything else."""
-    out = np.ascontiguousarray(a, dtype=np.float64)
-    if out.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={out.ndim}")
-    return out
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
-    return a @ b
-
-
-def transpose(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a.T)
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard: shapes differ, {a.shape} vs {b.shape}")
-    return a * b
 
 
 def split(a: np.ndarray, axis: str, n_shards: int) -> list[np.ndarray]:
@@ -105,4 +77,6 @@ def sum_all(parts: list[np.ndarray]) -> np.ndarray:
 
 
 def max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a)))
+    """max |a| from two reductions and no temporary; NaN propagates, an
+    empty array raises.  abs() only clears the sign of a -0.0."""
+    return abs(float(max(a.max(), -a.min())))

@@ -233,6 +233,26 @@ def test_unreachable_worker_is_clean_error(tmp_path, capsys):
     assert "unreachable" in err
 
 
+def test_worker_dropping_mid_run_exits_4(tmp_path, capsys):
+    from blindtrain.protocol import MultBwd
+    from blindtrain.worker import WorkerServer, WorkerSession
+
+    class HangUp(WorkerSession):
+        def handle(self, msg):
+            if isinstance(msg, MultBwd):
+                raise ConnectionResetError("worker went away")
+            return super().handle(msg)
+
+    server = type("Server", (WorkerServer,), {"session_class": HangUp})().start()
+    try:
+        host, port = server.address
+        cfg = write_config(tmp_path)
+        assert main(["train", "--config", cfg, "--workers", f"{host}:{port}"]) == 4
+    finally:
+        server.stop()
+    assert "worker fault: no reply to request" in capsys.readouterr().err
+
+
 def test_worker_subprocess_serves_over_tcp(tmp_path):
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))

@@ -25,6 +25,7 @@ from blindtrain.protocol import (
     VERSION,
     Error,
     MsgType,
+    MultBwd,
     MultFwd,
     Result,
     send_message,
@@ -418,6 +419,66 @@ def test_raw_peer_wrong_shape_and_error_frames():
     finally:
         conn.close()
         peer.close()
+
+
+def test_peer_hanging_up_before_its_reply_is_a_worker_fault():
+    conn, peer = raw_peer()
+    try:
+        tag = conn.request(MultFwd(0, 0))
+        peer.close()
+        with pytest.raises(WorkerFault, match=f"no reply to request {tag}"):
+            conn.collect(tag, ((2, 3),))
+    finally:
+        conn.close()
+
+
+def test_stalled_peer_is_a_worker_fault():
+    left, peer = socket.socketpair()
+    left.settimeout(0.2)
+    conn = WorkerConnection(left)
+    try:
+        tag = conn.request(MultFwd(0, 0))  # the peer reads nothing, answers nothing
+        with pytest.raises(WorkerFault, match=f"no reply to request {tag}.*TimeoutError"):
+            conn.collect(tag, ((2, 3),))
+    finally:
+        conn.close()
+        peer.close()
+
+
+def test_request_to_a_closed_peer_is_a_worker_fault():
+    conn, peer = raw_peer()
+    peer.close()
+    try:
+        with pytest.raises(WorkerFault, match="cannot send request 0 \\(MultFwd\\)"):
+            conn.request(MultFwd(0, 0))
+    finally:
+        conn.close()
+
+
+class HangUpSession(WorkerSession):
+    """Drops the connection on the first backward request, after the
+    forward product of the step went through."""
+
+    def handle(self, msg):
+        if isinstance(msg, MultBwd):
+            raise ConnectionResetError("worker went away")
+        return super().handle(msg)
+
+
+def test_worker_dropping_mid_run_is_a_worker_fault_weights_unchanged():
+    ds = gen_blobs(10, 2, 2, separation=8.0, seed=3)
+    net = make_net((2, 4, 2), seed=3)
+    before = [(lin.W.copy(), lin.b.copy()) for lin in net.linears]
+    server = serving(HangUpSession)
+    try:
+        with pool_for([server.address], net) as pool:
+            with pytest.raises(WorkerFault, match="no reply to request"):
+                run_training(net, ds, pool, learning_rate=0.1, batch_size=10,
+                             epochs=1, seed=3)
+    finally:
+        server.stop()
+    for lin, (w, b) in zip(net.linears, before):
+        assert np.array_equal(lin.W, w) and np.array_equal(lin.b, b)
 
 
 def test_unreachable_worker_names_address():

@@ -164,6 +164,85 @@ def test_dec_only_equals_inverse_sandwich():
         assert np.max(np.abs(dec_only(sk, c_enc) - e1_inv @ c_enc @ e3)) < 1e-12
 
 
+# -- kernels: bytes, dtypes, layout ---------------------------------------
+
+def ix_enc(row, col, a):
+    """The single-expression blinding the gather-and-scale kernel replaced."""
+    return (row.coeffs[:, None] / col.coeffs[None, :]) * a[np.ix_(row.perm, col.perm)]
+
+
+def ix_dec(sk, c_enc):
+    row, col = sk.slots[0], sk.slots[2]
+    im, ip = row.inv_perm, col.inv_perm
+    return (col.coeffs[ip][None, :] / row.coeffs[im][:, None]) * c_enc[np.ix_(im, ip)]
+
+
+def kernel_cases(rng):
+    """Keys with operands of random shapes, 1 x n and m x 1 among them,
+    carrying signed zeros, infinities and subnormals."""
+    dims = [tuple(int(v) for v in rng.integers(1, 40, size=3)) for _ in range(40)]
+    dims += [(1, 7, 5), (6, 1, 4), (5, 6, 1), (1, 1, 1), (1, 9, 1), (64, 33, 17)]
+    for m, n, p in dims:
+        a, b, c = (rng.standard_normal(shape) for shape in ((m, n), (n, p), (m, p)))
+        for x in (a, b, c):
+            x.flat[rng.integers(0, x.size, size=3)] = [-0.0, np.inf, 5e-324]
+        yield kgen(m, n, p, KS, rng), a, b, c
+
+
+def kernel_outputs(sk, a, b, c):
+    return [(enc_left(sk, a), ix_enc(sk.slots[0], sk.slots[1], np.asarray(a, np.float64))),
+            (enc_right(sk, b), ix_enc(sk.slots[1], sk.slots[2], np.asarray(b, np.float64))),
+            (dec_only(sk, c), ix_dec(sk, np.asarray(c, np.float64)))]
+
+
+def test_kernels_match_ix_form_byte_for_byte():
+    for case in kernel_cases(make_rng(60)):
+        for got, want in kernel_outputs(*case):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+def test_kernels_return_float64_for_other_real_inputs(dtype):
+    rng = make_rng(61)
+    for _ in range(20):
+        sk = random_case(rng)[0]
+        m, n, p = sk.dims
+        a, b, c = (rng.integers(-1000, 1000, size=s).astype(dtype)
+                   for s in ((m, n), (n, p), (m, p)))
+        for got, want in kernel_outputs(sk, a, b, c):
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
+
+def test_kernels_read_non_contiguous_views_like_their_copies():
+    rng = make_rng(62)
+    for sk, *_ in kernel_cases(rng):
+        m, n, p = sk.dims
+        base = rng.standard_normal((3 * n, 2 * m))
+        a_view = base[::3, ::2].T  # (m, n), neither C nor F order
+        b_view = rng.standard_normal((p, n)).T  # a transposed view
+        c_view = rng.standard_normal((2 * m, p))[::2]
+        if min(m, n) > 1:
+            assert not a_view.flags["C_CONTIGUOUS"]
+        views = kernel_outputs(sk, a_view, b_view, c_view)
+        copies = kernel_outputs(sk, *(np.ascontiguousarray(v) for v in (a_view, b_view, c_view)))
+        for (got, _), (want, _) in zip(views, copies):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_kernel_output_is_fresh_c_order_memory():
+    rng = make_rng(63)
+    for sk, a, b, c in kernel_cases(rng):
+        kept = [x.copy() for x in (a, b, c)]
+        for (out, _), x in zip(kernel_outputs(sk, a, b, c), (a, b, c)):
+            assert out.flags["C_CONTIGUOUS"] and out.flags["WRITEABLE"]
+            assert not np.shares_memory(out, x)
+            out[...] = 7.0
+        for x, k in zip((a, b, c), kept):
+            assert x.tobytes() == k.tobytes()
+
+
 # -- key shift -------------------------------------------------------------
 
 def test_key_shift_rotates_slots_left():

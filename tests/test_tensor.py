@@ -1,17 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from blindtrain.tensor import (
     ShapeError,
-    as_matrix,
     concat,
-    hadamard,
     make_rng,
-    matmul,
     max_abs,
     split,
     sum_all,
-    transpose,
 )
 
 
@@ -20,43 +18,6 @@ def test_make_rng_is_deterministic():
     b = make_rng(42).integers(0, 1 << 30, size=8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, make_rng(43).integers(0, 1 << 30, size=8))
-
-
-def test_as_matrix_coerces_and_validates():
-    out = as_matrix([[1, 2], [3, 4]])
-    assert out.dtype == np.float64 and out.flags["C_CONTIGUOUS"]
-    with pytest.raises(ShapeError):
-        as_matrix([1.0, 2.0])
-    with pytest.raises(ShapeError):
-        as_matrix(np.zeros((2, 2, 2)))
-
-
-def test_matmul_hand_case():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[5.0, 6.0], [7.0, 8.0]])
-    assert np.array_equal(matmul(a, b), [[19.0, 22.0], [43.0, 50.0]])
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError) as err:
-        matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-    assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
-
-
-def test_transpose_involution():
-    rng = make_rng(0)
-    a = rng.standard_normal((5, 3))
-    t = transpose(a)
-    assert t.shape == (3, 5) and t.flags["C_CONTIGUOUS"]
-    assert np.array_equal(transpose(t), a)
-
-
-def test_hadamard():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[2.0, 0.0], [1.0, 3.0]])
-    assert np.array_equal(hadamard(a, b), [[2.0, 0.0], [3.0, 12.0]])
-    with pytest.raises(ShapeError):
-        hadamard(a, np.zeros((2, 3)))
 
 
 def test_split_sizes_remainder_to_first_shards():
@@ -106,3 +67,32 @@ def test_sum_all_matches_sequential_fold():
 
 def test_max_abs():
     assert max_abs(np.array([[-3.0, 2.0], [1.0, -0.5]])) == 3.0
+
+
+def test_max_abs_matches_numpy_on_random_arrays():
+    rng = make_rng(4)
+    for _ in range(200):
+        rows, cols = (int(v) for v in rng.integers(1, 12, size=2))
+        a = rng.standard_normal((rows, cols)) * 10.0 ** int(rng.integers(-5, 6))
+        a += float(rng.choice([-3.0, 0.0, 3.0]))  # all-negative and all-positive too
+        assert max_abs(a) == float(np.max(np.abs(a)))
+        assert max_abs(a.T) == max_abs(a)
+
+
+@pytest.mark.parametrize("where", [0, 5, 11])
+def test_max_abs_propagates_nan(where):
+    a = make_rng(5).standard_normal((3, 4))
+    a.flat[where] = np.nan
+    assert math.isnan(max_abs(a))
+
+
+def test_max_abs_infinities_and_signed_zero():
+    assert max_abs(np.array([[1.0, -np.inf]])) == np.inf
+    assert max_abs(np.array([[np.inf, -2.0]])) == np.inf
+    zero = max_abs(np.array([[-0.0]]))
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+
+
+def test_max_abs_rejects_empty():
+    with pytest.raises(ValueError):
+        max_abs(np.zeros((0, 3)))
