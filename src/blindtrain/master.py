@@ -37,12 +37,14 @@ from .obfuscate import (
     min_rounds,
 )
 from .protocol import Config, Hello, MultBwd, MultFwd, Result, StorePair
-from .tensor import ShapeError, concat, make_rng, split, sum_all
+from .tensor import ShapeError, concat, make_rng, shard_slices, sum_all
 
 __all__ = [
     "LayerPlan",
     "PartitionPlan",
     "plan_partition",
+    "Shard",
+    "shard_layout",
     "EpochKeys",
     "OffloadStats",
     "WorkerFault",
@@ -100,6 +102,32 @@ def plan_partition(net: nn.Network, n_workers: int) -> PartitionPlan:
             shards = 1
         layers[lin.layer_id] = LayerPlan(lin.policy, shards)
     return PartitionPlan(layers)
+
+
+@dataclass(frozen=True)
+class Shard:
+    """One shard of a layer product W (m x n) @ X (n x p): the rows of W
+    and the columns of X it multiplies, which also index its block of
+    the product, and the (m, n, p) dims of its own product."""
+
+    rows: slice
+    cols: slice
+    dims: tuple[int, int, int]
+
+
+def shard_layout(plan: LayerPlan, m: int, n: int, p: int) -> list[Shard]:
+    """The shards of one offloaded product under its layer's plan.
+
+    "tensor" cuts W's m rows and ships all of X to each shard; "data"
+    cuts X's p columns and ships all of W.  Either is clipped to the dim
+    it cuts and sized by shard_slices, so the forward product, the
+    pipelined pre-blinding and the backward delta all split alike.
+    """
+    if plan.policy == "tensor":
+        return [Shard(r, slice(0, p), (r.stop - r.start, n, p))
+                for r in shard_slices(m, min(plan.shards, m))]
+    return [Shard(slice(0, m), c, (m, n, c.stop - c.start))
+            for c in shard_slices(p, min(plan.shards, p))]
 
 
 def _derive_seed(master_seed: int, epoch: int, layer_id: int, shard_id: int,
@@ -296,14 +324,6 @@ class EncryptedExecutor(nn.MatMulExecutor):
 
     # -- helpers -------------------------------------------------------
 
-    def _shards_for(self, lid: int, w: np.ndarray, x_width: int) -> int:
-        plan = self.plan[lid]
-        if plan.policy == "data":
-            return min(plan.shards, x_width)
-        if plan.policy == "tensor":
-            return min(plan.shards, w.shape[0])
-        return 1
-
     def _encrypt_weight(self, lid: int, shard: int, sk: SecretKey, w_part: np.ndarray) -> np.ndarray:
         cached = self._pre_enc.pop((lid, shard), None)
         if cached is not None:
@@ -311,11 +331,12 @@ class EncryptedExecutor(nn.MatMulExecutor):
         self.stats.matrices_encrypted += 1
         return enc_left(sk, w_part)
 
-    def _dec(self, sk, c_enc, a_plain, b_plain):
+    def _dec(self, sk, c_enc, a_plain, b_plain, out=None):
         self.stats.matrices_decrypted += 1
         self.stats.verification_rounds += self.rounds
         try:
-            return dec(sk, c_enc, a_plain, b_plain, self.rounds, self._rng, self.tolerance)
+            return dec(sk, c_enc, a_plain, b_plain, self.rounds, self._rng, self.tolerance,
+                       out=out)
         except IntegrityFailure:
             self.stats.failures += 1
             raise
@@ -330,19 +351,11 @@ class EncryptedExecutor(nn.MatMulExecutor):
         if nxt is None or self.plan[nxt.layer_id].policy == "master":
             return
         w = nxt.W
-        policy = self.plan[nxt.layer_id].policy
-        s = self._shards_for(nxt.layer_id, w, batch_width)
-        if policy == "tensor":
-            for j, wj in enumerate(split(w, "rows", s)):
-                sk = self.keys.get(nxt.layer_id, j, wj.shape[0], wj.shape[1], batch_width)
-                self._pre_enc[(nxt.layer_id, j)] = enc_left(sk, wj)
-                self.stats.matrices_encrypted += 1
-        else:  # data: whole weight per shard, keyed by the shard's batch slice
-            widths = [part.size for part in np.array_split(np.arange(batch_width), s)]
-            for j, pj in enumerate(widths):
-                sk = self.keys.get(nxt.layer_id, j, w.shape[0], w.shape[1], pj)
-                self._pre_enc[(nxt.layer_id, j)] = enc_left(sk, w)
-                self.stats.matrices_encrypted += 1
+        layout = shard_layout(self.plan[nxt.layer_id], *w.shape, batch_width)
+        for j, sh in enumerate(layout):
+            sk = self.keys.get(nxt.layer_id, j, *sh.dims)
+            self._pre_enc[(nxt.layer_id, j)] = enc_left(sk, w[sh.rows])
+            self.stats.matrices_encrypted += 1
 
     # -- forward -------------------------------------------------------
 
@@ -355,16 +368,10 @@ class EncryptedExecutor(nn.MatMulExecutor):
             return w @ x
 
         p = x.shape[1]
-        s = self._shards_for(lid, w, p)
-        if policy == "tensor":
-            w_parts, x_parts = split(w, "rows", s), [x] * s
-        else:
-            w_parts, x_parts = [w] * s, split(x, "cols", s)
-
         records = []
-        for j in range(s):
-            wj, xj = w_parts[j], x_parts[j]
-            sk = self.keys.get(lid, j, wj.shape[0], wj.shape[1], xj.shape[1])
+        for j, sh in enumerate(shard_layout(self.plan[lid], *w.shape, p)):
+            wj, xj = w[sh.rows], x[:, sh.cols]
+            sk = self.keys.get(lid, j, *sh.dims)
             w_enc = self._encrypt_weight(lid, j, sk, wj)
             x_enc = enc_right(sk, xj)
             self.stats.matrices_encrypted += 1
@@ -372,20 +379,22 @@ class EncryptedExecutor(nn.MatMulExecutor):
             store_tag = conn.request(StorePair(lid, j, w_enc, x_enc))
             mult_tag = conn.request(MultFwd(lid, j))
             self.stats.products_offloaded += 1
-            records.append({"sk": sk, "w": wj, "x": xj, "tags": (store_tag, mult_tag)})
+            records.append({"sk": sk, "w": wj, "x": xj, "shard": sh,
+                            "tags": (store_tag, mult_tag)})
 
         if self.pipelined:
             self._pre_encrypt_next(lid, p)
 
-        z_parts = []
+        z = np.empty((w.shape[0], p))  # each shard unblinds into its block
         for j, rec in enumerate(records):
             conn = self.pool.conn(j)
             conn.collect(rec["tags"][0], ())  # store ack
-            reply = conn.collect(rec["tags"][1], ((rec["w"].shape[0], rec["x"].shape[1]),))
-            z_parts.append(self._dec(rec["sk"], reply.matrices[0], rec["w"], rec["x"]))
+            sh = rec["shard"]
+            reply = conn.collect(rec["tags"][1], ((sh.dims[0], sh.dims[2]),))
+            self._dec(rec["sk"], reply.matrices[0], rec["w"], rec["x"], out=z[sh.rows, sh.cols])
 
         self._ctx[lid] = {"policy": policy, "records": records, "w": w, "x": x}
-        return concat(z_parts, "rows" if policy == "tensor" else "cols")
+        return z
 
     # -- backward ------------------------------------------------------
 
@@ -402,10 +411,7 @@ class EncryptedExecutor(nn.MatMulExecutor):
                 f"({ctx['w'].shape[0]}, {ctx['x'].shape[1]})"
             )
         records = ctx["records"]
-        if ctx["policy"] == "tensor":
-            delta_parts = split(delta, "rows", len(records))
-        else:
-            delta_parts = split(delta, "cols", len(records))
+        delta_parts = [delta[rec["shard"].rows, rec["shard"].cols] for rec in records]
 
         if self.reuse_backward:
             t1_parts, t2_parts = self._backward_reuse(lid, records, delta_parts)

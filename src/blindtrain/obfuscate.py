@@ -137,18 +137,37 @@ def key_shift(sk: SecretKey, phi: int) -> SecretKey:
     return SecretKey(tuple(sk.slots[(i + phi) % 3] for i in range(3)))
 
 
+_BLOCK_BYTES = 1 << 18  # output bytes filled per row block: cache-sized
+
+
 def _gather_scale(a, rows: np.ndarray, cols: np.ndarray,
-                  num: np.ndarray, den: np.ndarray) -> np.ndarray:
+                  num: np.ndarray, den: np.ndarray, out=None) -> np.ndarray:
     """out(i, j) = a(rows(i), cols(j)) * (num / den)(i, j), as float64.
 
-    Two axis gathers make one fresh C-order array, which is then scaled
-    in place: one rounding per entry, as in (num / den) * a[np.ix_(rows,
-    cols)], and since IEEE multiplication commutes the bytes are the
-    same.  The ratio matrix is built only once the row gather is freed,
-    so at most two operand-sized temporaries are alive at a time.
+    num and den are a column (m x 1) and a row (1 x n), either way
+    round.  The output is filled in cache-sized blocks of rows: gather
+    the block's rows, gather their columns straight into the block, then
+    scale it in place by the block's rows of num / den.  Each entry is
+    rounded once, as in (num / den) * a[np.ix_(rows, cols)], and IEEE
+    multiplication commutes, so the bytes are the same; only block-sized
+    temporaries are made.  rows and cols are key permutations, already
+    validated, so take() may skip its bounds check.  `out`, if given,
+    must not overlap `a`; it may be a strided view.
     """
-    out = np.asarray(a, dtype=np.float64).take(rows, axis=0).take(cols, axis=1)
-    out *= num / den
+    a = np.asarray(a, dtype=np.float64)
+    m, n = rows.size, cols.size
+    if out is None:
+        out = np.empty((m, n))
+    elif out.shape != (m, n) or out.dtype != np.float64:
+        raise ShapeError(f"output {out.shape} {out.dtype} is not ({m}, {n}) float64")
+    elif np.may_share_memory(out, a):
+        raise ValueError("output overlaps the operand")
+    step = _BLOCK_BYTES // (8 * n) or 1
+    for lo in range(0, m, step):
+        hi = lo + step
+        block = out[lo:hi]
+        a.take(rows[lo:hi], axis=0).take(cols, axis=1, out=block, mode="clip")
+        block *= num[lo:hi] / den if len(den) == 1 else num / den[lo:hi]
     return out
 
 
@@ -156,9 +175,9 @@ def _enc(row_slot: KeySlot, col_slot: KeySlot, a: np.ndarray) -> np.ndarray:
     """out(i, j) = (c_row(i) / c_col(j)) * a(perm_row(i), perm_col(j)).
 
     This is E_row A E_col^-1 (see encryption_matrix) up to rounding,
-    computed as a row gather, a column gather and one in-place scaling
-    by the coefficient ratios.  Any real input comes back as a new
-    float64 array; the input is never written.
+    computed block by block as a row gather, a column gather and an
+    in-place scaling by the coefficient ratios.  Any real input comes
+    back as a new float64 array; the input is never written.
     """
     return _gather_scale(a, row_slot.perm, col_slot.perm,
                          row_slot.coeffs[:, None], col_slot.coeffs[None, :])
@@ -185,14 +204,18 @@ def enc_pair(sk: SecretKey, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, n
     return enc_left(sk, a), enc_right(sk, b)
 
 
-def dec_only(sk: SecretKey, c_enc: np.ndarray) -> np.ndarray:
-    """Undo the blinding of a returned product without verifying it."""
+def dec_only(sk: SecretKey, c_enc: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Undo the blinding of a returned product without verifying it.
+
+    The product is written into `out` when one is given (an m x p
+    float64 array or view, such as a shard's slice of a layer output)
+    and into a new array otherwise."""
     m, _, p = sk.dims
     if c_enc.shape != (m, p):
         raise ShapeError(f"dec_only: product {c_enc.shape} does not match key dims ({m}, {p})")
     row, col = sk.slots[0], sk.slots[2]
     im, ip = row.inv_perm, col.inv_perm
-    return _gather_scale(c_enc, im, ip, col.coeffs[ip][None, :], row.coeffs[im][:, None])
+    return _gather_scale(c_enc, im, ip, col.coeffs[ip][None, :], row.coeffs[im][:, None], out)
 
 
 def _verify(
@@ -231,12 +254,15 @@ def dec(
     k: int,
     rng: np.random.Generator,
     tol: float = DEFAULT_TOLERANCE,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unblind a returned product and verify it against the retained operands.
 
     Raises IntegrityFailure (carrying the first failing round and its
     residual) if any of the k probe rounds exceeds tolerance or is not a
-    number; otherwise returns the decrypted product.
+    number; otherwise returns the decrypted product, written into `out`
+    when one is given (see dec_only).  After a failure `out` holds the
+    unverified product.
     """
     m, n, p = sk.dims
     if a_plain.shape != (m, n) or b_plain.shape != (n, p):
@@ -244,7 +270,7 @@ def dec(
             f"dec: plaintext operands {a_plain.shape} x {b_plain.shape} "
             f"do not match key dims {sk.dims}"
         )
-    c_dec = dec_only(sk, c_enc)
+    c_dec = dec_only(sk, c_enc, out)
     _verify(a_plain, b_plain, c_dec, k, rng, tol)
     return c_dec
 

@@ -173,13 +173,15 @@ ERR_UNSUPPORTED = 4
 
 
 def _wire_matrix(a) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
+    """The matrix as the C-order little-endian float64 its body holds,
+    with no copy when it already is one."""
+    a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError(f"wire matrices are 2-D, got ndim={a.ndim}")
     rows, cols = a.shape
     if rows == 0 or cols == 0:
         raise ValueError(f"wire matrices need positive dims, got ({rows} x {cols})")
-    return a
+    return np.ascontiguousarray(a, dtype="<f8")
 
 
 def _decode_matrix(payload, offset: int) -> tuple[np.ndarray, int]:
@@ -283,23 +285,22 @@ def _decode_payload(msg_type: int, payload):
     raise UnknownMessageType(f"message type 0x{msg_type:02x}")
 
 
-def encode(msg) -> bytearray:
-    """The frame of one message, built in a single buffer: each matrix
-    is copied once, straight into its place in the frame."""
+def _frame_parts(msg) -> list:
+    """The frame of one message as consecutive buffers: the header and
+    fixed fields, then each matrix's dims and its own memory as body."""
     msg_type, fields, matrices = _payload_parts(msg)
     matrices = [_wire_matrix(a) for a in matrices]
     length = len(fields) + sum(_MAT_HEADER.size + a.nbytes for a in matrices)
-    frame = bytearray(HEADER.size + length)
-    HEADER.pack_into(frame, 0, MAGIC, VERSION, msg_type, length)
-    offset = HEADER.size + len(fields)
-    frame[HEADER.size : offset] = fields
+    parts = [HEADER.pack(MAGIC, VERSION, msg_type, length) + fields]
     for a in matrices:
-        _MAT_HEADER.pack_into(frame, offset, *a.shape)
-        offset += _MAT_HEADER.size
-        body = np.frombuffer(frame, dtype="<f8", count=a.size, offset=offset)
-        np.copyto(body.reshape(a.shape), a)
-        offset += a.nbytes
-    return frame
+        parts += [_MAT_HEADER.pack(*a.shape), a]
+    return parts
+
+
+def encode(msg) -> bytearray:
+    """The frame of one message in a single buffer: each matrix is
+    copied once, straight into its place in the frame."""
+    return bytearray().join(_frame_parts(msg))
 
 
 def _parse_header(data, offset: int = 0, max_payload: int = MAX_PAYLOAD) -> tuple[int, int]:
@@ -347,26 +348,42 @@ def iter_messages(data):
 
 
 def send_message(sock: socket.socket, msg) -> None:
-    sock.sendall(encode(msg))
+    """Write the frame encode() builds, without building it: one
+    scatter-gather send over the header bytes and the matrices' own
+    memory, resumed where a short write stopped."""
+    views = [memoryview(part).cast("B") for part in _frame_parts(msg)]
+    while views:
+        sent = sock.sendmsg(views)
+        while views and sent >= len(views[0]):
+            sent -= len(views.pop(0))
+        if sent:
+            views[0] = views[0][sent:]
 
 
-def _recv_exact(sock: socket.socket, nbytes: int) -> bytearray:
-    buf = bytearray(nbytes)
-    with memoryview(buf) as view:
-        got = 0
-        while got < nbytes:
-            n = sock.recv_into(view[got:])
-            if not n:
-                raise ConnectionError(f"peer closed with {nbytes - got} bytes outstanding")
-            got += n
-    return buf
+# A RESULT's 9 fixed bytes and the 8-byte matrix header leave the first
+# body 1 byte past an 8-byte boundary; receiving the payload 7 bytes into
+# its buffer puts every body of the frame on one.
+_RESULT_PAD = -(_RESULT_HEADER.size + _MAT_HEADER.size) % 8
+
+
+def _recv_exact(sock: socket.socket, nbytes: int, pad: int = 0) -> memoryview:
+    """nbytes from the socket, received `pad` bytes into a new buffer."""
+    view = memoryview(bytearray(pad + nbytes))[pad:]
+    got = 0
+    while got < nbytes:
+        n = sock.recv_into(view[got:])
+        if not n:
+            raise ConnectionError(f"peer closed with {nbytes - got} bytes outstanding")
+        got += n
+    return view
 
 
 def read_message(sock: socket.socket, max_payload: int = MAX_PAYLOAD):
     """Read one frame.  A frame declaring more than `max_payload` bytes
     is refused from its header, before any of its payload is read.
-    Matrices whose bodies sit at 8-byte offsets of the payload are
-    decoded as views into the frame's own receive buffer."""
+    Every matrix is decoded as a view into the frame's own receive
+    buffer, where its body sits 8-byte aligned."""
     header = _recv_exact(sock, HEADER.size)
     msg_type, length = _parse_header(header, max_payload=max_payload)
-    return _decode_payload(msg_type, _recv_exact(sock, length))
+    pad = _RESULT_PAD if msg_type == MsgType.RESULT else 0
+    return _decode_payload(msg_type, _recv_exact(sock, length, pad))

@@ -12,6 +12,7 @@ import numpy as np
 __all__ = [
     "ShapeError",
     "make_rng",
+    "shard_slices",
     "split",
     "concat",
     "sum_all",
@@ -34,13 +35,21 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def split(a: np.ndarray, axis: str, n_shards: int) -> list[np.ndarray]:
-    """Cut into n_shards contiguous blocks along "rows" or "cols".
+def shard_slices(size: int, n_shards: int) -> list[slice]:
+    """n_shards consecutive slices covering range(size).
 
-    Block sizes differ by at most one; the remainder goes to the first
-    shards (the convention the partition planner and the backward-pass
-    delta splitting must share).
+    Their lengths differ by at most one and the remainder goes to the
+    first shards, as np.array_split does.  This is the one rule every
+    shard split follows: weights, batches and backward-pass deltas.
     """
+    q, r = divmod(size, n_shards)
+    bounds = [j * q + min(j, r) for j in range(n_shards + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def split(a: np.ndarray, axis: str, n_shards: int) -> list[np.ndarray]:
+    """Cut into n_shards contiguous blocks along "rows" or "cols", sized
+    by shard_slices."""
     ax = _AXES[axis]
     if n_shards < 1:
         raise ShapeError(f"split: n_shards must be >= 1, got {n_shards}")
@@ -48,7 +57,8 @@ def split(a: np.ndarray, axis: str, n_shards: int) -> list[np.ndarray]:
         raise ShapeError(
             f"split: {n_shards} shards exceed {axis}={a.shape[ax]} of {a.shape}"
         )
-    return [np.ascontiguousarray(part) for part in np.array_split(a, n_shards, axis=ax)]
+    parts = shard_slices(a.shape[ax], n_shards)
+    return [np.ascontiguousarray(a[part] if ax == 0 else a[:, part]) for part in parts]
 
 
 def concat(parts: list[np.ndarray], axis: str) -> np.ndarray:

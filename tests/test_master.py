@@ -15,9 +15,10 @@ from blindtrain.master import (
     plan_partition,
     run_inference,
     run_training,
+    shard_layout,
 )
 from blindtrain.nn import LocalExecutor, Network, TrainConfig, train
-from blindtrain.obfuscate import IntegrityFailure, KeySpaceConfig
+from blindtrain.obfuscate import IntegrityFailure, KeySpaceConfig, dec_only
 from blindtrain.protocol import (
     HEADER,
     MAGIC,
@@ -100,6 +101,52 @@ def test_epoch_keys_reproducible_regardless_of_request_order():
         sa.coeffs.tobytes() == sb.coeffs.tobytes() and np.array_equal(sa.perm, sb.perm)
         for sa, sb in zip(ka.slots, kb.slots)
     )
+
+
+@pytest.mark.parametrize("policy", ["tensor", "data"])
+def test_shard_layout_follows_array_split_and_clips(policy):
+    for (m, n, p), shards in [((7, 3, 5), 3), ((5, 2, 7), 4), ((2, 4, 1), 3),
+                              ((1, 1, 9), 2), ((64, 8, 64), 2)]:
+        layout = shard_layout(LayerPlan(policy, shards), m, n, p)
+        cut = m if policy == "tensor" else p
+        want = [len(part) for part in np.array_split(np.arange(cut), min(shards, cut))]
+        cuts = [sh.rows if policy == "tensor" else sh.cols for sh in layout]
+        assert [c.stop - c.start for c in cuts] == want
+        assert cuts[0].start == 0 and cuts[-1].stop == cut
+        assert all(a.stop == b.start for a, b in zip(cuts, cuts[1:]))
+        for sh in layout:
+            kept = sh.cols if policy == "tensor" else sh.rows
+            assert (kept.start, kept.stop) == (0, p if policy == "tensor" else m)
+            rows, cols = sh.rows.stop - sh.rows.start, sh.cols.stop - sh.cols.start
+            assert sh.dims == (rows, n, cols)
+
+
+@pytest.mark.parametrize("policy", ["tensor", "data"])
+def test_forward_unblinds_every_shard_into_its_block_of_one_output(policy):
+    """The layer output holds each shard's unblinded product in the
+    block its layout names, with the bytes dec_only gives on its own."""
+    net = make_net((6, 7, 2), policies=[policy, policy])
+    w = net.linears[0].W
+    x = make_rng(22).standard_normal((6, 9))
+    with spawn_local_workers(3) as addresses:
+        with pool_for(addresses, net) as pool:
+            replies = []
+            for conn in pool.connections:
+                def collect(tag, shapes, _collect=conn.collect):
+                    reply = _collect(tag, shapes)
+                    if shapes:
+                        replies.append(reply.matrices[0].copy())
+                    return reply
+                conn.collect = collect
+            ex = offload_executor(pool, net, seed=4)
+            z = ex.multiply_forward(0, w, x)
+            records = ex._ctx[0]["records"]
+    assert z.shape == (7, 9) and z.flags["C_CONTIGUOUS"] and z.flags["OWNDATA"]
+    assert len(records) == len(replies) == 3
+    want = np.full(z.shape, np.nan)
+    for rec, c_enc in zip(records, replies):
+        want[rec["shard"].rows, rec["shard"].cols] = dec_only(rec["sk"], c_enc)
+    assert z.tobytes() == want.tobytes()
 
 
 # -- offloaded products match local ones -----------------------------------

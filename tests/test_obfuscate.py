@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from blindtrain import obfuscate
 from blindtrain.obfuscate import (
     IntegrityConfig,
     IntegrityFailure,
@@ -241,6 +243,89 @@ def test_kernel_output_is_fresh_c_order_memory():
             out[...] = 7.0
         for x, k in zip((a, b, c), kept):
             assert x.tobytes() == k.tobytes()
+
+
+def block_edge_cases(rng):
+    """Operands at the edges of the kernels' row blocks: row counts one
+    under, at and one over a block, several blocks with a remainder, a
+    single row, and rows wider than one whole block."""
+    n = 300
+    rows = obfuscate._BLOCK_BYTES // (8 * n)  # rows per block at this width
+    dims = [(rows - 1, n, rows + 1), (rows, n, 2 * rows), (rows + 1, n, 3 * rows + 2),
+            (3 * rows + 5, n, 1), (1, n, 2 * rows + 7)]
+    wide = obfuscate._BLOCK_BYTES // 8 + 3  # one row fills more than a block
+    dims += [(1, wide, 3), (3, 2, wide), (2, wide, wide // 40)]
+    for m, k, p in dims:
+        a, b, c = (rng.standard_normal(shape) for shape in ((m, k), (k, p), (m, p)))
+        for x in (a, b, c):
+            x.flat[rng.integers(0, x.size, size=3)] = [-0.0, np.nan, -np.inf]
+        yield kgen(m, k, p, KS, rng), a, b, c
+
+
+def test_kernels_match_ix_form_at_block_edges():
+    for case in block_edge_cases(make_rng(64)):
+        for got, want in kernel_outputs(*case):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_unblinding_into_a_column_slice_writes_only_that_slice():
+    rng = make_rng(65)
+    for sk, _, _, c in block_edge_cases(rng):
+        m, _, p = sk.dims
+        dest = rng.standard_normal((m, p + 5))
+        kept = dest.copy()
+        view = dest[:, 2:2 + p]  # a strided, non-contiguous destination
+        got = dec_only(sk, c, out=view)
+        assert got is view
+        assert np.ascontiguousarray(view).tobytes() == ix_dec(sk, c).tobytes()
+        for cols in (slice(0, 2), slice(2 + p, None)):
+            assert dest[:, cols].tobytes() == kept[:, cols].tobytes()
+
+
+def test_dec_unblinds_into_out_and_verifies():
+    rng = make_rng(66)
+    for _ in range(10):
+        sk, a, b = random_case(rng, hi=12)
+        a_enc, b_enc = enc_pair(sk, a, b)
+        out = np.full((a.shape[0], b.shape[1] + 1), 3.0)[:, 1:]
+        got = dec(sk, a_enc @ b_enc, a, b, 10, rng, out=out)
+        assert got is out
+        assert np.ascontiguousarray(out).tobytes() == dec(sk, a_enc @ b_enc, a, b, 10, rng).tobytes()
+        bad = a_enc @ b_enc
+        bad[0, 0] += 1e3
+        with pytest.raises(IntegrityFailure):
+            dec(sk, bad, a, b, 30, rng, out=out)
+
+
+def test_out_must_fit_and_not_overlap_the_product():
+    sk = kgen(3, 4, 5, KS, make_rng(67))
+    c = make_rng(68).standard_normal((3, 5))
+    for wrong in (np.empty((5, 3)), np.empty((3, 5), dtype=np.float32)):
+        with pytest.raises(ShapeError):
+            dec_only(sk, c, out=wrong)
+    with pytest.raises(ValueError, match="overlaps"):
+        dec_only(sk, c, out=c)
+
+
+@pytest.mark.parametrize("kernel, shape", [
+    (enc_left, (512, 1024)), (enc_right, (512, 1024)), (dec_only, (512, 1024))])
+def test_kernel_peak_allocation_is_one_output_plus_a_block(kernel, shape):
+    """tracemalloc sees numpy's data buffers: the peak may hold the
+    output and one block's temporaries, never a second operand-sized
+    array."""
+    rows, cols = shape
+    dims = {enc_left: (rows, cols, 4), enc_right: (4, rows, cols), dec_only: (rows, 4, cols)}
+    sk = kgen(*dims[kernel], KS, make_rng(69))
+    x = make_rng(70).standard_normal(shape)
+    tracemalloc.start()
+    try:
+        out = kernel(sk, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == rows * cols * 8
+    assert peak < out.nbytes + 2 * obfuscate._BLOCK_BYTES
 
 
 # -- key shift -------------------------------------------------------------

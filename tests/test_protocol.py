@@ -1,5 +1,7 @@
 import socket
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,8 +286,122 @@ def test_decoded_matrices_are_writable_native_float64():
             if mat is not None:
                 assert mat.dtype == np.float64 and mat.dtype.isnative
                 assert mat.flags.writeable and mat.flags.aligned
-    # STORE_PAIR bodies sit at 8-byte offsets, so they stay views into the
-    # receive buffer; RESULT bodies follow a 9-byte header and are copied
+    # every received body sits 8-byte aligned in its receive buffer (a
+    # RESULT payload lands 7 bytes in), so each matrix is a view into it
     assert not received[0].a_enc.flags.owndata
     assert not received[0].b_enc.flags.owndata
-    assert received[1].matrices[0].flags.owndata
+    assert not received[1].matrices[0].flags.owndata
+    assert not received[1].matrices[1].flags.owndata
+
+
+# -- the scatter-gather send path -------------------------------------------
+
+def wire_samples(rng):
+    """Every message type, with operands send_message must convert or
+    read through strides: views, transposes, float32, int64 and the
+    special values whose bits must cross unchanged."""
+    special = np.array([[0.0, -0.0, np.nan], [np.inf, -np.inf, 5e-324]])
+    strided = rng.standard_normal((6, 8))[::2, 1::3]
+    transposed = rng.standard_normal((5, 3)).T
+    f32 = rng.standard_normal((4, 3)).astype(np.float32)
+    ints = rng.integers(-1000, 1000, size=(3, 5))
+    return all_message_samples(rng) + [
+        StorePair(1, 2, special, strided),
+        StorePair(3, 0, transposed, f32),
+        MultBwd(4, 1, ints),
+        MultBwd(0, 0, special.T),
+        Result(12, (f32, ints, strided, transposed, special)),
+        Error(3, "café – tag 7"),
+    ]
+
+
+def _drain(sock, nbytes: int) -> bytes:
+    chunks, got = [], 0
+    while got < nbytes:
+        chunk = sock.recv(min(1 << 20, nbytes - got))
+        assert chunk, "sender closed early"
+        chunks.append(chunk)
+        got += len(chunk)
+    return b"".join(chunks)
+
+
+def test_sent_bytes_equal_encode_for_every_message():
+    left, right = socket.socketpair()
+    try:
+        for msg in wire_samples(make_rng(6)):
+            frame = encode(msg)
+            send_message(left, msg)
+            assert _drain(right, len(frame)) == bytes(frame)
+        right.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            right.recv(1)  # nothing beyond the frames
+    finally:
+        left.close()
+        right.close()
+
+
+class CountingSocket(socket.socket):
+    """Records what each sendmsg call was asked to send and sent."""
+
+    def sendmsg(self, buffers, *args):
+        asked = sum(memoryview(b).nbytes for b in buffers)
+        sent = super().sendmsg(buffers, *args)
+        self.calls.append((asked, sent))
+        return sent
+
+
+def test_short_writes_resume_where_they_stopped():
+    left, right = socket.socketpair()
+    sender = CountingSocket(fileno=left.detach())
+    sender.calls = []
+    sender.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    sender.settimeout(30.0)  # a timeout makes sends return short, as on a worker connection
+    rng = make_rng(7)
+    a = rng.standard_normal((1024, 1024))  # 8 MiB each, 16 MiB in the frame
+    b = rng.standard_normal((1024, 1024)).T  # a view, converted before sending
+    msg = StorePair(2, 1, a, b)
+    frame = bytes(encode(msg))
+    got = []
+    reader = threading.Thread(target=lambda: got.append(_drain(right, len(frame))))
+    reader.start()
+    try:
+        send_message(sender, msg)
+        reader.join(timeout=60)
+    finally:
+        sender.close()
+        right.close()
+    assert got and got[0] == frame
+    assert sum(sent for _, sent in sender.calls) == len(frame)
+    assert any(sent < asked for asked, sent in sender.calls)  # the resume loop ran
+
+
+def test_send_message_allocates_no_frame_buffer():
+    """tracemalloc sees numpy's and bytearray's buffers: sending a 5 MiB
+    StorePair must not build the frame in memory."""
+    rng = make_rng(8)
+    msg = StorePair(0, 1, rng.standard_normal((640, 512)), rng.standard_normal((640, 512)))
+    nbytes = len(encode(msg))
+    assert nbytes > 5 << 20
+    left, right = socket.socketpair()
+    sink = bytearray(1 << 16)
+    drained = []
+
+    def drain():
+        got = 0
+        while got < nbytes:
+            got += right.recv_into(sink)
+        drained.append(got)
+
+    reader = threading.Thread(target=drain)
+    reader.start()
+    tracemalloc.start()
+    try:
+        send_message(left, msg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        reader.join(timeout=60)
+        left.close()
+        right.close()
+    assert drained == [nbytes]
+    assert peak < 64 << 10
