@@ -37,7 +37,7 @@ from .obfuscate import (
     min_rounds,
 )
 from .protocol import Config, Hello, MultBwd, MultFwd, Result, StorePair
-from .tensor import ShapeError, concat, make_rng, shard_slices, sum_all
+from .tensor import ShapeError, make_rng, shard_slices
 
 __all__ = [
     "LayerPlan",
@@ -178,15 +178,12 @@ class WorkerConnection:
     """One socket to one worker.  Requests are answered in order; every
     send returns the tag its reply must carry."""
 
-    def __init__(self, sock: socket.socket, tap=None):
+    def __init__(self, sock: socket.socket):
         self._sock = sock
         self._next_tag = 0
-        self._tap = tap
 
     def request(self, msg) -> int:
         """Send one request; a worker that hung up is a WorkerFault."""
-        if self._tap is not None:
-            self._tap(msg)
         tag = self._next_tag
         try:
             protocol.send_message(self._sock, msg)
@@ -238,7 +235,7 @@ class WorkerPool:
 
     @classmethod
     def connect(cls, addresses: list[tuple[str, int]], n_layers: int,
-                mode: int = 1, tap=None, timeout: float = 30.0) -> "WorkerPool":
+                mode: int = 1, timeout: float = 30.0) -> "WorkerPool":
         conns = []
         try:
             for i, (host, port) in enumerate(addresses):
@@ -248,7 +245,7 @@ class WorkerPool:
                     raise ConnectionError(
                         f"worker at {host}:{port} unreachable: {exc}") from exc
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                conn = WorkerConnection(sock, tap=tap)
+                conn = WorkerConnection(sock)
                 conns.append(conn)
                 conn.call(Hello(worker_id=i), ())
                 conn.call(Config(n_layers=n_layers, mode=mode), ())
@@ -296,7 +293,6 @@ class EncryptedExecutor(nn.MatMulExecutor):
         *,
         rounds: int,
         keyspace: KeySpaceConfig | None = None,
-        tolerance: float = 1e-8,
         seed: int = 0,
         pipelined: bool = False,
         reuse_backward: bool = True,
@@ -304,7 +300,6 @@ class EncryptedExecutor(nn.MatMulExecutor):
         self.pool = pool
         self.plan = plan
         self.rounds = rounds
-        self.tolerance = tolerance
         self.pipelined = pipelined
         self.reuse_backward = reuse_backward
         self.keys = EpochKeys(seed, keyspace or KeySpaceConfig())
@@ -335,8 +330,7 @@ class EncryptedExecutor(nn.MatMulExecutor):
         self.stats.matrices_decrypted += 1
         self.stats.verification_rounds += self.rounds
         try:
-            return dec(sk, c_enc, a_plain, b_plain, self.rounds, self._rng, self.tolerance,
-                       out=out)
+            return dec(sk, c_enc, a_plain, b_plain, self.rounds, self._rng, out=out)
         except IntegrityFailure:
             self.stats.failures += 1
             raise
@@ -405,76 +399,63 @@ class EncryptedExecutor(nn.MatMulExecutor):
         if ctx["policy"] == "master":
             w, x = ctx["w"], ctx["x"]
             return x @ delta.T, delta.T @ w
-        if delta.shape != (ctx["w"].shape[0], ctx["x"].shape[1]):
+        (m, n), p = ctx["w"].shape, ctx["x"].shape[1]
+        if delta.shape != (m, p):
             raise ShapeError(
-                f"backward delta {delta.shape} does not match product shape "
-                f"({ctx['w'].shape[0]}, {ctx['x'].shape[1]})"
-            )
-        records = ctx["records"]
-        delta_parts = [delta[rec["shard"].rows, rec["shard"].cols] for rec in records]
+                f"backward delta {delta.shape} does not match product shape ({m}, {p})")
+        t1, t2 = np.empty((n, m)), np.empty((p, n))
+        # All shards write one block whole: T2 under "tensor", T1 under "data".
+        # Shard 0 unblinds into it; later shards add theirs in shard order.
+        shared = (ctx["policy"] == "data", ctx["policy"] == "tensor")
+        # A sender ships one shard's requests and returns the keys that
+        # unblind T1 and T2 and the (tag, reply shapes) of each request;
+        # the replies carry T1, then T2.
+        send = self._send_reuse if self.reuse_backward else self._send_naive
+        sent = []
+        for j, rec in enumerate(ctx["records"]):
+            sh = rec["shard"]
+            d_t = np.ascontiguousarray(delta[sh.rows, sh.cols].T)
+            sent.append((rec, d_t, *send(lid, j, rec, d_t)))
+        for j, (rec, d_t, keys, requests) in enumerate(sent):
+            conn, sh = self.pool.conn(j), rec["shard"]
+            products = [c for tag, shapes in requests for c in conn.collect(tag, shapes).matrices]
+            operands = ((rec["x"], d_t), (d_t, rec["w"]))
+            blocks = (t1[:, sh.rows], t2[sh.cols])
+            for sk, c_enc, (a, b), block, summed in zip(keys, products, operands, blocks, shared):
+                if j and summed:
+                    block += self._dec(sk, c_enc, a, b)
+                else:
+                    self._dec(sk, c_enc, a, b, out=block)
+        return t1, t2
 
-        if self.reuse_backward:
-            t1_parts, t2_parts = self._backward_reuse(lid, records, delta_parts)
-        else:
-            t1_parts, t2_parts = self._backward_naive(lid, records, delta_parts)
-
-        if ctx["policy"] == "tensor":
-            return concat(t1_parts, "cols"), sum_all(t2_parts)
-        return sum_all(t1_parts), concat(t2_parts, "rows")
-
-    def _backward_reuse(self, lid, records, delta_parts):
+    def _send_reuse(self, lid, j, rec, d_t):
         """One fresh blinded matrix per shard: the transposed delta under
         the key rotated by two; the worker multiplies it against the pair
         it already holds."""
-        tags = []
-        for j, rec in enumerate(records):
-            d_t = np.ascontiguousarray(delta_parts[j].T)
-            rec["d_t"] = d_t
-            d_enc = enc_left(key_shift(rec["sk"], 2), d_t)
-            self.stats.matrices_encrypted += 1
-            tags.append(self.pool.conn(j).request(MultBwd(lid, j, d_enc)))
-            self.stats.products_offloaded += 2
-        t1_parts, t2_parts = [], []
-        for j, rec in enumerate(records):
-            (m, n), p = rec["w"].shape, rec["x"].shape[1]
-            reply = self.pool.conn(j).collect(tags[j], ((n, m), (p, n)))
-            sk, d_t = rec["sk"], rec["d_t"]
-            t1_parts.append(self._dec(key_shift(sk, 1), reply.matrices[0], rec["x"], d_t))
-            t2_parts.append(self._dec(key_shift(sk, 2), reply.matrices[1], d_t, rec["w"]))
-        return t1_parts, t2_parts
+        m, n, p = rec["shard"].dims
+        k1, k2 = key_shift(rec["sk"], 1), key_shift(rec["sk"], 2)
+        d_enc = enc_left(k2, d_t)
+        self.stats.matrices_encrypted += 1
+        tag = self.pool.conn(j).request(MultBwd(lid, j, d_enc))
+        self.stats.products_offloaded += 2
+        return (k1, k2), [(tag, ((n, m), (p, n)))]
 
-    def _backward_naive(self, lid, records, delta_parts):
+    def _send_naive(self, lid, j, rec, d_t):
         """Reference mode: no operand reuse.  Both backward products are
         shipped as independently keyed, freshly blinded pairs, so four
         matrices are blinded per shard where reuse needs one."""
-        sent = []
-        for j, rec in enumerate(records):
-            d_t = np.ascontiguousarray(delta_parts[j].T)
-            x, w = rec["x"], rec["w"]
-            conn = self.pool.conn(j)
-            k1 = kgen(x.shape[0], x.shape[1], d_t.shape[1], self.keys.keyspace, self._rng)
-            a1, b1 = enc_left(k1, x), enc_right(k1, d_t)
-            store1 = conn.request(StorePair(lid, j, a1, b1))
-            tag1 = conn.request(MultFwd(lid, j))
-            k2 = kgen(d_t.shape[0], d_t.shape[1], w.shape[1], self.keys.keyspace, self._rng)
-            a2, b2 = enc_left(k2, d_t), enc_right(k2, w)
-            store2 = conn.request(StorePair(lid, j, a2, b2))
-            tag2 = conn.request(MultFwd(lid, j))
-            self.stats.matrices_encrypted += 4
-            self.stats.products_offloaded += 2
-            sent.append((k1, k2, d_t, store1, tag1, store2, tag2))
-        t1_parts, t2_parts = [], []
-        for j, rec in enumerate(records):
-            k1, k2, d_t, store1, tag1, store2, tag2 = sent[j]
-            (m, n), p = rec["w"].shape, rec["x"].shape[1]
-            conn = self.pool.conn(j)
-            conn.collect(store1, ())  # store ack
-            r1 = conn.collect(tag1, ((n, m),))
-            t1_parts.append(self._dec(k1, r1.matrices[0], rec["x"], d_t))
-            conn.collect(store2, ())
-            r2 = conn.collect(tag2, ((p, n),))
-            t2_parts.append(self._dec(k2, r2.matrices[0], d_t, rec["w"]))
-        return t1_parts, t2_parts
+        m, n, p = rec["shard"].dims
+        x, w = rec["x"], rec["w"]
+        conn = self.pool.conn(j)
+        k1 = kgen(n, p, m, self.keys.keyspace, self._rng)
+        store1 = conn.request(StorePair(lid, j, enc_left(k1, x), enc_right(k1, d_t)))
+        tag1 = conn.request(MultFwd(lid, j))
+        k2 = kgen(p, m, n, self.keys.keyspace, self._rng)
+        store2 = conn.request(StorePair(lid, j, enc_left(k2, d_t), enc_right(k2, w)))
+        tag2 = conn.request(MultFwd(lid, j))
+        self.stats.matrices_encrypted += 4
+        self.stats.products_offloaded += 2
+        return (k1, k2), [(store1, ()), (tag1, ((n, m),)), (store2, ()), (tag2, ((p, n),))]
 
 
 def _integrity_rounds(t: float, task: str, pool_size: int, net: nn.Network,
@@ -504,7 +485,6 @@ def run_training(
     plan: PartitionPlan | None = None,
     pipelined: bool = False,
     reuse_backward: bool = True,
-    tolerance: float = 1e-8,
 ):
     """Train over the pool and report.  Verification failures abort the
     run (the failing step commits nothing); honest workers never trip a
@@ -516,7 +496,6 @@ def run_training(
     executor = EncryptedExecutor(
         pool, plan, rounds=rounds, keyspace=KeySpaceConfig(keyspace),
         seed=seed, pipelined=pipelined, reuse_backward=reuse_backward,
-        tolerance=tolerance,
     )
     executor.attach_network(net)
 

@@ -47,9 +47,10 @@ __all__ = [
 class MatMulExecutor:
     """Seam for the two products of each linear layer.
 
-    multiply_backward may reuse operands retained from the matching
-    multiply_forward call of the same batch; callers guarantee the
-    forward/backward pairing per layer.
+    multiply_forward returns a fresh array that the caller owns and may
+    write in place.  multiply_backward may reuse operands retained from
+    the matching multiply_forward call of the same batch; callers
+    guarantee the forward/backward pairing per layer.
     """
 
     def start_epoch(self, epoch: int) -> None:
@@ -182,11 +183,9 @@ class Network:
 
 @dataclass
 class ForwardCache:
-    """Per-layer operands retained for one backward pass."""
+    """Per-layer pre-activations retained for one backward pass."""
 
-    inputs: dict[int, np.ndarray] = field(default_factory=dict)
     preacts: dict[int, np.ndarray] = field(default_factory=dict)
-    batch_width: int = 0
 
 
 def softmax_cols(z: np.ndarray) -> np.ndarray:
@@ -217,13 +216,12 @@ def cross_entropy_softmax(z: np.ndarray, labels: np.ndarray) -> tuple[float, np.
 def forward(net: Network, x: np.ndarray, executor: MatMulExecutor) -> tuple[np.ndarray, ForwardCache]:
     if x.shape[0] != net.in_dim:
         raise ShapeError(f"input {x.shape} does not match network in_dim {net.in_dim}")
-    cache = ForwardCache(batch_width=x.shape[1])
+    cache = ForwardCache()
     cur = x
     for layer in net.layers:
         if isinstance(layer, Linear):
             z = executor.multiply_forward(layer.layer_id, layer.W, cur)
-            z = z + layer.b[:, None]
-            cache.inputs[layer.layer_id] = cur
+            z += layer.b[:, None]
             cache.preacts[layer.layer_id] = z
             cur = z
         elif isinstance(layer, ReLU):

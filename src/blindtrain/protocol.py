@@ -43,7 +43,6 @@ __all__ = [
     "Error",
     "encode",
     "decode",
-    "iter_messages",
     "send_message",
     "read_message",
     "result_size",
@@ -303,12 +302,12 @@ def encode(msg) -> bytearray:
     return bytearray().join(_frame_parts(msg))
 
 
-def _parse_header(data, offset: int = 0, max_payload: int = MAX_PAYLOAD) -> tuple[int, int]:
-    if len(data) - offset < HEADER.size:
+def _parse_header(data, max_payload: int = MAX_PAYLOAD) -> tuple[int, int]:
+    if len(data) < HEADER.size:
         raise TruncatedFrame(
-            f"frame header needs {HEADER.size} bytes, got {len(data) - offset}"
+            f"frame header needs {HEADER.size} bytes, got {len(data)}"
         )
-    magic, version, msg_type, length = HEADER.unpack_from(data, offset)
+    magic, version, msg_type, length = HEADER.unpack_from(data)
     if magic != MAGIC:
         raise BadMagic(f"bad magic {magic!r}")
     if version != VERSION:
@@ -321,8 +320,7 @@ def _parse_header(data, offset: int = 0, max_payload: int = MAX_PAYLOAD) -> tupl
 
 
 def decode(data):
-    """Decode exactly one frame; trailing bytes are an error.  Use
-    iter_messages for a buffer holding several frames back to back.
+    """Decode exactly one frame; trailing bytes are an error.
     Matrices decoded from a writable buffer are views into it."""
     msg_type, length = _parse_header(data)
     if len(data) != HEADER.size + length:
@@ -330,21 +328,6 @@ def decode(data):
             f"frame declares {length} payload bytes, buffer has {len(data) - HEADER.size}"
         )
     return _decode_payload(msg_type, memoryview(data)[HEADER.size :])
-
-
-def iter_messages(data):
-    """Yield consecutive messages from a buffer of concatenated frames."""
-    view = memoryview(data)
-    offset = 0
-    while offset < len(data):
-        msg_type, length = _parse_header(data, offset)
-        end = offset + HEADER.size + length
-        if end > len(data):
-            raise TruncatedFrame(
-                f"frame declares {length} payload bytes, buffer has {len(data) - offset - HEADER.size}"
-            )
-        yield _decode_payload(msg_type, view[offset + HEADER.size : end])
-        offset = end
 
 
 def send_message(sock: socket.socket, msg) -> None:

@@ -3,6 +3,7 @@ import socket
 import numpy as np
 import pytest
 
+from blindtrain import master, protocol
 from blindtrain.data import gen_blobs
 from blindtrain.master import (
     EncryptedExecutor,
@@ -18,7 +19,7 @@ from blindtrain.master import (
     shard_layout,
 )
 from blindtrain.nn import LocalExecutor, Network, TrainConfig, train
-from blindtrain.obfuscate import IntegrityFailure, KeySpaceConfig, dec_only
+from blindtrain.obfuscate import IntegrityFailure, KeySpaceConfig, dec, dec_only
 from blindtrain.protocol import (
     HEADER,
     MAGIC,
@@ -121,32 +122,52 @@ def test_shard_layout_follows_array_split_and_clips(policy):
             assert sh.dims == (rows, n, cols)
 
 
+def _fold(parts):
+    acc = parts[0].copy()
+    for part in parts[1:]:
+        acc += part
+    return acc
+
+
 @pytest.mark.parametrize("policy", ["tensor", "data"])
-def test_forward_unblinds_every_shard_into_its_block_of_one_output(policy):
-    """The layer output holds each shard's unblinded product in the
-    block its layout names, with the bytes dec_only gives on its own."""
+def test_forward_unblinds_every_shard_into_its_block_of_one_output(policy, monkeypatch):
+    """The layer output and both backward products hold each shard's
+    unblinded product, with the bytes dec_only gives on its own, in the
+    block its layout names.  The backward block every shard writes (T2
+    under "tensor", T1 under "data") holds their sum in shard order.
+    Both backward modes assemble alike."""
     net = make_net((6, 7, 2), policies=[policy, policy])
     w = net.linears[0].W
-    x = make_rng(22).standard_normal((6, 9))
+    rng = make_rng(22)
+    x, delta = rng.standard_normal((6, 9)), rng.standard_normal((7, 9))
+    layout = shard_layout(LayerPlan(policy, 3), 7, 6, 9)
+    decoded = []  # each reply unblinded on its own, in the order dec sees them
+
+    def record(sk, c_enc, *args, **kw):
+        decoded.append(dec_only(sk, c_enc))
+        return dec(sk, c_enc, *args, **kw)
+
+    monkeypatch.setattr(master, "dec", record)
     with spawn_local_workers(3) as addresses:
         with pool_for(addresses, net) as pool:
-            replies = []
-            for conn in pool.connections:
-                def collect(tag, shapes, _collect=conn.collect):
-                    reply = _collect(tag, shapes)
-                    if shapes:
-                        replies.append(reply.matrices[0].copy())
-                    return reply
-                conn.collect = collect
-            ex = offload_executor(pool, net, seed=4)
-            z = ex.multiply_forward(0, w, x)
-            records = ex._ctx[0]["records"]
-    assert z.shape == (7, 9) and z.flags["C_CONTIGUOUS"] and z.flags["OWNDATA"]
-    assert len(records) == len(replies) == 3
-    want = np.full(z.shape, np.nan)
-    for rec, c_enc in zip(records, replies):
-        want[rec["shard"].rows, rec["shard"].cols] = dec_only(rec["sk"], c_enc)
-    assert z.tobytes() == want.tobytes()
+            for reuse in (True, False):
+                decoded.clear()
+                ex = offload_executor(pool, net, seed=4, reuse_backward=reuse)
+                z = ex.multiply_forward(0, w, x)
+                t1, t2 = ex.multiply_backward(0, delta)
+                assert len(decoded) == 3 + 2 * 3
+                want = np.full(z.shape, np.nan)
+                for sh, part in zip(layout, decoded[:3]):
+                    want[sh.rows, sh.cols] = part
+                t1_parts, t2_parts = decoded[3::2], decoded[4::2]
+                if policy == "tensor":
+                    want_t1, want_t2 = np.concatenate(t1_parts, axis=1), _fold(t2_parts)
+                else:
+                    want_t1, want_t2 = _fold(t1_parts), np.concatenate(t2_parts, axis=0)
+                for got, expected in ((z, want), (t1, want_t1), (t2, want_t2)):
+                    assert got.shape == expected.shape
+                    assert got.flags["C_CONTIGUOUS"] and got.flags["OWNDATA"]
+                    assert got.tobytes() == expected.tobytes()
 
 
 # -- offloaded products match local ones -----------------------------------
@@ -562,7 +583,7 @@ def test_failed_connect_closes_earlier_connections():
 
 # -- secrecy ---------------------------------------------------------------
 
-def test_wire_traffic_never_carries_plaintext_operands():
+def test_wire_traffic_never_carries_plaintext_operands(monkeypatch):
     seen = []
     ds = gen_blobs(10, 2, 2, separation=8.0, seed=6)
     net = make_net((2, 4, 2), seed=6)
@@ -573,8 +594,15 @@ def test_wire_traffic_never_carries_plaintext_operands():
             plain_snapshots.append((w.copy(), x.copy()))
             return super().multiply_forward(lid, w, x)
 
+    send_message = protocol.send_message
+
+    def record(sock, msg):
+        seen.append(msg)
+        send_message(sock, msg)
+
+    monkeypatch.setattr(protocol, "send_message", record)
     with spawn_local_workers(1) as addresses:
-        with pool_for(addresses, net, tap=lambda m: seen.append(m)) as pool:
+        with pool_for(addresses, net) as pool:
             ex = Recorder(pool, plan_partition(net, pool.size), rounds=5, seed=6)
             train(net, ds, TrainConfig(0.1, 10, 1, seed=6), ex)
 

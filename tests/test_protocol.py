@@ -26,7 +26,6 @@ from blindtrain.protocol import (
     UnknownMessageType,
     decode,
     encode,
-    iter_messages,
     read_message,
     send_message,
 )
@@ -115,16 +114,6 @@ def test_roundtrip_preserves_float_bits():
     specials = np.array([[0.0, -0.0], [1e-308, 1e308], [np.pi, -np.e]])
     got = decode(encode(Result(3, (specials,)))).matrices[0]
     assert got.tobytes() == specials.tobytes()
-
-
-def test_iter_messages_concatenated_stream():
-    msgs = all_message_samples(make_rng(2))
-    blob = b"".join(encode(m) for m in msgs)
-    again = list(iter_messages(blob))
-    assert len(again) == len(msgs)
-    for x, y in zip(msgs, again):
-        assert x == y
-    assert list(iter_messages(b"")) == []
 
 
 # -- malformed input -------------------------------------------------------

@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from blindtrain.tensor import (
-    ShapeError,
-    concat,
-    make_rng,
-    max_abs,
-    split,
-    sum_all,
-)
+from blindtrain.tensor import make_rng, max_abs
 
 
 def test_make_rng_is_deterministic():
@@ -18,51 +11,6 @@ def test_make_rng_is_deterministic():
     b = make_rng(42).integers(0, 1 << 30, size=8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, make_rng(43).integers(0, 1 << 30, size=8))
-
-
-def test_split_sizes_remainder_to_first_shards():
-    a = make_rng(1).standard_normal((5, 4))
-    parts = split(a, "rows", 2)
-    assert [p.shape[0] for p in parts] == [3, 2]
-    parts = split(a, "cols", 3)
-    assert [p.shape[1] for p in parts] == [2, 1, 1]
-
-
-def test_split_concat_roundtrip_bitwise():
-    rng = make_rng(2)
-    for _ in range(50):
-        rows, cols = (int(v) for v in rng.integers(1, 12, size=2))
-        a = rng.standard_normal((rows, cols))
-        for axis, dim in (("rows", rows), ("cols", cols)):
-            n_shards = int(rng.integers(1, dim + 1))
-            back = concat(split(a, axis, n_shards), axis)
-            assert back.tobytes() == a.tobytes()
-
-
-def test_split_validation():
-    a = np.zeros((3, 2))
-    with pytest.raises(ShapeError):
-        split(a, "rows", 4)  # more shards than rows
-    with pytest.raises(ShapeError):
-        split(a, "cols", 0)
-
-
-def test_concat_off_axis_mismatch():
-    with pytest.raises(ShapeError):
-        concat([np.zeros((2, 3)), np.zeros((2, 4))], "rows")
-    with pytest.raises(ShapeError):
-        concat([], "rows")
-
-
-def test_sum_all_matches_sequential_fold():
-    rng = make_rng(3)
-    parts = [rng.standard_normal((3, 3)) for _ in range(5)]
-    expected = parts[0].copy()
-    for p in parts[1:]:
-        expected = expected + p
-    assert np.array_equal(sum_all(parts), expected)
-    with pytest.raises(ShapeError):
-        sum_all([np.zeros((2, 2)), np.zeros((3, 2))])
 
 
 def test_max_abs():
