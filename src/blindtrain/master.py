@@ -36,7 +36,7 @@ from .obfuscate import (
     kgen,
     min_rounds,
 )
-from .protocol import Config, Hello, MultBwd, MultFwd, Result, StorePair
+from .protocol import Config, Hello, MultBwd, Result, StorePair
 from .tensor import ShapeError, make_rng, shard_slices
 
 __all__ = [
@@ -235,10 +235,10 @@ class WorkerPool:
 
     @classmethod
     def connect(cls, addresses: list[tuple[str, int]], n_layers: int,
-                mode: int = 1, timeout: float = 30.0) -> "WorkerPool":
+                timeout: float = 30.0) -> "WorkerPool":
         conns = []
         try:
-            for i, (host, port) in enumerate(addresses):
+            for host, port in addresses:
                 try:
                     sock = socket.create_connection((host, port), timeout=timeout)
                 except OSError as exc:
@@ -247,8 +247,8 @@ class WorkerPool:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 conn = WorkerConnection(sock)
                 conns.append(conn)
-                conn.call(Hello(worker_id=i), ())
-                conn.call(Config(n_layers=n_layers, mode=mode), ())
+                conn.call(Hello(), ())
+                conn.call(Config(n_layers), ())
         except BaseException:
             for conn in conns:
                 conn.close()
@@ -369,22 +369,17 @@ class EncryptedExecutor(nn.MatMulExecutor):
             w_enc = self._encrypt_weight(lid, j, sk, wj)
             x_enc = enc_right(sk, xj)
             self.stats.matrices_encrypted += 1
-            conn = self.pool.conn(j)
-            store_tag = conn.request(StorePair(lid, j, w_enc, x_enc))
-            mult_tag = conn.request(MultFwd(lid, j))
+            tag = self.pool.conn(j).request(StorePair(lid, j, w_enc, x_enc))
             self.stats.products_offloaded += 1
-            records.append({"sk": sk, "w": wj, "x": xj, "shard": sh,
-                            "tags": (store_tag, mult_tag)})
+            records.append({"sk": sk, "w": wj, "x": xj, "shard": sh, "tag": tag})
 
         if self.pipelined:
             self._pre_encrypt_next(lid, p)
 
         z = np.empty((w.shape[0], p))  # each shard unblinds into its block
         for j, rec in enumerate(records):
-            conn = self.pool.conn(j)
-            conn.collect(rec["tags"][0], ())  # store ack
             sh = rec["shard"]
-            reply = conn.collect(rec["tags"][1], ((sh.dims[0], sh.dims[2]),))
+            reply = self.pool.conn(j).collect(rec["tag"], ((sh.dims[0], sh.dims[2]),))
             self._dec(rec["sk"], reply.matrices[0], rec["w"], rec["x"], out=z[sh.rows, sh.cols])
 
         self._ctx[lid] = {"policy": policy, "records": records, "w": w, "x": x}
@@ -448,14 +443,12 @@ class EncryptedExecutor(nn.MatMulExecutor):
         x, w = rec["x"], rec["w"]
         conn = self.pool.conn(j)
         k1 = kgen(n, p, m, self.keys.keyspace, self._rng)
-        store1 = conn.request(StorePair(lid, j, enc_left(k1, x), enc_right(k1, d_t)))
-        tag1 = conn.request(MultFwd(lid, j))
+        tag1 = conn.request(StorePair(lid, j, enc_left(k1, x), enc_right(k1, d_t)))
         k2 = kgen(p, m, n, self.keys.keyspace, self._rng)
-        store2 = conn.request(StorePair(lid, j, enc_left(k2, d_t), enc_right(k2, w)))
-        tag2 = conn.request(MultFwd(lid, j))
+        tag2 = conn.request(StorePair(lid, j, enc_left(k2, d_t), enc_right(k2, w)))
         self.stats.matrices_encrypted += 4
         self.stats.products_offloaded += 2
-        return (k1, k2), [(store1, ()), (tag1, ((n, m),)), (store2, ()), (tag2, ((p, n),))]
+        return (k1, k2), [(tag1, ((n, m),)), (tag2, ((p, n),))]
 
 
 def _integrity_rounds(t: float, task: str, pool_size: int, net: nn.Network,

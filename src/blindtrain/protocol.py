@@ -3,7 +3,7 @@
 Frame layout, all integers little-endian:
 
     magic    4 bytes  0x54 0x45 0x4D 0x50 ("TEMP")
-    version  1 byte   0x01
+    version  1 byte   0x02
     type     1 byte   message type
     length   8 bytes  payload byte count
     payload  variable
@@ -37,7 +37,6 @@ __all__ = [
     "Hello",
     "Config",
     "StorePair",
-    "MultFwd",
     "MultBwd",
     "Result",
     "Error",
@@ -49,14 +48,12 @@ __all__ = [
 ]
 
 MAGIC = b"TEMP"
-VERSION = 1
+VERSION = 2
 HEADER = struct.Struct("<4sBBQ")  # magic, version, type, payload length
 MAX_PAYLOAD = 1 << 30  # sanity cap; a declared length past this is rejected
 
-_U32 = struct.Struct("<I")
 _MAT_HEADER = struct.Struct("<II")
-_HELLO = struct.Struct("<I")
-_CONFIG = struct.Struct("<IB")
+_CONFIG = struct.Struct("<I")
 _PAIR_HEADER = struct.Struct("<II")
 _RESULT_HEADER = struct.Struct("<QB")
 _ERROR_HEADER = struct.Struct("<H")
@@ -66,7 +63,6 @@ class MsgType(IntEnum):
     HELLO = 0x01
     CONFIG = 0x02
     STORE_PAIR = 0x10
-    MULT_FWD = 0x11
     MULT_BWD = 0x12
     RESULT = 0x20
     ERROR = 0x7F
@@ -122,13 +118,12 @@ class _WireMessage:
 
 @dataclass(eq=False)
 class Hello(_WireMessage):
-    worker_id: int
+    """Opens a connection; carries no payload."""
 
 
 @dataclass(eq=False)
 class Config(_WireMessage):
     n_layers: int
-    mode: int  # 0 inference, 1 training
 
 
 @dataclass(eq=False)
@@ -137,12 +132,6 @@ class StorePair(_WireMessage):
     shard_id: int
     a_enc: np.ndarray
     b_enc: np.ndarray
-
-
-@dataclass(eq=False)
-class MultFwd(_WireMessage):
-    layer_id: int
-    shard_id: int
 
 
 @dataclass(eq=False)
@@ -167,7 +156,6 @@ class Error(_WireMessage):
 # error codes a worker may send
 ERR_SHAPE = 1
 ERR_CACHE_MISS = 2
-ERR_BAD_ORDER = 3
 ERR_UNSUPPORTED = 4
 
 
@@ -207,14 +195,12 @@ def _decode_matrix(payload, offset: int) -> tuple[np.ndarray, int]:
 def _payload_parts(msg) -> tuple[int, bytes, tuple]:
     """Message type, fixed leading fields and matrices of a payload."""
     if isinstance(msg, Hello):
-        return MsgType.HELLO, _HELLO.pack(msg.worker_id), ()
+        return MsgType.HELLO, b"", ()
     if isinstance(msg, Config):
-        return MsgType.CONFIG, _CONFIG.pack(msg.n_layers, msg.mode), ()
+        return MsgType.CONFIG, _CONFIG.pack(msg.n_layers), ()
     if isinstance(msg, StorePair):
         return (MsgType.STORE_PAIR, _PAIR_HEADER.pack(msg.layer_id, msg.shard_id),
                 (msg.a_enc, msg.b_enc))
-    if isinstance(msg, MultFwd):
-        return MsgType.MULT_FWD, _PAIR_HEADER.pack(msg.layer_id, msg.shard_id), ()
     if isinstance(msg, MultBwd):
         return MsgType.MULT_BWD, _PAIR_HEADER.pack(msg.layer_id, msg.shard_id), (msg.d_enc,)
     if isinstance(msg, Result):
@@ -239,8 +225,8 @@ def _decode_payload(msg_type: int, payload):
             )
 
     if msg_type == MsgType.HELLO:
-        exact(_HELLO.size)
-        return Hello(*_HELLO.unpack(payload))
+        exact(0)
+        return Hello()
     if msg_type == MsgType.CONFIG:
         exact(_CONFIG.size)
         return Config(*_CONFIG.unpack(payload))
@@ -253,9 +239,6 @@ def _decode_payload(msg_type: int, payload):
         if offset != len(payload):
             raise TruncatedFrame(f"{len(payload) - offset} trailing payload bytes")
         return StorePair(layer_id, shard_id, a_enc, b_enc)
-    if msg_type == MsgType.MULT_FWD:
-        exact(_PAIR_HEADER.size)
-        return MultFwd(*_PAIR_HEADER.unpack(payload))
     if msg_type == MsgType.MULT_BWD:
         if len(payload) < _PAIR_HEADER.size:
             raise TruncatedFrame("mult payload shorter than its fixed header")

@@ -1,10 +1,11 @@
 """Untrusted compute node.
 
-A worker stores one blinded operand pair per (layer, shard) slot,
-multiplies on request, and hands the pair's reuse products back during
-the backward pass without ever seeing a plaintext.  Requests on a
-connection are answered strictly in arrival order and every reply
-carries the sequence number of the request it answers.
+A worker answers each blinded operand pair it is sent with the pair's
+product and keeps the pair in its (layer, shard) slot, so the backward
+pass can multiply a blinded delta against it; it never sees a
+plaintext.  Requests on a connection are answered strictly in arrival
+order and every reply carries the sequence number of the request it
+answers.
 
 For experiments the worker can also misbehave on purpose: "tamper"
 perturbs one entry of a result, "lazy" returns a stale result of the
@@ -24,10 +25,8 @@ from .protocol import (
     Error,
     Hello,
     MultBwd,
-    MultFwd,
     Result,
     StorePair,
-    ERR_BAD_ORDER,
     ERR_CACHE_MISS,
     ERR_SHAPE,
 )
@@ -104,45 +103,25 @@ class WorkerSession:
     def __init__(self, mode: WorkerMode, rng: np.random.Generator):
         self.mode = mode
         self.rng = rng
-        self.worker_id: int | None = None
-        self.n_layers: int | None = None
-        # (layer, shard) -> [a_enc, b_enc, multiplied_flag]
-        self.cache: dict[tuple[int, int], list] = {}
+        self.cache: dict[tuple[int, int], tuple] = {}  # (layer, shard) -> (a_enc, b_enc)
         self.last_by_shape: dict = {}
         self._next_tag = 0
-
-    def _ack(self, tag: int) -> Result:
-        return Result(tag, ())
 
     def handle(self, msg):
         """Process one request, returning the reply message."""
         tag = self._next_tag
         self._next_tag += 1
-        if isinstance(msg, Hello):
-            self.worker_id = msg.worker_id
-            return self._ack(tag)
-        if isinstance(msg, Config):
-            self.n_layers = msg.n_layers
-            return self._ack(tag)
+        if isinstance(msg, (Hello, Config)):
+            return Result(tag, ())
         if isinstance(msg, StorePair):
-            if msg.a_enc.shape[1] != msg.b_enc.shape[0]:
+            a_enc, b_enc = msg.a_enc, msg.b_enc
+            if a_enc.shape[1] != b_enc.shape[0]:
                 return Error(
                     ERR_SHAPE,
-                    f"stored operands do not chain: {msg.a_enc.shape} x {msg.b_enc.shape}",
+                    f"stored operands do not chain: {a_enc.shape} x {b_enc.shape}",
                 )
-            self.cache[(msg.layer_id, msg.shard_id)] = [msg.a_enc, msg.b_enc, False]
-            return self._ack(tag)
-        if isinstance(msg, MultFwd):
-            slot = self.cache.get((msg.layer_id, msg.shard_id))
-            if slot is None:
-                return Error(
-                    ERR_CACHE_MISS,
-                    f"no stored pair for layer {msg.layer_id} shard {msg.shard_id}",
-                )
-            a_enc, b_enc, _ = slot
-            product = self._emit(a_enc @ b_enc)
-            slot[2] = True
-            return Result(tag, (product,))
+            self.cache[(msg.layer_id, msg.shard_id)] = (a_enc, b_enc)
+            return Result(tag, (self._emit(a_enc @ b_enc),))
         if isinstance(msg, MultBwd):
             slot = self.cache.get((msg.layer_id, msg.shard_id))
             if slot is None:
@@ -150,13 +129,7 @@ class WorkerSession:
                     ERR_CACHE_MISS,
                     f"no stored pair for layer {msg.layer_id} shard {msg.shard_id}",
                 )
-            a_enc, b_enc, multiplied = slot
-            if not multiplied:
-                return Error(
-                    ERR_BAD_ORDER,
-                    f"backward request before forward for layer {msg.layer_id} "
-                    f"shard {msg.shard_id}",
-                )
+            a_enc, b_enc = slot
             d = msg.d_enc
             if d.shape[0] != b_enc.shape[1] or d.shape[1] != a_enc.shape[0]:
                 return Error(
@@ -204,8 +177,9 @@ class WorkerServer:
             except OSError:
                 return  # listener closed
             # replies go out as soon as they are written; with Nagle's
-            # algorithm on, a RESULT sent right after its STORE_PAIR ack
-            # waits for the coordinator's delayed ACK (about 40 ms)
+            # algorithm on, a RESULT sent while the one before it is still
+            # unacknowledged (two STORE_PAIRs in flight, as reuse_backward=False
+            # sends them) waits for the coordinator's delayed ACK (about 40 ms)
             try:
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:

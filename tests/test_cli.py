@@ -253,6 +253,38 @@ def test_worker_dropping_mid_run_exits_4(tmp_path, capsys):
     assert "worker fault: no reply to request" in capsys.readouterr().err
 
 
+def test_version_one_worker_exits_4(tmp_path, capsys):
+    import struct
+    import threading
+    from blindtrain.protocol import HEADER, MAGIC, MsgType
+
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def answer_hello_as_version_one():
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(5)
+            conn.recv(HEADER.size)
+            conn.sendall(HEADER.pack(MAGIC, 1, MsgType.RESULT, 9) + struct.pack("<QB", 0, 0))
+            try:
+                while conn.recv(1):
+                    pass
+            except ConnectionResetError:  # closed with the RESULT body unread
+                pass
+
+    peer = threading.Thread(target=answer_hello_as_version_one, daemon=True)
+    peer.start()
+    try:
+        host, port = listener.getsockname()
+        cfg = write_config(tmp_path)
+        assert main(["train", "--config", cfg, "--workers", f"{host}:{port}"]) == 4
+        peer.join(timeout=10)
+        assert not peer.is_alive(), "the coordinator never hung up"
+    finally:
+        listener.close()
+    assert "bad reply to request 0: unsupported version 1" in capsys.readouterr().err
+
+
 def test_worker_subprocess_serves_over_tcp(tmp_path):
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
@@ -265,7 +297,7 @@ def test_worker_subprocess_serves_over_tcp(tmp_path):
         line = proc.stdout.readline()
         assert "listening" in line
         from blindtrain.master import WorkerPool
-        from blindtrain.protocol import StorePair, MultFwd
+        from blindtrain.protocol import StorePair
         deadline = time.monotonic() + 10
         while True:
             try:
@@ -278,8 +310,7 @@ def test_worker_subprocess_serves_over_tcp(tmp_path):
         with pool:
             a = np.ones((2, 3))
             b = np.full((3, 2), 2.0)
-            pool.conn(0).call(StorePair(0, 0, a, b), ())
-            reply = pool.conn(0).call(MultFwd(0, 0), ((2, 2),))
+            reply = pool.conn(0).call(StorePair(0, 0, a, b), ((2, 2),))
             assert np.max(np.abs(reply.matrices[0] - a @ b)) < 1e-12
     finally:
         proc.terminate()

@@ -1,4 +1,6 @@
 import socket
+import struct
+import threading
 
 import numpy as np
 import pytest
@@ -28,8 +30,8 @@ from blindtrain.protocol import (
     Error,
     MsgType,
     MultBwd,
-    MultFwd,
     Result,
+    StorePair,
     send_message,
 )
 from blindtrain.tensor import make_rng
@@ -42,8 +44,8 @@ def make_net(dims=(3, 5, 4, 2), policies=None, seed=11):
     return net
 
 
-def pool_for(addresses, net, **kw):
-    return WorkerPool.connect(addresses, n_layers=len(net.linears), **kw)
+def pool_for(addresses, net):
+    return WorkerPool.connect(addresses, n_layers=len(net.linears))
 
 
 def offload_executor(pool, net, **kw):
@@ -395,9 +397,8 @@ def test_worker_error_frame_raises_worker_fault():
     net = make_net((3, 4, 2))
     with spawn_local_workers(1) as addresses:
         with pool_for(addresses, net) as pool:
-            from blindtrain.protocol import MultFwd
-            with pytest.raises(WorkerFault):
-                pool.conn(0).call(MultFwd(9, 9), ((4, 1),))  # nothing stored there
+            with pytest.raises(WorkerFault):  # nothing stored there
+                pool.conn(0).call(MultBwd(9, 9, np.ones((1, 4))), ((1, 4), (1, 4)))
 
 
 class PoisonSession(WorkerSession):
@@ -455,10 +456,15 @@ def raw_peer():
     return WorkerConnection(left), right
 
 
+def small_store():
+    """A request whose product is 2 x 3."""
+    return StorePair(0, 0, np.ones((2, 4)), np.ones((4, 3)))
+
+
 def test_oversized_reply_refused_before_its_body_is_read():
     conn, peer = raw_peer()
     try:
-        tag = conn.request(MultFwd(0, 0))
+        tag = conn.request(small_store())
         # the header claims a 1 GiB reply, and no body follows: a reader
         # that trusted it would allocate the lot and then wait forever
         peer.sendall(HEADER.pack(MAGIC, VERSION, MsgType.RESULT, MAX_PAYLOAD))
@@ -472,7 +478,7 @@ def test_oversized_reply_refused_before_its_body_is_read():
 def test_raw_peer_wrong_shape_and_error_frames():
     conn, peer = raw_peer()
     try:
-        tags = [conn.request(MultFwd(0, 0)) for _ in range(4)]
+        tags = [conn.request(small_store()) for _ in range(4)]
         send_message(peer, Result(tags[0], (np.ones((3, 3)),)))
         with pytest.raises(WorkerFault, match="shapes"):
             conn.collect(tags[0], ((2, 3),))
@@ -492,7 +498,7 @@ def test_raw_peer_wrong_shape_and_error_frames():
 def test_peer_hanging_up_before_its_reply_is_a_worker_fault():
     conn, peer = raw_peer()
     try:
-        tag = conn.request(MultFwd(0, 0))
+        tag = conn.request(small_store())
         peer.close()
         with pytest.raises(WorkerFault, match=f"no reply to request {tag}"):
             conn.collect(tag, ((2, 3),))
@@ -505,7 +511,7 @@ def test_stalled_peer_is_a_worker_fault():
     left.settimeout(0.2)
     conn = WorkerConnection(left)
     try:
-        tag = conn.request(MultFwd(0, 0))  # the peer reads nothing, answers nothing
+        tag = conn.request(small_store())  # the peer reads nothing, answers nothing
         with pytest.raises(WorkerFault, match=f"no reply to request {tag}.*TimeoutError"):
             conn.collect(tag, ((2, 3),))
     finally:
@@ -517,8 +523,8 @@ def test_request_to_a_closed_peer_is_a_worker_fault():
     conn, peer = raw_peer()
     peer.close()
     try:
-        with pytest.raises(WorkerFault, match="cannot send request 0 \\(MultFwd\\)"):
-            conn.request(MultFwd(0, 0))
+        with pytest.raises(WorkerFault, match="cannot send request 0 \\(StorePair\\)"):
+            conn.request(small_store())
     finally:
         conn.close()
 
@@ -581,6 +587,45 @@ def test_failed_connect_closes_earlier_connections():
         server.stop()
 
 
+class VersionOnePeer:
+    """A listener whose one connection answers HELLO with the empty
+    RESULT a version-1 worker sent, then waits for the hang-up."""
+
+    def __init__(self):
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self._listener.getsockname()
+        self.greeting = None
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        conn, _ = self._listener.accept()
+        with conn:
+            conn.settimeout(5)
+            self.greeting = conn.recv(HEADER.size)
+            conn.sendall(HEADER.pack(MAGIC, 1, MsgType.RESULT, 9) + struct.pack("<QB", 0, 0))
+            try:
+                while conn.recv(1):
+                    pass
+            except ConnectionResetError:  # closed with the RESULT body unread
+                pass
+
+    def stop(self):
+        self._thread.join(timeout=10)
+        self._listener.close()
+        assert not self._thread.is_alive(), "the coordinator never hung up"
+
+
+def test_version_one_worker_is_a_worker_fault():
+    peer = VersionOnePeer()
+    try:
+        with pytest.raises(WorkerFault, match="bad reply to request 0: unsupported version 1"):
+            WorkerPool.connect([peer.address], n_layers=1, timeout=5)
+    finally:
+        peer.stop()
+    assert peer.greeting == HEADER.pack(MAGIC, 2, MsgType.HELLO, 0)
+
+
 # -- secrecy ---------------------------------------------------------------
 
 def test_wire_traffic_never_carries_plaintext_operands(monkeypatch):
@@ -630,7 +675,7 @@ def test_run_inference_matches_local_predict():
     train(net, ds, TrainConfig(0.1, 12, 4, seed=10), LocalExecutor())
     from blindtrain.nn import predict
     with spawn_local_workers(2) as addresses:
-        with pool_for(addresses, net, mode=0) as pool:
+        with pool_for(addresses, net) as pool:
             got = run_inference(net, ds.features, pool, seed=10)
     assert np.array_equal(got, predict(net, ds.features))
 
@@ -639,6 +684,6 @@ def test_run_inference_aborts_on_tampering():
     net = make_net((2, 4, 2), seed=1)
     x = make_rng(12).standard_normal((2, 8))
     with spawn_local_workers(1, WorkerMode.tamper(1.0, 3.0), seed=5) as addresses:
-        with pool_for(addresses, net, mode=0) as pool:
+        with pool_for(addresses, net) as pool:
             with pytest.raises(IntegrityFailure):
                 run_inference(net, x, pool, seed=2)

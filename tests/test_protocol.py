@@ -18,7 +18,6 @@ from blindtrain.protocol import (
     Hello,
     MsgType,
     MultBwd,
-    MultFwd,
     ProtocolError,
     Result,
     StorePair,
@@ -37,12 +36,10 @@ def all_message_samples(rng):
     b = rng.standard_normal((4, 2))
     d = rng.standard_normal((2, 3))
     return [
-        Hello(7),
-        Hello(0),
-        Config(3, 1),
-        Config(1, 0),
+        Hello(),
+        Config(3),
+        Config(1),
         StorePair(0, 1, a, b),
-        MultFwd(2, 0),
         MultBwd(1, 3, d),
         Result(9, ()),
         Result(10, (a @ b,)),
@@ -55,23 +52,21 @@ def all_message_samples(rng):
 # -- exact bytes -----------------------------------------------------------
 
 def test_hello_frame_bytes():
-    frame = encode(Hello(7))
-    assert len(frame) == 18
+    frame = encode(Hello())
+    assert len(frame) == 14
     assert frame[:4] == b"TEMP"
-    assert frame[4] == 1          # version
+    assert frame[4] == 2          # version
     assert frame[5] == 0x01       # HELLO
-    assert frame[6:14] == struct.pack("<Q", 4)
-    assert frame[14:18] == struct.pack("<I", 7)
+    assert frame[6:14] == struct.pack("<Q", 0)
 
 
 def test_header_constants():
     assert MAGIC == b"TEMP"
-    assert VERSION == 1
+    assert VERSION == 2
     assert HEADER.size == 14
     assert MsgType.HELLO == 0x01
     assert MsgType.CONFIG == 0x02
     assert MsgType.STORE_PAIR == 0x10
-    assert MsgType.MULT_FWD == 0x11
     assert MsgType.MULT_BWD == 0x12
     assert MsgType.RESULT == 0x20
     assert MsgType.ERROR == 0x7F
@@ -89,10 +84,11 @@ def test_matrix_wire_layout():
     assert values == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)  # row-major
 
 
-def test_mult_fwd_payload_is_two_u32():
-    frame = encode(MultFwd(5, 9))
-    assert frame[6:14] == struct.pack("<Q", 8)
-    assert frame[14:] == struct.pack("<II", 5, 9)
+def test_config_payload_is_one_u32():
+    frame = encode(Config(5))
+    assert frame[5] == 0x02
+    assert frame[6:14] == struct.pack("<Q", 4)
+    assert frame[14:] == struct.pack("<I", 5)
 
 
 # -- roundtrips ------------------------------------------------------------
@@ -119,21 +115,21 @@ def test_roundtrip_preserves_float_bits():
 # -- malformed input -------------------------------------------------------
 
 def test_bad_magic_rejected():
-    frame = bytearray(encode(Hello(1)))
+    frame = bytearray(encode(Hello()))
     frame[0:4] = b"JUNK"
     with pytest.raises(BadMagic):
         decode(bytes(frame))
 
 
 def test_bad_version_rejected():
-    frame = bytearray(encode(Hello(1)))
-    frame[4] = 2
+    frame = bytearray(encode(Hello()))
+    frame[4] = 1  # a version-1 peer
     with pytest.raises(BadVersion):
         decode(bytes(frame))
 
 
 def test_unknown_type_rejected():
-    frame = bytearray(encode(Hello(1)))
+    frame = bytearray(encode(Hello()))
     frame[5] = 0x33
     with pytest.raises(UnknownMessageType):
         decode(bytes(frame))
@@ -148,16 +144,16 @@ def test_truncated_frames_rejected():
 
 def test_trailing_bytes_rejected():
     with pytest.raises(TruncatedFrame):
-        decode(encode(Hello(1)) + b"\x00")
+        decode(encode(Hello()) + b"\x00")
     # declared length hides an extra byte inside the payload too
-    frame = bytearray(encode(MultFwd(1, 2)))
-    frame[6:14] = struct.pack("<Q", 9)
+    frame = bytearray(encode(Config(1)))
+    frame[6:14] = struct.pack("<Q", 5)
     with pytest.raises(TruncatedFrame):
         decode(bytes(frame) + b"\x00")
 
 
 def test_oversized_declared_length_rejected():
-    frame = bytearray(encode(Hello(1)))
+    frame = bytearray(encode(Hello()))
     frame[6:14] = struct.pack("<Q", MAX_PAYLOAD + 1)
     with pytest.raises(TruncatedFrame):
         decode(bytes(frame))
@@ -234,7 +230,7 @@ def test_send_and_read_over_socketpair():
 
 def test_read_message_detects_peer_close():
     left, right = socket.socketpair()
-    left.sendall(encode(Hello(1))[:10])
+    left.sendall(encode(Hello())[:10])
     left.close()
     try:
         with pytest.raises(ConnectionError):
@@ -250,8 +246,8 @@ def test_read_message_refuses_oversized_frame_from_its_header():
         left.sendall(frame[:HEADER.size])  # the body never comes
         with pytest.raises(TruncatedFrame, match="exceeds the cap"):
             read_message(right, len(frame) - HEADER.size - 1)
-        send_message(left, Hello(3))
-        assert read_message(right, 4) == Hello(3)  # a bound the frame meets
+        send_message(left, Config(3))
+        assert read_message(right, 4) == Config(3)  # a bound the frame meets
     finally:
         left.close()
         right.close()

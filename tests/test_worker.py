@@ -1,21 +1,25 @@
 import queue
 import socket
+import struct
 
 import numpy as np
 import pytest
 
 from blindtrain.protocol import (
-    ERR_BAD_ORDER,
     ERR_CACHE_MISS,
     ERR_SHAPE,
     ERR_UNSUPPORTED,
+    HEADER,
+    MAGIC,
+    VERSION,
     Config,
     Error,
     Hello,
     MultBwd,
-    MultFwd,
     Result,
     StorePair,
+    UnknownMessageType,
+    decode,
     read_message,
     send_message,
 )
@@ -100,10 +104,9 @@ def test_honest_history_feeds_lazy():
 
 def test_session_tags_are_sequential():
     s = honest_session()
-    replies = [s.handle(Hello(3)), s.handle(Config(2, 1))]
+    replies = [s.handle(Hello()), s.handle(Config(2))]
     assert [r.request_tag for r in replies] == [0, 1]
     assert all(isinstance(r, Result) and r.matrices == () for r in replies)
-    assert s.worker_id == 3 and s.n_layers == 2
 
 
 def test_forward_product_matches_numpy():
@@ -111,8 +114,7 @@ def test_forward_product_matches_numpy():
     rng = make_rng(6)
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((4, 5))
-    assert isinstance(s.handle(StorePair(0, 0, a, b)), Result)
-    reply = s.handle(MultFwd(0, 0))
+    reply = s.handle(StorePair(0, 0, a, b))
     assert isinstance(reply, Result)
     assert np.max(np.abs(reply.matrices[0] - a @ b)) < 1e-12
 
@@ -124,7 +126,6 @@ def test_backward_products_match_numpy():
     b = rng.standard_normal((4, 5))
     d = rng.standard_normal((5, 3))
     s.handle(StorePair(1, 2, a, b))
-    s.handle(MultFwd(1, 2))
     reply = s.handle(MultBwd(1, 2, d))
     assert len(reply.matrices) == 2
     assert np.max(np.abs(reply.matrices[0] - b @ d)) < 1e-12
@@ -138,8 +139,12 @@ def test_store_rejects_mismatched_pair():
 
 
 def test_forward_without_store_is_cache_miss():
+    # a forward request whose operands do not chain is refused and stores
+    # nothing, so the slot stays empty for the backward request
     s = honest_session()
-    reply = s.handle(MultFwd(0, 0))
+    fwd = s.handle(StorePair(0, 0, np.ones((2, 3)), np.ones((2, 4))))
+    assert isinstance(fwd, Error) and fwd.code == ERR_SHAPE
+    reply = s.handle(MultBwd(0, 0, np.ones((4, 2))))
     assert isinstance(reply, Error) and reply.code == ERR_CACHE_MISS
     assert "layer 0" in reply.text
 
@@ -148,45 +153,67 @@ def test_backward_without_store_is_cache_miss():
     s = honest_session()
     reply = s.handle(MultBwd(4, 1, np.ones((2, 2))))
     assert isinstance(reply, Error) and reply.code == ERR_CACHE_MISS
-
-
-def test_backward_before_forward_is_order_error():
-    s = honest_session()
-    s.handle(StorePair(0, 0, np.ones((2, 3)), np.ones((3, 4))))
-    reply = s.handle(MultBwd(0, 0, np.ones((4, 2))))
-    assert isinstance(reply, Error) and reply.code == ERR_BAD_ORDER
+    assert "layer 4 shard 1" in reply.text
 
 
 def test_backward_rejects_wrong_delta_shape():
     s = honest_session()
     s.handle(StorePair(0, 0, np.ones((2, 3)), np.ones((3, 4))))
-    s.handle(MultFwd(0, 0))
     reply = s.handle(MultBwd(0, 0, np.ones((2, 4))))
     assert isinstance(reply, Error) and reply.code == ERR_SHAPE
 
 
-def test_store_overwrites_slot_and_resets_order():
+def test_store_reply_is_the_product_and_backward_uses_the_latest_pair():
     s = honest_session()
-    a1, b1 = np.ones((2, 2)), np.ones((2, 2))
-    s.handle(StorePair(0, 0, a1, b1))
-    s.handle(MultFwd(0, 0))
-    a2, b2 = np.full((2, 2), 3.0), np.full((2, 2), 2.0)
-    s.handle(StorePair(0, 0, a2, b2))
-    # the fresh pair has not been multiplied yet
-    reply = s.handle(MultBwd(0, 0, np.ones((2, 2))))
-    assert isinstance(reply, Error) and reply.code == ERR_BAD_ORDER
-    fwd = s.handle(MultFwd(0, 0))
-    assert np.max(np.abs(fwd.matrices[0] - a2 @ b2)) < 1e-12
+    rng = make_rng(10)
+    d = rng.standard_normal((5, 3))
+    for tag in (0, 1):  # the second store replaces the first in the slot
+        a = rng.standard_normal((3, 4))
+        b = rng.standard_normal((4, 5))
+        fwd = s.handle(StorePair(0, 0, a, b))
+        assert fwd.request_tag == tag
+        assert fwd.matrices[0].tobytes() == (a @ b).tobytes()
+    bwd = s.handle(MultBwd(0, 0, d))
+    assert bwd.matrices[0].tobytes() == (b @ d).tobytes()
+    assert bwd.matrices[1].tobytes() == (d @ a).tobytes()
+
+
+def test_store_that_does_not_chain_keeps_the_slots_pair():
+    s = honest_session()
+    a, b = np.full((2, 3), 2.0), np.ones((3, 4))
+    s.handle(StorePair(0, 0, a, b))
+    reply = s.handle(StorePair(0, 0, np.ones((2, 3)), np.ones((2, 4))))
+    assert isinstance(reply, Error) and reply.code == ERR_SHAPE
+    d = np.ones((4, 2))
+    bwd = s.handle(MultBwd(0, 0, d))
+    assert np.array_equal(bwd.matrices[0], b @ d)
+    assert np.array_equal(bwd.matrices[1], d @ a)
 
 
 def test_slots_are_independent():
     s = honest_session()
-    s.handle(StorePair(0, 0, np.ones((2, 2)), np.ones((2, 2))))
-    s.handle(StorePair(0, 1, np.full((2, 2), 2.0), np.ones((2, 2))))
-    s.handle(MultFwd(0, 0))
-    # shard 1 still needs its forward pass first
-    reply = s.handle(MultBwd(0, 1, np.ones((2, 2))))
-    assert isinstance(reply, Error) and reply.code == ERR_BAD_ORDER
+    a0, a1 = np.ones((2, 2)), np.full((2, 2), 2.0)
+    s.handle(StorePair(0, 0, a0, np.ones((2, 2))))
+    s.handle(StorePair(0, 1, a1, np.ones((2, 2))))
+    d = np.eye(2)
+    # each slot's backward products use its own pair
+    assert np.array_equal(s.handle(MultBwd(0, 1, d)).matrices[1], a1)
+    assert np.array_equal(s.handle(MultBwd(0, 0, d)).matrices[1], a0)
+    assert isinstance(s.handle(MultBwd(1, 0, d)), Error)
+
+
+def test_retired_mult_fwd_type_is_unknown():
+    # 0x11 was MULT_FWD, with a layer and a shard u32, before STORE_PAIR
+    # was answered by its product
+    frame = HEADER.pack(MAGIC, VERSION, 0x11, 8) + struct.pack("<II", 0, 0)
+    with pytest.raises(UnknownMessageType):
+        decode(frame)
+    with spawn_local_workers(1) as addresses:
+        with socket.create_connection(addresses[0], timeout=5) as sock:
+            sock.sendall(frame)
+            reply = read_message(sock)
+            assert isinstance(reply, Error) and reply.code == ERR_UNSUPPORTED
+            assert "0x11" in reply.text
 
 
 def test_unexpected_message_type_is_rejected():
@@ -198,8 +225,7 @@ def test_unexpected_message_type_is_rejected():
 def test_tampering_session_corrupts_forward_product():
     s = WorkerSession(WorkerMode.tamper(1.0, 5.0), make_rng(8))
     a, b = np.eye(3), np.eye(3)
-    s.handle(StorePair(0, 0, a, b))
-    reply = s.handle(MultFwd(0, 0))
+    reply = s.handle(StorePair(0, 0, a, b))
     diff = reply.matrices[0] - np.eye(3)
     assert np.count_nonzero(diff) == 1
 
@@ -213,15 +239,15 @@ def test_server_roundtrip_over_tcp():
             rng = make_rng(9)
             a = rng.standard_normal((2, 3))
             b = rng.standard_normal((3, 2))
-            for msg in (Hello(0), Config(1, 1), StorePair(0, 0, a, b), MultFwd(0, 0)):
+            for msg in (Hello(), Config(1), StorePair(0, 0, a, b)):
                 send_message(sock, msg)
             tags = []
-            for _ in range(3):
+            for _ in range(2):
                 reply = read_message(sock)
                 tags.append(reply.request_tag)
                 assert reply.matrices == ()
             product = read_message(sock)
-            assert tags == [0, 1, 2] and product.request_tag == 3
+            assert tags == [0, 1] and product.request_tag == 2
             assert np.max(np.abs(product.matrices[0] - a @ b)) < 1e-12
         finally:
             sock.close()
@@ -263,7 +289,7 @@ def test_each_connection_gets_a_fresh_session():
             send_message(first, StorePair(0, 0, np.ones((2, 2)), np.ones((2, 2))))
             assert isinstance(read_message(first), Result)
             # the other connection cannot see that stored pair
-            send_message(second, MultFwd(0, 0))
+            send_message(second, MultBwd(0, 0, np.ones((2, 2))))
             reply = read_message(second)
             assert isinstance(reply, Error) and reply.code == ERR_CACHE_MISS
         finally:
