@@ -33,7 +33,7 @@ from .obfuscate import (
     min_rounds,
 )
 from .tensor import make_rng
-from .worker import WorkerMode, run_worker, spawn_local_workers
+from .worker import WorkerMode, apply_adversary, run_worker, spawn_local_workers
 
 __all__ = ["main", "RunConfig", "save_model", "load_model"]
 
@@ -311,25 +311,18 @@ def cmd_verify_experiment(args) -> int:
     ks = [int(v) for v in args.k.split(",")]
     rng = make_rng(args.seed)
     keyspace = KeySpaceConfig()
+    mode = WorkerMode(args.mode, 1.0, args.magnitude)
     print("k,trials,detected,rate,bound")
     for k in ks:
         detected = 0
-        stale = None
+        last_by_shape: dict = {}
         for _ in range(args.trials):
             m, n, p = (int(v) for v in rng.integers(2, 9, size=3))
             a = rng.standard_normal((m, n))
             b = rng.standard_normal((n, p))
             sk = kgen(m, n, p, keyspace, rng)
             a_enc, b_enc = enc_pair(sk, a, b)
-            c_enc = a_enc @ b_enc
-            if args.mode == "tamper":
-                i = int(rng.integers(m))
-                j = int(rng.integers(p))
-                c_enc[i, j] += args.magnitude
-            else:  # lazy: stale result of whatever shape, zeros at first
-                c_enc = stale if stale is not None and stale.shape == c_enc.shape \
-                    else np.zeros_like(c_enc)
-            stale = c_enc
+            c_enc = apply_adversary(mode, a_enc @ b_enc, rng, last_by_shape)
             try:
                 dec(sk, c_enc, a, b, k, rng)
             except IntegrityFailure:

@@ -240,12 +240,12 @@ def backward(
     executor: MatMulExecutor,
     learning_rate: float,
     batch_size: int,
-) -> Network:
-    """One SGD step.  All products are fetched and verified before any
-    weight changes, so a verification failure leaves the network as it
-    was."""
+) -> float:
+    """One SGD step; returns the batch's loss before the step.  All
+    products are fetched and verified before any weight changes, so a
+    verification failure leaves the network as it was."""
     last = net.linears[-1].layer_id
-    _, delta = cross_entropy_softmax(cache.preacts[last], labels)
+    loss, delta = cross_entropy_softmax(cache.preacts[last], labels)
     scale = learning_rate / batch_size
     updates = []
     for i in range(len(net.linears) - 1, -1, -1):
@@ -262,7 +262,7 @@ def backward(
     for lin, new_w, new_b in updates:
         lin.W = new_w
         lin.b = new_b
-    return net
+    return loss
 
 
 @dataclass(frozen=True)
@@ -299,9 +299,7 @@ def train(net, dataset, cfg: TrainConfig, executor: MatMulExecutor, epoch_callba
             xb = np.ascontiguousarray(features[:, idx])
             yb = labels[idx]
             _, fcache = forward(net, xb, executor)
-            loss, _ = cross_entropy_softmax(fcache.preacts[net.linears[-1].layer_id], yb)
-            losses.append(loss)
-            backward(net, fcache, yb, executor, cfg.learning_rate, idx.size)
+            losses.append(backward(net, fcache, yb, executor, cfg.learning_rate, idx.size))
         if epoch_callback is not None:
             epoch_callback(epoch, float(np.mean(losses)))
     return net

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .obfuscate import KeySpaceConfig, enc_left, kgen
 from .tensor import ShapeError, make_rng
@@ -28,16 +27,9 @@ __all__ = [
     "MIEstimate",
     "mi_estimate",
     "smooth_field",
-    "Identity",
-    "ScalarMult",
-    "AddRandom",
-    "EncNoPerm",
-    "EncFull",
-    "apply_scheme",
-    "privacy_score",
+    "SCHEMES",
     "pooled_privacy_score",
     "compare_schemes",
-    "SCHEME_ORDER",
 ]
 
 
@@ -70,108 +62,83 @@ def mi_estimate(x, y, n_bins: int = 16) -> MIEstimate:
     return MIEstimate(max(bits, 0.0), n_bins, x.size)
 
 
-def smooth_field(rows: int, cols: int, rng: np.random.Generator,
-                 smoothing: float = 3.0) -> np.ndarray:
-    """Structured test input: low-pass-filtered noise, standardized.
-    Neighboring entries correlate, like the feature maps the pipeline
-    actually ships."""
-    field = ndimage.gaussian_filter(rng.standard_normal((rows, cols)), sigma=smoothing)
+def _gaussian_blur(field: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable Gaussian filter, axis 0 then axis 1: radius 4*sigma
+    rounded, normalized exp(-x^2 / 2 sigma^2) weights, edges mirrored
+    with the edge entry repeated.  Each output sums the centre tap
+    first, then each mirrored pair from the outermost in, which is the
+    order ndimage.gaussian_filter uses, so its defaults give bitwise the
+    same field."""
+    r = int(4.0 * sigma + 0.5)
+    w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w = w / w.sum()
+    for _ in range(2):  # the second pass filters axis 1 through the transpose
+        n = field.shape[0]
+        p = np.pad(field, ((r, r), (0, 0)), mode="symmetric")
+        out = p[r:r + n] * w[r]
+        for j in range(r, 0, -1):
+            out += (p[r - j:r - j + n] + p[r + j:r + j + n]) * w[r - j]
+        field = out.T
+    return np.ascontiguousarray(field)
+
+
+def smooth_field(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
+    """Structured test input: noise low-pass filtered with sigma 3,
+    standardized.  Neighboring entries correlate, like the feature maps
+    the pipeline actually ships."""
+    field = _gaussian_blur(rng.standard_normal((rows, cols)), 3.0)
     return (field - field.mean()) / field.std()
 
 
-@dataclass(frozen=True)
-class Identity:
-    """Ship the plaintext: the do-nothing baseline."""
-
-
-@dataclass(frozen=True)
-class ScalarMult:
-    """Multiply the whole matrix by one nonzero scalar.  With mu=None a
-    fresh scalar is drawn from the coefficient space per application."""
-
-    mu: float | None = None
-
-    def __post_init__(self):
-        if self.mu is not None and self.mu == 0:
-            raise ValueError("scalar blinding factor must be nonzero")
-
-
-@dataclass(frozen=True)
-class AddRandom:
-    """Add a random mask of comparable magnitude.  With seed=None the
-    mask comes from the harness rng; a fixed seed pins it."""
-
-    seed: int | None = None
-    scale: float = 1.0
-
-
-@dataclass(frozen=True)
-class EncNoPerm:
-    """Coefficient ratios only, permutations disabled: every entry is
-    scaled in place by c_row(i) / c_col(j)."""
-
-
-@dataclass(frozen=True)
-class EncFull:
+def _enc_full(x, keyspace, rng):
     """The full blinding: coefficient ratios plus row and column
     permutations."""
+    return enc_left(kgen(*x.shape, 1, keyspace, rng), x)
 
 
-SCHEME_ORDER = ("enc_full", "enc_no_perm", "add_random", "scalar_mult", "identity")
+def _enc_no_perm(x, keyspace, rng):
+    """Coefficient ratios only, permutations disabled: every entry is
+    scaled in place by c_row(i) / c_col(j)."""
+    sk = kgen(*x.shape, 1, keyspace, rng)
+    return (sk.slots[0].coeffs[:, None] / sk.slots[1].coeffs[None, :]) * x
 
 
-def scheme_name(scheme) -> str:
-    return {
-        Identity: "identity",
-        ScalarMult: "scalar_mult",
-        AddRandom: "add_random",
-        EncNoPerm: "enc_no_perm",
-        EncFull: "enc_full",
-    }[type(scheme)]
+def _add_random(x, keyspace, rng):
+    """Add a Gaussian mask with the input's own spread."""
+    return x + (float(x.std()) or 1.0) * rng.standard_normal(x.shape)
 
 
-def apply_scheme(scheme, x: np.ndarray, keyspace: KeySpaceConfig,
-                 rng: np.random.Generator) -> np.ndarray:
-    """One application of a blinding scheme to a matrix."""
-    m, n = x.shape
-    if isinstance(scheme, Identity):
-        return x.copy()
-    if isinstance(scheme, ScalarMult):
-        mu = scheme.mu
-        if mu is None:
-            mu = float(rng.integers(1, keyspace.size + 1))
-        return mu * x
-    if isinstance(scheme, AddRandom):
-        mask_rng = rng if scheme.seed is None else make_rng(scheme.seed)
-        sigma = float(x.std()) or 1.0
-        return x + scheme.scale * sigma * mask_rng.standard_normal(x.shape)
-    if isinstance(scheme, EncNoPerm):
-        sk = kgen(m, n, 1, keyspace, rng)
-        c_row, c_col = sk.slots[0].coeffs, sk.slots[1].coeffs
-        return (c_row[:, None] / c_col[None, :]) * x
-    if isinstance(scheme, EncFull):
-        sk = kgen(m, n, 1, keyspace, rng)
-        return enc_left(sk, x)
-    raise TypeError(f"unknown scheme {type(scheme).__name__}")
+def _scalar_mult(x, keyspace, rng):
+    """Multiply the whole matrix by one nonzero scalar drawn from the
+    coefficient space."""
+    return float(rng.integers(1, keyspace.size + 1)) * x
 
 
-def privacy_score(scheme, x: np.ndarray, keyspace: KeySpaceConfig,
-                  rng: np.random.Generator | None = None, n_bins: int = 16) -> float:
-    """Negated positional MI for a single scheme application: higher
-    (closer to zero) means the observable reveals less."""
-    rng = rng if rng is not None else make_rng(0)
-    x_obs = apply_scheme(scheme, x, keyspace, rng)
-    return -mi_estimate(x, x_obs, n_bins).bits
+def _identity(x, keyspace, rng):
+    """Ship the plaintext: the do-nothing baseline."""
+    return x.copy()
 
 
-def pooled_privacy_score(scheme, patches: list[np.ndarray], keyspace: KeySpaceConfig,
+# name -> f(x, keyspace, rng), one application with fresh randomness,
+# from the strongest blinding to none: the display order of the table.
+SCHEMES = {
+    "enc_full": _enc_full,
+    "enc_no_perm": _enc_no_perm,
+    "add_random": _add_random,
+    "scalar_mult": _scalar_mult,
+    "identity": _identity,
+}
+
+
+def pooled_privacy_score(name: str, patches: list[np.ndarray], keyspace: KeySpaceConfig,
                          rng: np.random.Generator, n_bins: int = 16) -> float:
     """Negated MI pooled over several applications with fresh randomness
     each, one per patch."""
+    scheme = SCHEMES[name]
     xs, ys = [], []
     for patch in patches:
         xs.append(patch.ravel())
-        ys.append(apply_scheme(scheme, patch, keyspace, rng).ravel())
+        ys.append(scheme(patch, keyspace, rng).ravel())
     return -mi_estimate(np.concatenate(xs), np.concatenate(ys), n_bins).bits
 
 
@@ -179,29 +146,26 @@ def compare_schemes(
     keyspace_sizes: list[int],
     *,
     n_patches: int = 12,
-    patch_shape: tuple[int, int] = (48, 48),
     n_bins: int = 16,
     seed: int = 0,
-    schemes=None,
 ) -> list[dict]:
     """Privacy score per scheme per coefficient-space size, on shared
-    smooth patches.  Rows come back ready for a CSV table."""
+    48x48 smooth patches.  Rows come back ready for a CSV table."""
     patch_rng = make_rng(seed)
-    patches = [smooth_field(*patch_shape, patch_rng) for _ in range(n_patches)]
-    if schemes is None:
-        schemes = [EncFull(), EncNoPerm(), AddRandom(), ScalarMult(), Identity()]
+    patches = [smooth_field(48, 48, patch_rng) for _ in range(n_patches)]
+    n_samples = sum(patch.size for patch in patches)
     rows = []
     for size in keyspace_sizes:
         keyspace = KeySpaceConfig(size)
-        for scheme in schemes:
+        for name in SCHEMES:
             score = pooled_privacy_score(
-                scheme, patches, keyspace, make_rng(seed + size), n_bins
+                name, patches, keyspace, make_rng(seed + size), n_bins
             )
             rows.append({
-                "scheme": scheme_name(scheme),
+                "scheme": name,
                 "keyspace": size,
                 "privacy_bits": score,
-                "n_samples": n_patches * patch_shape[0] * patch_shape[1],
+                "n_samples": n_samples,
                 "n_bins": n_bins,
             })
     return rows

@@ -315,3 +315,4 @@ def test_worker_subprocess_serves_over_tcp(tmp_path):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+        proc.stdout.close()

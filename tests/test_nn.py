@@ -162,7 +162,8 @@ def test_backward_matches_manual_backprop():
     w2, b2 = net.linears[1].W.copy(), net.linears[1].b.copy()
     ex = LocalExecutor()
     _, cache = forward(net, x, ex)
-    backward(net, cache, labels, ex, learning_rate=0.1, batch_size=6)
+    expect_loss, _ = cross_entropy_softmax(cache.preacts[net.linears[-1].layer_id], labels)
+    assert backward(net, cache, labels, ex, learning_rate=0.1, batch_size=6) == expect_loss
     e_w1, e_b1, e_w2, e_b2 = manual_two_layer_step(w1, b1, w2, b2, x, labels, 0.1)
     assert np.max(np.abs(net.linears[0].W - e_w1)) < 1e-12
     assert np.max(np.abs(net.linears[0].b - e_b1)) < 1e-12
