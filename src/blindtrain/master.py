@@ -48,6 +48,7 @@ __all__ = [
     "EpochKeys",
     "OffloadStats",
     "WorkerFault",
+    "WireBuffer",
     "WorkerConnection",
     "WorkerPool",
     "EncryptedExecutor",
@@ -174,13 +175,47 @@ class OffloadStats:
         return dict(vars(self))
 
 
+class WireBuffer:
+    """One grow-only byte buffer that the coordinator blinds the
+    operands it sends into and receives every reply into.
+
+    Reusing it spares the kernel mapping and zeroing fresh pages for
+    every MiB-sized operand and reply.  Whatever it holds lasts only
+    until its next use: a request's operands until the request is sent,
+    a reply until the next reply is received.
+    """
+
+    def __init__(self):
+        self.data = np.empty(0, np.uint8)
+
+    def __call__(self, nbytes: int) -> np.ndarray:
+        """The buffer's first nbytes, grown to hold them; a grown buffer
+        keeps none of what the old one held."""
+        if self.data.size < nbytes:
+            self.data = np.empty(nbytes, np.uint8)
+        return self.data[:nbytes]
+
+    def matrices(self, *shapes) -> list[np.ndarray]:
+        """float64 matrices of these shapes, laid end to end from the
+        start of the buffer."""
+        data = self(8 * sum(r * c for r, c in shapes))
+        out, offset = [], 0
+        for r, c in shapes:
+            out.append(np.ndarray((r, c), np.float64, data, offset))
+            offset += 8 * r * c
+        return out
+
+
 class WorkerConnection:
     """One socket to one worker.  Requests are answered in order; every
-    send returns the tag its reply must carry."""
+    send returns the tag its reply must carry.  Replies are received
+    into `wire`, which a pool replaces with the one its connections
+    share."""
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
         self._next_tag = 0
+        self.wire = WireBuffer()
 
     def request(self, msg) -> int:
         """Send one request; a worker that hung up is a WorkerFault."""
@@ -197,11 +232,17 @@ class WorkerConnection:
         """The reply to request `tag`: a RESULT carrying matrices of
         exactly `shapes` (() for an ack).  A frame declaring more payload
         than that, or than an ERROR frame's cap, is refused from its
-        header before its body is read.  A worker that hangs up or stalls
-        past the socket timeout is a WorkerFault too."""
+        header before its body is read or the buffer grows for it.  A
+        worker that hangs up or stalls past the socket timeout is a
+        WorkerFault too.
+
+        The reply is received into the connection's wire buffer, and its
+        matrices are views into it: they stay valid until that buffer is
+        next written, by the next blinded operand or the next collect on
+        any connection of the pool.  Unblind them before either."""
         bound = max(protocol.result_size(shapes), _ERROR_PAYLOAD_CAP)
         try:
-            reply = protocol.read_message(self._sock, bound)
+            reply = protocol.read_message(self._sock, bound, self.wire)
         except (protocol.ProtocolError, UnicodeDecodeError) as exc:
             raise WorkerFault(f"bad reply to request {tag}: {exc}") from exc
         except OSError as exc:  # reset, closed mid-frame, timed out
@@ -226,12 +267,18 @@ class WorkerConnection:
 
 
 class WorkerPool:
-    """Connections to all workers, greeted and configured."""
+    """Connections to all workers, greeted and configured, sharing one
+    wire buffer.  Sharing it is safe because a request is fully handed
+    to the kernel before `request` returns, and the executor unblinds
+    every reply before it collects the next."""
 
     def __init__(self, connections: list[WorkerConnection]):
         if not connections:
             raise ValueError("worker pool cannot be empty")
         self.connections = connections
+        self.wire = WireBuffer()
+        for conn in connections:
+            conn.wire = self.wire
 
     @classmethod
     def connect(cls, addresses: list[tuple[str, int]], n_layers: int,
@@ -319,12 +366,13 @@ class EncryptedExecutor(nn.MatMulExecutor):
 
     # -- helpers -------------------------------------------------------
 
-    def _encrypt_weight(self, lid: int, shard: int, sk: SecretKey, w_part: np.ndarray) -> np.ndarray:
+    def _encrypt_weight(self, lid: int, shard: int, sk: SecretKey, w_part: np.ndarray,
+                        out: np.ndarray) -> np.ndarray:
         cached = self._pre_enc.pop((lid, shard), None)
         if cached is not None:
             return cached
         self.stats.matrices_encrypted += 1
-        return enc_left(sk, w_part)
+        return enc_left(sk, w_part, out=out)
 
     def _dec(self, sk, c_enc, a_plain, b_plain, out=None):
         self.stats.matrices_decrypted += 1
@@ -348,6 +396,7 @@ class EncryptedExecutor(nn.MatMulExecutor):
         layout = shard_layout(self.plan[nxt.layer_id], *w.shape, batch_width)
         for j, sh in enumerate(layout):
             sk = self.keys.get(nxt.layer_id, j, *sh.dims)
+            # a new array: it must outlive the collects before its send
             self._pre_enc[(nxt.layer_id, j)] = enc_left(sk, w[sh.rows])
             self.stats.matrices_encrypted += 1
 
@@ -366,8 +415,9 @@ class EncryptedExecutor(nn.MatMulExecutor):
         for j, sh in enumerate(shard_layout(self.plan[lid], *w.shape, p)):
             wj, xj = w[sh.rows], x[:, sh.cols]
             sk = self.keys.get(lid, j, *sh.dims)
-            w_enc = self._encrypt_weight(lid, j, sk, wj)
-            x_enc = enc_right(sk, xj)
+            w_out, x_out = self.pool.wire.matrices(wj.shape, xj.shape)
+            w_enc = self._encrypt_weight(lid, j, sk, wj, w_out)
+            x_enc = enc_right(sk, xj, out=x_out)
             self.stats.matrices_encrypted += 1
             tag = self.pool.conn(j).request(StorePair(lid, j, w_enc, x_enc))
             self.stats.products_offloaded += 1
@@ -413,7 +463,9 @@ class EncryptedExecutor(nn.MatMulExecutor):
             sent.append((rec, d_t, *send(lid, j, rec, d_t)))
         for j, (rec, d_t, keys, requests) in enumerate(sent):
             conn, sh = self.pool.conn(j), rec["shard"]
-            products = [c for tag, shapes in requests for c in conn.collect(tag, shapes).matrices]
+            # lazily, so each reply is unblinded before the next one is
+            # received over it in the pool's wire buffer
+            products = (c for tag, shapes in requests for c in conn.collect(tag, shapes).matrices)
             operands = ((rec["x"], d_t), (d_t, rec["w"]))
             blocks = (t1[:, sh.rows], t2[sh.cols])
             for sk, c_enc, (a, b), block, summed in zip(keys, products, operands, blocks, shared):
@@ -429,7 +481,7 @@ class EncryptedExecutor(nn.MatMulExecutor):
         it already holds."""
         m, n, p = rec["shard"].dims
         k1, k2 = key_shift(rec["sk"], 1), key_shift(rec["sk"], 2)
-        d_enc = enc_left(k2, d_t)
+        d_enc = enc_left(k2, d_t, out=self.pool.wire.matrices(d_t.shape)[0])
         self.stats.matrices_encrypted += 1
         tag = self.pool.conn(j).request(MultBwd(lid, j, d_enc))
         self.stats.products_offloaded += 2
@@ -441,11 +493,13 @@ class EncryptedExecutor(nn.MatMulExecutor):
         matrices are blinded per shard where reuse needs one."""
         m, n, p = rec["shard"].dims
         x, w = rec["x"], rec["w"]
-        conn = self.pool.conn(j)
+        conn, wire = self.pool.conn(j), self.pool.wire
         k1 = kgen(n, p, m, self.keys.keyspace, self._rng)
-        tag1 = conn.request(StorePair(lid, j, enc_left(k1, x), enc_right(k1, d_t)))
+        a1, b1 = wire.matrices(x.shape, d_t.shape)
+        tag1 = conn.request(StorePair(lid, j, enc_left(k1, x, out=a1), enc_right(k1, d_t, out=b1)))
         k2 = kgen(p, m, n, self.keys.keyspace, self._rng)
-        tag2 = conn.request(StorePair(lid, j, enc_left(k2, d_t), enc_right(k2, w)))
+        a2, b2 = wire.matrices(d_t.shape, w.shape)
+        tag2 = conn.request(StorePair(lid, j, enc_left(k2, d_t, out=a2), enc_right(k2, w, out=b2)))
         self.stats.matrices_encrypted += 4
         self.stats.products_offloaded += 2
         return (k1, k2), [(tag1, ((n, m),)), (tag2, ((p, n),))]

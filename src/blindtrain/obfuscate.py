@@ -171,32 +171,39 @@ def _gather_scale(a, rows: np.ndarray, cols: np.ndarray,
     return out
 
 
-def _enc(row_slot: KeySlot, col_slot: KeySlot, a: np.ndarray) -> np.ndarray:
+def _enc(row_slot: KeySlot, col_slot: KeySlot, a: np.ndarray, out=None) -> np.ndarray:
     """out(i, j) = (c_row(i) / c_col(j)) * a(perm_row(i), perm_col(j)).
 
     This is E_row A E_col^-1 (see encryption_matrix) up to rounding,
     computed block by block as a row gather, a column gather and an
     in-place scaling by the coefficient ratios.  Any real input comes
-    back as a new float64 array; the input is never written.
+    back as float64, in `out` when one is given and in a new array
+    otherwise; the input is never written.
     """
     return _gather_scale(a, row_slot.perm, col_slot.perm,
-                         row_slot.coeffs[:, None], col_slot.coeffs[None, :])
+                         row_slot.coeffs[:, None], col_slot.coeffs[None, :], out)
 
 
-def enc_left(sk: SecretKey, a: np.ndarray) -> np.ndarray:
-    """Blind the first operand (shape m x n) of the keyed product."""
+def enc_left(sk: SecretKey, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Blind the first operand (shape m x n) of the keyed product.
+
+    The blinded operand is written into `out` when one is given (an
+    m x n float64 array or view that does not overlap `a`, such as a
+    slice of a reused send buffer) and into a new array otherwise; the
+    bytes are the same either way."""
     m, n, _ = sk.dims
     if a.shape != (m, n):
         raise ShapeError(f"enc_left: operand {a.shape} does not match key dims ({m}, {n})")
-    return _enc(sk.slots[0], sk.slots[1], a)
+    return _enc(sk.slots[0], sk.slots[1], a, out)
 
 
-def enc_right(sk: SecretKey, b: np.ndarray) -> np.ndarray:
-    """Blind the second operand (shape n x p) of the keyed product."""
+def enc_right(sk: SecretKey, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Blind the second operand (shape n x p) of the keyed product,
+    into `out` when one is given (see enc_left)."""
     _, n, p = sk.dims
     if b.shape != (n, p):
         raise ShapeError(f"enc_right: operand {b.shape} does not match key dims ({n}, {p})")
-    return _enc(sk.slots[1], sk.slots[2], b)
+    return _enc(sk.slots[1], sk.slots[2], b, out)
 
 
 def enc_pair(sk: SecretKey, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -332,9 +332,14 @@ def send_message(sock: socket.socket, msg) -> None:
 _RESULT_PAD = -(_RESULT_HEADER.size + _MAT_HEADER.size) % 8
 
 
-def _recv_exact(sock: socket.socket, nbytes: int, pad: int = 0) -> memoryview:
-    """nbytes from the socket, received `pad` bytes into a new buffer."""
-    view = memoryview(bytearray(pad + nbytes))[pad:]
+def _new_buffer(nbytes: int) -> np.ndarray:
+    """A fresh receive buffer; recv_into fills it, so it is not zeroed."""
+    return np.empty(nbytes, np.uint8)
+
+
+def _recv_exact(sock: socket.socket, nbytes: int, pad: int, into) -> memoryview:
+    """nbytes from the socket, received `pad` bytes into into(pad + nbytes)."""
+    view = memoryview(into(pad + nbytes))[pad : pad + nbytes]
     got = 0
     while got < nbytes:
         n = sock.recv_into(view[got:])
@@ -344,12 +349,16 @@ def _recv_exact(sock: socket.socket, nbytes: int, pad: int = 0) -> memoryview:
     return view
 
 
-def read_message(sock: socket.socket, max_payload: int = MAX_PAYLOAD):
+def read_message(sock: socket.socket, max_payload: int = MAX_PAYLOAD, into=_new_buffer):
     """Read one frame.  A frame declaring more than `max_payload` bytes
-    is refused from its header, before any of its payload is read.
-    Every matrix is decoded as a view into the frame's own receive
-    buffer, where its body sits 8-byte aligned."""
-    header = _recv_exact(sock, HEADER.size)
+    is refused from its header, before any of its payload is read or a
+    buffer is sized for it.  The payload is received into into(n), a
+    writable buffer of n bytes the caller may reuse from frame to frame;
+    by default each frame gets a new, uninitialised one.  Every matrix
+    is decoded as a view into that buffer, where its body sits 8-byte
+    aligned, so it lasts only as long as the caller leaves the buffer
+    alone."""
+    header = _recv_exact(sock, HEADER.size, 0, bytearray)
     msg_type, length = _parse_header(header, max_payload=max_payload)
     pad = _RESULT_PAD if msg_type == MsgType.RESULT else 0
-    return _decode_payload(msg_type, _recv_exact(sock, length, pad))
+    return _decode_payload(msg_type, _recv_exact(sock, length, pad, into))

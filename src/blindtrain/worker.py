@@ -8,7 +8,7 @@ order and every reply carries the sequence number of the request it
 answers.
 
 For experiments the worker can also misbehave on purpose: "tamper"
-perturbs one entry of a result, "lazy" returns a stale result of the
+perturbs one entry of a result, "lazy" returns a stale product of the
 right shape (or zeros) instead of computing.
 """
 from __future__ import annotations
@@ -76,9 +76,10 @@ def apply_adversary(
     """Possibly corrupt one result matrix according to the worker mode.
 
     Tampering adds `magnitude` to a single uniformly chosen entry.
-    Laziness substitutes the previously returned matrix of the same
-    shape, or zeros if there is none; `last_by_shape` holds that history
-    and is updated with whatever is actually returned.
+    Laziness substitutes the honest product last computed for a matrix
+    of the same shape, or zeros if there is none, as a worker replaying
+    an old product would; `last_by_shape` holds that history and is
+    updated with every honest product, whatever is returned.
     """
     out = honest_result
     if mode.kind == "tamper" and rng.random() < mode.probability:
@@ -92,7 +93,7 @@ def apply_adversary(
         else:
             out = np.zeros_like(honest_result)
     if last_by_shape is not None:
-        last_by_shape[honest_result.shape] = out
+        last_by_shape[honest_result.shape] = honest_result
     return out
 
 

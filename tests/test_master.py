@@ -1,6 +1,7 @@
 import socket
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from blindtrain.master import (
     shard_layout,
 )
 from blindtrain.nn import LocalExecutor, Network, TrainConfig, train
-from blindtrain.obfuscate import IntegrityFailure, KeySpaceConfig, dec, dec_only
+from blindtrain.obfuscate import IntegrityFailure, KeySpaceConfig, dec, dec_only, enc_left, enc_right
 from blindtrain.protocol import (
     HEADER,
     MAGIC,
@@ -32,6 +33,7 @@ from blindtrain.protocol import (
     MultBwd,
     Result,
     StorePair,
+    encode,
     send_message,
 )
 from blindtrain.tensor import make_rng
@@ -475,6 +477,124 @@ def test_oversized_reply_refused_before_its_body_is_read():
         peer.close()
 
 
+def test_oversized_reply_does_not_grow_the_wire_buffer():
+    conn, peer = raw_peer()
+    try:
+        tags = [conn.request(small_store()) for _ in range(2)]
+        send_message(peer, Result(tags[0], (np.ones((2, 3)),)))
+        conn.collect(tags[0], ((2, 3),))
+        grown = conn.wire.data
+        assert grown.size == 7 + protocol.result_size(((2, 3),))  # 7 bytes align the body
+        peer.sendall(HEADER.pack(MAGIC, VERSION, MsgType.RESULT, MAX_PAYLOAD))
+        with pytest.raises(WorkerFault, match="exceeds the cap"):
+            conn.collect(tags[1], ((2, 3),))
+        assert conn.wire.data is grown
+    finally:
+        conn.close()
+        peer.close()
+
+
+def test_warm_connection_receives_a_large_reply_without_allocating():
+    """tracemalloc sees numpy's and bytearray's buffers: once the wire
+    buffer has grown, a 2 MiB RESULT is received into it, and its
+    matrix is a view into that buffer."""
+    conn, peer = raw_peer()
+    big = make_rng(23).standard_normal((512, 512))
+    peaks = []
+    try:
+        for tag in [conn.request(small_store()) for _ in range(2)]:
+            sender = threading.Thread(target=send_message, args=(peer, Result(tag, (big,))))
+            sender.start()
+            tracemalloc.start()
+            try:
+                reply = conn.collect(tag, (big.shape,))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+                sender.join(timeout=10)
+            assert reply.matrices[0].tobytes() == big.tobytes()
+            assert np.shares_memory(reply.matrices[0], conn.wire.data)
+    finally:
+        conn.close()
+        peer.close()
+    assert peaks[0] > big.nbytes  # the first reply grows the buffer
+    assert peaks[1] < 64 << 10
+
+
+def _recv_frame(sock) -> bytes:
+    def exactly(nbytes):
+        data = b""
+        while len(data) < nbytes:
+            chunk = sock.recv(nbytes - len(data))
+            assert chunk, "the coordinator hung up mid-frame"
+            data += chunk
+        return data
+
+    header = exactly(HEADER.size)
+    return header + exactly(HEADER.unpack(header)[3])
+
+
+def test_a_smaller_request_after_a_larger_one_carries_no_stale_bytes():
+    """Operands are blinded into the pool's reused wire buffer, yet the
+    bytes a worker receives for each product are exactly the encoding of
+    freshly blinded operands, also when a smaller product follows a
+    larger one."""
+    left, peer = socket.socketpair()
+    left.settimeout(5)
+    peer.settimeout(5)
+    pool = WorkerPool([WorkerConnection(left)])
+    frames = []
+
+    def serve():
+        session = WorkerSession(WorkerMode.honest(), make_rng(0))
+        for _ in range(2):
+            frames.append(_recv_frame(peer))
+            send_message(peer, session.handle(protocol.decode(bytearray(frames[-1]))))
+
+    server = threading.Thread(target=serve)
+    server.start()
+    rng = make_rng(24)
+    operands = [(rng.standard_normal((40, 30)), rng.standard_normal((30, 20))),
+                (rng.standard_normal((5, 8)), rng.standard_normal((8, 3)))]
+    plan = PartitionPlan({0: LayerPlan("tensor", 1), 1: LayerPlan("tensor", 1)})
+    ex = EncryptedExecutor(pool, plan, rounds=6, seed=5)
+    try:
+        products = [ex.multiply_forward(lid, w, x) for lid, (w, x) in enumerate(operands)]
+        server.join(timeout=10)
+    finally:
+        pool.close()
+        peer.close()
+    assert len(frames) == 2
+    for lid, ((w, x), z, frame) in enumerate(zip(operands, products, frames)):
+        sk = ex.keys.get(lid, 0, *w.shape, x.shape[1])
+        assert frame == bytes(encode(StorePair(lid, 0, enc_left(sk, w), enc_right(sk, x))))
+        assert np.max(np.abs(z - w @ x)) < 1e-9
+
+
+def test_later_calls_reuse_the_pools_wire_buffer():
+    """All connections of a pool share one wire buffer; once a warm-up
+    has grown it to the largest frame, further training and inference
+    calls keep it."""
+    ds = gen_blobs(20, 2, 3, separation=8.0, seed=7)
+    net = make_net((3, 6, 2), seed=7)
+    with spawn_local_workers(2) as addresses:
+        with pool_for(addresses, net) as pool:
+            assert all(conn.wire is pool.wire for conn in pool.connections)
+
+            def calls():
+                for reuse in (True, False):
+                    run_training(net, ds, pool, learning_rate=0.1, batch_size=10, epochs=1,
+                                 seed=7, pipelined=True, reuse_backward=reuse)
+                run_inference(net, ds.features, pool, seed=7)
+
+            calls()
+            warm = pool.wire.data
+            assert warm.size > 0
+            calls()
+            calls()
+            assert pool.wire.data is warm
+
+
 def test_raw_peer_wrong_shape_and_error_frames():
     conn, peer = raw_peer()
     try:
@@ -642,7 +762,9 @@ def test_wire_traffic_never_carries_plaintext_operands(monkeypatch):
     send_message = protocol.send_message
 
     def record(sock, msg):
-        seen.append(msg)
+        # a snapshot: the blinded operands live in the pool's wire
+        # buffer, which the next request overwrites
+        seen.append(protocol.decode(encode(msg)))
         send_message(sock, msg)
 
     monkeypatch.setattr(protocol, "send_message", record)

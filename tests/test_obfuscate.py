@@ -328,6 +328,30 @@ def test_kernel_peak_allocation_is_one_output_plus_a_block(kernel, shape):
     assert peak < out.nbytes + 2 * obfuscate._BLOCK_BYTES
 
 
+
+@pytest.mark.parametrize("kernel", [enc_left, enc_right])
+def test_blinding_into_out_gives_the_same_bytes_in_at_most_two_blocks(kernel):
+    """Blinding into a slice of a reused byte buffer, as the coordinator
+    does, writes the bytes a fresh output holds, leaves the rest of the
+    buffer alone and allocates no more than two blocks' temporaries."""
+    rows, cols = 512, 1024
+    dims = {enc_left: (rows, cols, 4), enc_right: (4, rows, cols)}
+    sk = kgen(*dims[kernel], KS, make_rng(71))
+    x = make_rng(72).standard_normal((rows, cols))
+    wire = np.full(8 * rows * cols + 16, 0xAB, np.uint8)
+    out = wire[8 : 8 + 8 * rows * cols].view(np.float64).reshape(rows, cols)
+    tracemalloc.start()
+    try:
+        got = kernel(sk, x, out=out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got is out
+    assert out.tobytes() == kernel(sk, x).tobytes()
+    assert (wire[:8] == 0xAB).all() and (wire[-8:] == 0xAB).all()
+    assert peak <= 2 * obfuscate._BLOCK_BYTES
+
+
 # -- key shift -------------------------------------------------------------
 
 def test_key_shift_rotates_slots_left():

@@ -133,12 +133,21 @@ def test_enc_full_matches_enc_left():
 
 
 def test_enc_full_shuffles_while_preserving_multiset_magnitudes():
+    """Undoing each entry's coefficient ratio leaves the input's entries,
+    shuffled: the sorted magnitudes match the input's to within 1 ulp,
+    though the entries have moved."""
+    from blindtrain.obfuscate import kgen
     x = smooth_field(10, 10, make_rng(14))
-    out = SCHEMES["enc_full"](x, KeySpaceConfig(2), make_rng(15))
-    assert not np.allclose(out, x)
-    # with |K|=1 semantics unavailable (size>=2), check through division:
-    # every output entry is some input entry times a ratio of small ints
+    keyspace = KeySpaceConfig(2)
+    out = SCHEMES["enc_full"](x, keyspace, make_rng(15))
     assert out.shape == x.shape
+    assert not np.allclose(out, x)
+    sk = kgen(10, 10, 1, keyspace, make_rng(15))  # the key the scheme drew
+    ratio = sk.slots[0].coeffs[:, None] / sk.slots[1].coeffs[None, :]
+    unscaled = out / ratio
+    assert not np.allclose(unscaled, x)  # the permutations moved entries
+    np.testing.assert_array_max_ulp(np.sort(np.abs(unscaled), axis=None),
+                                    np.sort(np.abs(x), axis=None), maxulp=1)
 
 
 # -- scores ------------------------------------------------------------------

@@ -253,6 +253,39 @@ def test_read_message_refuses_oversized_frame_from_its_header():
         right.close()
 
 
+def test_read_message_receives_into_the_callers_buffer():
+    """into(n) supplies each payload's buffer: the matrices are views
+    into it, the next frame reuses it, and a frame refused from its
+    header never asks for one."""
+    buf = np.empty(1 << 12, np.uint8)
+    asked = []
+
+    def into(nbytes):
+        asked.append(nbytes)
+        return buf[:nbytes]
+
+    big = Result(1, (np.arange(12.0).reshape(3, 4), np.full((2, 5), -1.5)))
+    small = Result(2, (np.ones((1, 2)),))
+    left, right = socket.socketpair()
+    try:
+        for msg in (big, small):
+            send_message(left, msg)
+            got = read_message(right, into=into)
+            assert got == msg
+            assert all(np.shares_memory(mat, buf) for mat in got.matrices)
+        send_message(left, Error(2, "no stored pair"))
+        assert read_message(right, into=into) == Error(2, "no stored pair")
+        left.sendall(encode(big)[:HEADER.size])  # the body never comes
+        with pytest.raises(TruncatedFrame, match="exceeds the cap"):
+            read_message(right, 8, into=into)
+    finally:
+        left.close()
+        right.close()
+    payloads = [len(encode(msg)) - HEADER.size for msg in (big, small, Error(2, "no stored pair"))]
+    # a RESULT payload is received 7 bytes in, so its bodies sit 8-byte aligned
+    assert asked == [7 + payloads[0], 7 + payloads[1], payloads[2]]
+
+
 def test_decoded_matrices_are_writable_native_float64():
     msgs = [StorePair(0, 1, np.ones((2, 3)), np.ones((3, 2))),
             Result(4, (np.ones((2, 2)), np.full((1, 3), 2.0)))]

@@ -86,7 +86,9 @@ def test_lazy_returns_zeros_then_stale():
     first = apply_adversary(mode, np.full((2, 3), 7.0), rng, history)
     assert np.array_equal(first, np.zeros((2, 3)))
     second = apply_adversary(mode, np.full((2, 3), 9.0), rng, history)
-    assert np.array_equal(second, first)  # replays what it last sent
+    assert np.array_equal(second, np.full((2, 3), 7.0))  # replays the last honest product
+    third = apply_adversary(mode, np.full((2, 3), 5.0), rng, history)
+    assert np.array_equal(third, np.full((2, 3), 9.0))
     other_shape = apply_adversary(mode, np.full((3, 2), 1.0), rng, history)
     assert np.array_equal(other_shape, np.zeros((3, 2)))
 
