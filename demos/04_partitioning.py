@@ -6,11 +6,13 @@ and the whole batch; partial outputs stack by rows.  Batch split
 partial outputs stack by columns.  Either way each shard is blinded
 under its own key, so no worker can combine what it sees with another's
 share.  A layer can also opt out entirely ("master") and multiply at
-the coordinator.
+the coordinator.  The executor reads each layer's policy from the
+network and cuts an offloaded layer into one shard per worker, clipped
+to the dim it cuts.
 """
 import numpy as np
 
-from blindtrain.master import EncryptedExecutor, WorkerPool, plan_partition
+from blindtrain.master import EncryptedExecutor, WorkerPool, shard_layout
 from blindtrain.nn import Network
 from blindtrain.tensor import make_rng
 from blindtrain.worker import spawn_local_workers
@@ -20,25 +22,33 @@ rng = make_rng(4)
 net = Network.from_dims([6, 8, 3, 2], policies=["tensor", "data", "master"])
 net.init_weights(4)
 
-plan = plan_partition(net, n_workers=4)
+N_WORKERS, BATCH = 4, 10
+
+
+def shard_count(lin):
+    """How many shards the executor cuts this layer into for one batch."""
+    if lin.policy == "master":
+        return 1
+    return len(shard_layout(lin.policy, N_WORKERS, lin.out_dim, lin.in_dim, BATCH))
+
+
 print("partition plan with 4 workers:")
 for lin in net.linears:
-    lp = plan[lin.layer_id]
     print(f"  layer {lin.layer_id} ({lin.out_dim}x{lin.in_dim})  "
-          f"policy={lp.policy:<7} shards={lp.shards}")
+          f"policy={lin.policy:<7} shards={shard_count(lin)}")
 print("  (the 3-row layer cannot fill 4 workers; the local layer takes none)\n")
 
-x = rng.standard_normal((6, 10))
-with spawn_local_workers(4) as addresses:
+x = rng.standard_normal((6, BATCH))
+with spawn_local_workers(N_WORKERS) as addresses:
     with WorkerPool.connect(addresses, n_layers=len(net.linears)) as pool:
-        ex = EncryptedExecutor(pool, plan, rounds=6, seed=4)
+        ex = EncryptedExecutor(pool, net, rounds=6, seed=4)
         inputs = {}
         cur = x
         for lin in net.linears:
             inputs[lin.layer_id] = cur
             z = ex.multiply_forward(lin.layer_id, lin.W, cur)
             err = np.max(np.abs(z - lin.W @ cur))
-            print(f"layer {lin.layer_id} forward over {plan[lin.layer_id].shards} "
+            print(f"layer {lin.layer_id} forward over {shard_count(lin)} "
                   f"shard(s): max error vs local {err:.3e}")
             cur = np.maximum(z, 0.0)
 
@@ -47,7 +57,7 @@ with spawn_local_workers(4) as addresses:
         # sum T1 and concatenate T2 by rows
         print()
         for lin in reversed(net.linears):
-            delta = rng.standard_normal((lin.out_dim, 10))
+            delta = rng.standard_normal((lin.out_dim, BATCH))
             t1, t2 = ex.multiply_backward(lin.layer_id, delta)
             inp = inputs[lin.layer_id]
             err1 = np.max(np.abs(t1 - inp @ delta.T))

@@ -13,7 +13,6 @@ from .master import (
     EncryptedExecutor,
     OffloadStats,
     WorkerPool,
-    plan_partition,
     run_inference,
     run_training,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "EncryptedExecutor",
     "OffloadStats",
     "WorkerPool",
-    "plan_partition",
     "run_inference",
     "run_training",
     "LocalExecutor",

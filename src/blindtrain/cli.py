@@ -83,6 +83,10 @@ class RunConfig:
         merged = dict(_CONFIG_DEFAULTS)
         merged.update({k: raw[k] for k in _CONFIG_DEFAULTS if k in raw})
         self.policies = merged["policies"]
+        try:  # the policies are the partition's only input: nn checks them
+            nn.Network.from_dims(self.layer_dims, self.policies)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad policies {self.policies!r}: {exc}") from exc
         self.t = float(merged["t"])
         if not 0.0 < self.t < 1.0:
             raise ConfigError("t must be in (0, 1)")
@@ -116,19 +120,32 @@ class RunConfig:
         return net
 
     def load_dataset(self) -> Dataset:
+        """The configured data, checked against layer_dims and batch_size."""
         if "csv" in self.data:
-            return load_csv(self.data["csv"])
-        blob = self.data["blobs"]
-        try:
-            return gen_blobs(
-                n_per_class=int(blob["n_per_class"]),
-                n_classes=int(blob["n_classes"]),
-                dim=int(blob["dim"]),
-                separation=float(blob["separation"]),
-                seed=int(blob["seed"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"blobs spec missing key {exc}")
+            ds = load_csv(self.data["csv"])
+        else:
+            blob = self.data["blobs"]
+            try:
+                ds = gen_blobs(
+                    n_per_class=int(blob["n_per_class"]),
+                    n_classes=int(blob["n_classes"]),
+                    dim=int(blob["dim"]),
+                    separation=float(blob["separation"]),
+                    seed=int(blob["seed"]),
+                )
+            except KeyError as exc:
+                raise ConfigError(f"blobs spec missing key {exc}")
+        dim, classes = self.layer_dims[0], self.layer_dims[-1]
+        if ds.features.shape[0] != dim:
+            raise ConfigError(f"data has {ds.features.shape[0]} features per sample, "
+                              f"but layer_dims starts at {dim}")
+        if ds.n_classes > classes:
+            raise ConfigError(f"data has label {ds.n_classes - 1}, "
+                              f"but layer_dims ends at {classes} classes")
+        if ds.n_samples < self.batch_size:
+            raise ConfigError(f"batch_size {self.batch_size} exceeds the "
+                              f"{ds.n_samples} samples in the data")
+        return ds
 
 
 # -- model persistence -----------------------------------------------------
@@ -172,7 +189,10 @@ def load_model(path: str) -> nn.Network:
     for spec in doc["layers"]:
         kind = spec["type"]
         if kind == "linear":
-            lin = nn.Linear(spec["out_dim"], spec["in_dim"], spec.get("policy", "tensor"))
+            try:
+                lin = nn.Linear(spec["out_dim"], spec["in_dim"], spec.get("policy", "tensor"))
+            except ValueError as exc:  # an unknown policy or a non-positive dim
+                raise ConfigError(f"{path}: {exc}") from exc
             lin.W = _unhex_matrix(spec["weights"])
             lin.b = np.array([float.fromhex(v) for v in spec["bias"]], dtype=np.float64)
             layers.append(lin)
@@ -278,6 +298,9 @@ def cmd_baseline(args) -> int:
 def cmd_infer(args) -> int:
     net = load_model(args.model)
     dataset = load_csv(args.input)
+    if dataset.features.shape[0] != net.in_dim:
+        raise ConfigError(f"{args.input} has {dataset.features.shape[0]} features per sample, "
+                          f"but the model takes {net.in_dim}")
     if args.workers:
         addresses = _parse_addresses(args.workers)
         with master.WorkerPool.connect(addresses, n_layers=len(net.linears)) as pool:

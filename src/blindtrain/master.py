@@ -8,10 +8,13 @@ transposed delta is freshly blinded (one matrix instead of the four a
 from-scratch approach would need), shipped under the key rotated by
 two, and the two returned products decrypt under rotations one and two.
 
-Partitioning is per layer: "tensor" splits the weight by output rows,
-"data" splits the batch by columns, "master" keeps the product local.
-Each shard gets an independent key, so workers cannot pool what they
-see, and keys are refreshed every epoch.
+The network is the partition plan: the executor reads each layer's
+policy from the network it serves.  "tensor" splits the weight by
+output rows, "data" splits the batch by columns, "master" keeps the
+product local.  An offloaded layer is cut into one shard per worker,
+clipped to the dim it cuts (shard_layout).  Each shard gets an
+independent key, so workers cannot pool what they see, and keys are
+refreshed every epoch.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import hashlib
 import socket
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,9 +43,6 @@ from .protocol import Config, Hello, MultBwd, Result, StorePair
 from .tensor import ShapeError, make_rng, shard_slices
 
 __all__ = [
-    "LayerPlan",
-    "PartitionPlan",
-    "plan_partition",
     "Shard",
     "shard_layout",
     "EpochKeys",
@@ -66,46 +66,6 @@ _ERROR_PAYLOAD_CAP = 1 << 16  # largest ERROR payload a coordinator reads
 
 
 @dataclass(frozen=True)
-class LayerPlan:
-    policy: str  # "tensor" | "data" | "master"
-    shards: int
-
-    def __post_init__(self):
-        if self.policy not in nn.Linear.POLICIES:
-            raise ValueError(f"unknown policy {self.policy!r}")
-        if self.shards < 1:
-            raise ValueError("shard count must be >= 1")
-
-
-@dataclass(frozen=True)
-class PartitionPlan:
-    layers: dict[int, LayerPlan]
-
-    def __getitem__(self, layer_id: int) -> LayerPlan:
-        return self.layers[layer_id]
-
-
-def plan_partition(net: nn.Network, n_workers: int) -> PartitionPlan:
-    """One LayerPlan per linear layer from its policy attribute.
-
-    Row-split layers are clipped to their output dim (a 3-row weight
-    cannot fill 4 workers); batch-split layers are clipped per batch at
-    offload time since the final batch may run short.
-    """
-    if n_workers < 1:
-        raise ValueError("need at least one worker")
-    layers = {}
-    for lin in net.linears:
-        shards = n_workers
-        if lin.policy == "tensor":
-            shards = min(shards, lin.out_dim)
-        elif lin.policy == "master":
-            shards = 1
-        layers[lin.layer_id] = LayerPlan(lin.policy, shards)
-    return PartitionPlan(layers)
-
-
-@dataclass(frozen=True)
 class Shard:
     """One shard of a layer product W (m x n) @ X (n x p): the rows of W
     and the columns of X it multiplies, which also index its block of
@@ -116,19 +76,19 @@ class Shard:
     dims: tuple[int, int, int]
 
 
-def shard_layout(plan: LayerPlan, m: int, n: int, p: int) -> list[Shard]:
-    """The shards of one offloaded product under its layer's plan.
+def shard_layout(policy: str, shards: int, m: int, n: int, p: int) -> list[Shard]:
+    """The shards of one offloaded product under its layer's policy.
 
     "tensor" cuts W's m rows and ships all of X to each shard; "data"
     cuts X's p columns and ships all of W.  Either is clipped to the dim
     it cuts and sized by shard_slices, so the forward product, the
     pipelined pre-blinding and the backward delta all split alike.
     """
-    if plan.policy == "tensor":
+    if policy == "tensor":
         return [Shard(r, slice(0, p), (r.stop - r.start, n, p))
-                for r in shard_slices(m, min(plan.shards, m))]
+                for r in shard_slices(m, min(shards, m))]
     return [Shard(slice(0, m), c, (m, n, c.stop - c.start))
-            for c in shard_slices(p, min(plan.shards, p))]
+            for c in shard_slices(p, min(shards, p))]
 
 
 def _derive_seed(master_seed: int, epoch: int, layer_id: int, shard_id: int,
@@ -322,21 +282,25 @@ class WorkerPool:
 
 
 class EncryptedExecutor(nn.MatMulExecutor):
-    """Offloading backend for the training loop.
+    """Offloading backend for the training loop over `net`, whose
+    layer `lid` is split by the policy of net.linears[lid] into
+    pool.size shards.
 
     rounds is the per-product probe count (see min_rounds).  With
     pipelined=True the executor blinds the next layer's weight shards
-    while the current layer's requests are in flight; results are
-    bitwise identical either way because keys derive from (epoch, layer,
-    shard, dims), not from call order.  reuse_backward=False is the
-    reference accounting mode: the backward products are shipped as two
-    freshly blinded pairs (four matrices) instead of one.
+    while the current layer's requests are in flight, as nn.forward
+    calls them: with the network's weights and one batch width for all
+    layers.  Results are bitwise identical either way because keys
+    derive from (epoch, layer, shard, dims), not from call order.
+    reuse_backward=False is the reference accounting mode: the backward
+    products are shipped as two freshly blinded pairs (four matrices)
+    instead of one.
     """
 
     def __init__(
         self,
         pool: WorkerPool,
-        plan: PartitionPlan,
+        net: nn.Network,
         *,
         rounds: int,
         keyspace: KeySpaceConfig | None = None,
@@ -345,7 +309,7 @@ class EncryptedExecutor(nn.MatMulExecutor):
         reuse_backward: bool = True,
     ):
         self.pool = pool
-        self.plan = plan
+        self.net = net
         self.rounds = rounds
         self.pipelined = pipelined
         self.reuse_backward = reuse_backward
@@ -354,11 +318,6 @@ class EncryptedExecutor(nn.MatMulExecutor):
         self._rng = make_rng(_derive_seed(seed, -1, -1, -1, 0, 0, 0))  # probes, one-off keys
         self._ctx: dict[int, dict] = {}
         self._pre_enc: dict[tuple[int, int], np.ndarray] = {}
-        self._network: nn.Network | None = None
-
-    def attach_network(self, net: nn.Network) -> None:
-        """Needed only for pipelined pre-blinding of upcoming weights."""
-        self._network = net
 
     def start_epoch(self, epoch: int) -> None:
         self.keys.refresh(epoch)
@@ -384,20 +343,16 @@ class EncryptedExecutor(nn.MatMulExecutor):
             raise
 
     def _pre_encrypt_next(self, lid: int, batch_width: int) -> None:
-        if self._network is None:
+        if lid + 1 == len(self.net.linears):
             return
-        nxt = None
-        for lin in self._network.linears:
-            if lin.layer_id == lid + 1:
-                nxt = lin
-        if nxt is None or self.plan[nxt.layer_id].policy == "master":
+        nxt = self.net.linears[lid + 1]
+        if nxt.policy == "master":
             return
-        w = nxt.W
-        layout = shard_layout(self.plan[nxt.layer_id], *w.shape, batch_width)
-        for j, sh in enumerate(layout):
-            sk = self.keys.get(nxt.layer_id, j, *sh.dims)
+        for j, sh in enumerate(shard_layout(nxt.policy, self.pool.size, *nxt.W.shape,
+                                            batch_width)):
+            sk = self.keys.get(lid + 1, j, *sh.dims)
             # a new array: it must outlive the collects before its send
-            self._pre_enc[(nxt.layer_id, j)] = enc_left(sk, w[sh.rows])
+            self._pre_enc[(lid + 1, j)] = enc_left(sk, nxt.W[sh.rows])
             self.stats.matrices_encrypted += 1
 
     # -- forward -------------------------------------------------------
@@ -405,14 +360,14 @@ class EncryptedExecutor(nn.MatMulExecutor):
     def multiply_forward(self, lid: int, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         if w.shape[1] != x.shape[0]:
             raise ShapeError(f"forward product: {w.shape} x {x.shape}")
-        policy = self.plan[lid].policy
+        policy = self.net.linears[lid].policy
         if policy == "master":
-            self._ctx[lid] = {"policy": policy, "w": w, "x": x}
+            self._ctx[lid] = {"w": w, "x": x}
             return w @ x
 
         p = x.shape[1]
         records = []
-        for j, sh in enumerate(shard_layout(self.plan[lid], *w.shape, p)):
+        for j, sh in enumerate(shard_layout(policy, self.pool.size, *w.shape, p)):
             wj, xj = w[sh.rows], x[:, sh.cols]
             sk = self.keys.get(lid, j, *sh.dims)
             w_out, x_out = self.pool.wire.matrices(wj.shape, xj.shape)
@@ -432,7 +387,7 @@ class EncryptedExecutor(nn.MatMulExecutor):
             reply = self.pool.conn(j).collect(rec["tag"], ((sh.dims[0], sh.dims[2]),))
             self._dec(rec["sk"], reply.matrices[0], rec["w"], rec["x"], out=z[sh.rows, sh.cols])
 
-        self._ctx[lid] = {"policy": policy, "records": records, "w": w, "x": x}
+        self._ctx[lid] = {"records": records, "w": w, "x": x}
         return z
 
     # -- backward ------------------------------------------------------
@@ -441,7 +396,8 @@ class EncryptedExecutor(nn.MatMulExecutor):
         ctx = self._ctx.pop(lid, None)
         if ctx is None:
             raise RuntimeError(f"backward for layer {lid} without a matching forward")
-        if ctx["policy"] == "master":
+        policy = self.net.linears[lid].policy
+        if policy == "master":
             w, x = ctx["w"], ctx["x"]
             return x @ delta.T, delta.T @ w
         (m, n), p = ctx["w"].shape, ctx["x"].shape[1]
@@ -451,7 +407,7 @@ class EncryptedExecutor(nn.MatMulExecutor):
         t1, t2 = np.empty((n, m)), np.empty((p, n))
         # All shards write one block whole: T2 under "tensor", T1 under "data".
         # Shard 0 unblinds into it; later shards add theirs in shard order.
-        shared = (ctx["policy"] == "data", ctx["policy"] == "tensor")
+        shared = (policy == "data", policy == "tensor")
         # A sender ships one shard's requests and returns the keys that
         # unblind T1 and T2 and the (tag, reply shapes) of each request;
         # the replies carry T1, then T2.
@@ -529,22 +485,19 @@ def run_training(
     seed: int = 0,
     t: float = 0.01,
     keyspace: int = 255,
-    plan: PartitionPlan | None = None,
     pipelined: bool = False,
     reuse_backward: bool = True,
 ):
     """Train over the pool and report.  Verification failures abort the
     run (the failing step commits nothing); honest workers never trip a
     probe, so completion means every product checked out."""
-    plan = plan or plan_partition(net, pool.size)
     n_samples = dataset.features.shape[1]
     rounds = _integrity_rounds(t, "training", pool.size, net,
                                epochs=epochs, dataset_size=n_samples, batch_size=batch_size)
     executor = EncryptedExecutor(
-        pool, plan, rounds=rounds, keyspace=KeySpaceConfig(keyspace),
+        pool, net, rounds=rounds, keyspace=KeySpaceConfig(keyspace),
         seed=seed, pipelined=pipelined, reuse_backward=reuse_backward,
     )
-    executor.attach_network(net)
 
     epoch_log: list[dict] = []
     last_mark = time.perf_counter()
@@ -576,12 +529,10 @@ def run_inference(
     seed: int = 0,
     t: float = 0.01,
     keyspace: int = 255,
-    plan: PartitionPlan | None = None,
 ) -> np.ndarray:
     """Class predictions for a batch of column samples, every product
     offloaded and verified."""
-    plan = plan or plan_partition(net, pool.size)
     rounds = _integrity_rounds(t, "inference", pool.size, net)
-    executor = EncryptedExecutor(pool, plan, rounds=rounds,
+    executor = EncryptedExecutor(pool, net, rounds=rounds,
                                  keyspace=KeySpaceConfig(keyspace), seed=seed)
     return nn.predict(net, x, executor)

@@ -42,7 +42,7 @@ __all__ = [
     "brute_force_bound",
 ]
 
-DEFAULT_TOLERANCE = 1e-8
+_TOLERANCE = 1e-8  # probe threshold per unit of max|A| max|B| n
 
 
 @dataclass(frozen=True)
@@ -231,7 +231,6 @@ def _verify(
     c_dec: np.ndarray,
     k: int,
     rng: np.random.Generator,
-    tol: float,
 ) -> None:
     """k rounds of binary probing of c_dec against a_plain @ b_plain.
 
@@ -244,7 +243,7 @@ def _verify(
     """
     n = a_plain.shape[1]
     p = b_plain.shape[1]
-    threshold = tol * max(1.0, max_abs(a_plain) * max_abs(b_plain) * n)
+    threshold = _TOLERANCE * max(1.0, max_abs(a_plain) * max_abs(b_plain) * n)
     r = rng.integers(0, 2, size=(p, k)).astype(np.float64)
     residuals = np.max(np.abs(a_plain @ (b_plain @ r) - c_dec @ r), axis=0)
     failed = np.flatnonzero(~(residuals <= threshold))
@@ -260,7 +259,6 @@ def dec(
     b_plain: np.ndarray,
     k: int,
     rng: np.random.Generator,
-    tol: float = DEFAULT_TOLERANCE,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unblind a returned product and verify it against the retained operands.
@@ -278,7 +276,7 @@ def dec(
             f"do not match key dims {sk.dims}"
         )
     c_dec = dec_only(sk, c_enc, out)
-    _verify(a_plain, b_plain, c_dec, k, rng, tol)
+    _verify(a_plain, b_plain, c_dec, k, rng)
     return c_dec
 
 

@@ -254,7 +254,7 @@ def test_criterion_06_integrity_rates():
 
 
 def test_criterion_07_encryption_accounting():
-    from blindtrain.master import EncryptedExecutor, plan_partition
+    from blindtrain.master import EncryptedExecutor
 
     ds = gen_blobs(10, 2, 4, separation=8.0, seed=5)  # 40 samples, dim 4
     dims = [4, 8, 6, 2]
@@ -264,8 +264,8 @@ def test_criterion_07_encryption_accounting():
         net.init_weights(5)
         with spawn_local_workers(2) as addresses:
             with WorkerPool.connect(addresses, n_layers=3) as pool:
-                ex = EncryptedExecutor(pool, plan_partition(net, 2), rounds=4,
-                                       seed=5, reuse_backward=reuse)
+                ex = EncryptedExecutor(pool, net, rounds=4, seed=5,
+                                       reuse_backward=reuse)
                 x = ds.features[:, :16]
                 cur = x
                 for lin in net.linears:

@@ -94,6 +94,20 @@ def test_model_roundtrip_is_bitwise(tmp_path):
         assert a.policy == b.policy
 
 
+def test_model_with_an_unknown_policy_exits_2(tmp_path, capsys):
+    net = Network.from_dims([2, 3, 2])
+    net.init_weights(1)
+    path = tmp_path / "model.json"
+    save_model(net, str(path))
+    doc = json.loads(path.read_text())
+    doc["layers"][0]["policy"] = "diagonal"
+    path.write_text(json.dumps(doc))
+    csv_path = tmp_path / "query.csv"
+    csv_path.write_text("0,1.0,2.0\n1,2.0,1.0\n")
+    assert main(["infer", "--model", str(path), "--input", str(csv_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: unknown policy 'diagonal'")
+
+
 def test_load_model_rejects_foreign_json(tmp_path):
     path = tmp_path / "other.json"
     path.write_text(json.dumps({"hello": 1}))
@@ -231,6 +245,47 @@ def test_unreachable_worker_is_clean_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"127.0.0.1:{port}" in err
     assert "unreachable" in err
+
+
+def dead_address():
+    """host:port of a loopback port with nothing listening on it."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return "127.0.0.1:%d" % probe.getsockname()[1]
+
+
+THREE_BLOBS = {"blobs": {"n_per_class": 15, "n_classes": 3, "dim": 2,
+                         "separation": 8.0, "seed": 7}}
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"policies": ["tensor", "diagonal"]}, "unknown policy 'diagonal'"),
+    ({"policies": ["tensor"]}, "2 linear layers need 2 policies, got 1"),
+    ({"layer_dims": [3, 6, 2]}, "data has 2 features per sample, but layer_dims starts at 3"),
+    ({"data": THREE_BLOBS}, "data has label 2, but layer_dims ends at 2 classes"),
+    ({"batch_size": 31}, "batch_size 31 exceeds the 30 samples"),
+], ids=["unknown-policy", "policy-count", "feature-dim", "label-range", "batch-size"])
+def test_bad_run_config_exits_2_before_any_worker_is_contacted(tmp_path, capsys,
+                                                              overrides, message):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["train", "--config", cfg, "--workers", dead_address()]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err  # not "unreachable"
+
+
+def test_infer_input_of_the_wrong_width_exits_2_before_any_worker_is_contacted(tmp_path,
+                                                                             capsys):
+    net = Network.from_dims([3, 4, 2])
+    net.init_weights(1)
+    model = str(tmp_path / "model.json")
+    save_model(net, model)
+    csv_path = tmp_path / "query.csv"
+    csv_path.write_text("0,1.0,2.0\n1,3.0,4.0\n")
+    assert main(["infer", "--model", model, "--input", str(csv_path),
+                 "--workers", dead_address()]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "has 2 features per sample, but the model takes 3" in err
 
 
 def test_worker_dropping_mid_run_exits_4(tmp_path, capsys):

@@ -11,12 +11,9 @@ from blindtrain.data import gen_blobs
 from blindtrain.master import (
     EncryptedExecutor,
     EpochKeys,
-    LayerPlan,
-    PartitionPlan,
     WorkerFault,
     WorkerConnection,
     WorkerPool,
-    plan_partition,
     run_inference,
     run_training,
     shard_layout,
@@ -52,28 +49,48 @@ def pool_for(addresses, net):
 
 def offload_executor(pool, net, **kw):
     kw.setdefault("rounds", 6)
-    plan = kw.pop("plan", None) or plan_partition(net, pool.size)
-    return EncryptedExecutor(pool, plan, **kw)
+    return EncryptedExecutor(pool, net, **kw)
 
 
 # -- partitioning ----------------------------------------------------------
 
-def test_plan_clips_row_splits_to_output_dim():
-    net = make_net((3, 3, 2))  # second layer has only 2 output rows
-    plan = plan_partition(net, 4)
-    assert plan[0].shards == 3
-    assert plan[1].shards == 2
+@pytest.mark.parametrize("p", [2, 6])
+def test_executor_cuts_each_layer_by_its_policy_over_the_pool(p, monkeypatch):
+    """With 4 workers, a 3-row "tensor" layer is clipped to 3 shards, a
+    "data" layer to min(4, p), and a "master" layer sends nothing; the
+    backward pass asks every forward shard once."""
+    net = make_net((3, 3, 2, 2), policies=["tensor", "data", "master"])
+    sent = []
+    request = WorkerConnection.request
+
+    def record(conn, msg):
+        sent.append((type(msg).__name__, msg.layer_id, msg.shard_id))
+        return request(conn, msg)
+
+    rng = make_rng(25)
+    with spawn_local_workers(4) as addresses:
+        with pool_for(addresses, net) as pool:
+            monkeypatch.setattr(WorkerConnection, "request", record)
+            ex = offload_executor(pool, net, seed=2)
+            for lin in net.linears:
+                inp = rng.standard_normal((lin.in_dim, p))
+                delta = rng.standard_normal((lin.out_dim, p))
+                z = ex.multiply_forward(lin.layer_id, lin.W, inp)
+                assert np.max(np.abs(z - lin.W @ inp)) < 1e-9
+                t1, t2 = ex.multiply_backward(lin.layer_id, delta)
+                assert np.max(np.abs(t1 - inp @ delta.T)) < 1e-9
+                assert np.max(np.abs(t2 - delta.T @ lin.W)) < 1e-9
+    for kind in ("StorePair", "MultBwd"):
+        shards = {lid: [j for name, l, j in sent if name == kind and l == lid]
+                  for lid in range(3)}
+        assert shards == {0: [0, 1, 2], 1: list(range(min(4, p))), 2: []}
 
 
-def test_plan_respects_policies():
-    net = make_net((3, 4, 2), policies=["data", "master"])
-    plan = plan_partition(net, 3)
-    assert plan[0] == LayerPlan("data", 3)
-    assert plan[1] == LayerPlan("master", 1)
-    with pytest.raises(ValueError):
-        plan_partition(net, 0)
-    with pytest.raises(ValueError):
-        LayerPlan("tensor", 0)
+def test_no_layer_gets_zero_shards_or_an_unknown_policy():
+    with pytest.raises(ValueError, match="cannot be empty"):
+        WorkerPool([])
+    with pytest.raises(ValueError, match="unknown policy 'diagonal'"):
+        make_net((3, 2), policies=["diagonal"])
 
 
 # -- key store -------------------------------------------------------------
@@ -112,7 +129,7 @@ def test_epoch_keys_reproducible_regardless_of_request_order():
 def test_shard_layout_follows_array_split_and_clips(policy):
     for (m, n, p), shards in [((7, 3, 5), 3), ((5, 2, 7), 4), ((2, 4, 1), 3),
                               ((1, 1, 9), 2), ((64, 8, 64), 2)]:
-        layout = shard_layout(LayerPlan(policy, shards), m, n, p)
+        layout = shard_layout(policy, shards, m, n, p)
         cut = m if policy == "tensor" else p
         want = [len(part) for part in np.array_split(np.arange(cut), min(shards, cut))]
         cuts = [sh.rows if policy == "tensor" else sh.cols for sh in layout]
@@ -144,7 +161,7 @@ def test_forward_unblinds_every_shard_into_its_block_of_one_output(policy, monke
     w = net.linears[0].W
     rng = make_rng(22)
     x, delta = rng.standard_normal((6, 9)), rng.standard_normal((7, 9))
-    layout = shard_layout(LayerPlan(policy, 3), 7, 6, 9)
+    layout = shard_layout(policy, 3, 7, 6, 9)
     decoded = []  # each reply unblinded on its own, in the order dec sees them
 
     def record(sk, c_enc, *args, **kw):
@@ -320,6 +337,49 @@ def test_pipelined_run_is_bitwise_identical():
         assert a.W.tobytes() == b.W.tobytes()
         assert a.b.tobytes() == b.b.tobytes()
     assert stats_plain.matrices_encrypted == stats_piped.matrices_encrypted
+
+
+def test_directly_built_pipelined_executor_blinds_the_next_layer_before_collecting(
+        monkeypatch):
+    """Built with pipelined=True, the executor blinds layer l+1's weight
+    shards while layer l's requests are in flight, before it collects
+    their replies; unpipelined, it blinds them when layer l+1 runs.  The
+    products and the counters are the same either way."""
+    net = make_net((3, 5, 4, 2))
+    x = make_rng(26).standard_normal((3, 6))
+    events = []
+    enc_left, collect = master.enc_left, WorkerConnection.collect
+
+    def record_blind(sk, a, *args, **kw):
+        events.extend(f"blind W{lin.layer_id}" for lin in net.linears if np.shares_memory(a, lin.W))
+        return enc_left(sk, a, *args, **kw)
+
+    def record_collect(conn, *args):
+        events.append("collect")
+        return collect(conn, *args)
+
+    def forward(pool, pipelined):
+        events.clear()
+        ex = offload_executor(pool, net, seed=3, pipelined=pipelined)
+        cur, outs = x, []
+        for lin in net.linears:
+            cur = ex.multiply_forward(lin.layer_id, lin.W, cur)
+            outs.append(cur.tobytes())
+        return outs, ex.stats.as_dict(), list(events)
+
+    with spawn_local_workers(2) as addresses:
+        with pool_for(addresses, net) as pool:
+            monkeypatch.setattr(master, "enc_left", record_blind)
+            monkeypatch.setattr(WorkerConnection, "collect", record_collect)
+            piped = forward(pool, True)
+            plain = forward(pool, False)
+    def blind(lid):
+        return [f"blind W{lid}"] * 2  # one per shard
+
+    replies = ["collect"] * 2
+    assert piped[2] == blind(0) + blind(1) + replies + blind(2) + replies + replies
+    assert plain[2] == blind(0) + replies + blind(1) + replies + blind(2) + replies
+    assert piped[:2] == plain[:2]
 
 
 def test_naive_backward_same_numerics():
@@ -555,9 +615,8 @@ def test_a_smaller_request_after_a_larger_one_carries_no_stale_bytes():
     server.start()
     rng = make_rng(24)
     operands = [(rng.standard_normal((40, 30)), rng.standard_normal((30, 20))),
-                (rng.standard_normal((5, 8)), rng.standard_normal((8, 3)))]
-    plan = PartitionPlan({0: LayerPlan("tensor", 1), 1: LayerPlan("tensor", 1)})
-    ex = EncryptedExecutor(pool, plan, rounds=6, seed=5)
+                (rng.standard_normal((5, 40)), rng.standard_normal((40, 3)))]
+    ex = EncryptedExecutor(pool, make_net((30, 40, 5)), rounds=6, seed=5)
     try:
         products = [ex.multiply_forward(lid, w, x) for lid, (w, x) in enumerate(operands)]
         server.join(timeout=10)
@@ -770,7 +829,7 @@ def test_wire_traffic_never_carries_plaintext_operands(monkeypatch):
     monkeypatch.setattr(protocol, "send_message", record)
     with spawn_local_workers(1) as addresses:
         with pool_for(addresses, net) as pool:
-            ex = Recorder(pool, plan_partition(net, pool.size), rounds=5, seed=6)
+            ex = Recorder(pool, net, rounds=5, seed=6)
             train(net, ds, TrainConfig(0.1, 10, 1, seed=6), ex)
 
     wire_mats = []
