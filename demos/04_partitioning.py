@@ -19,16 +19,17 @@ from blindtrain.worker import spawn_local_workers
 
 rng = make_rng(4)
 
-net = Network.from_dims([6, 8, 3, 2], policies=["tensor", "data", "master"])
+net = Network.from_dims([6, 8, 3, 2], policies=["data", "tensor", "master"])
 net.init_weights(4)
 
 N_WORKERS, BATCH = 4, 10
 
 
 def shard_count(lin):
-    """How many shards the executor cuts this layer into for one batch."""
+    """How many shards the executor cuts this layer into for one batch;
+    none for a layer kept local."""
     if lin.policy == "master":
-        return 1
+        return 0
     return len(shard_layout(lin.policy, N_WORKERS, lin.out_dim, lin.in_dim, BATCH))
 
 
@@ -36,7 +37,7 @@ print("partition plan with 4 workers:")
 for lin in net.linears:
     print(f"  layer {lin.layer_id} ({lin.out_dim}x{lin.in_dim})  "
           f"policy={lin.policy:<7} shards={shard_count(lin)}")
-print("  (the 3-row layer cannot fill 4 workers; the local layer takes none)\n")
+print("  (the row-split 3-row layer is clipped to 3 shards; the local layer takes none)\n")
 
 x = rng.standard_normal((6, BATCH))
 with spawn_local_workers(N_WORKERS) as addresses:
@@ -48,8 +49,8 @@ with spawn_local_workers(N_WORKERS) as addresses:
             inputs[lin.layer_id] = cur
             z = ex.multiply_forward(lin.layer_id, lin.W, cur)
             err = np.max(np.abs(z - lin.W @ cur))
-            print(f"layer {lin.layer_id} forward over {shard_count(lin)} "
-                  f"shard(s): max error vs local {err:.3e}")
+            where = f"over {shard_count(lin)} shard(s)" if shard_count(lin) else "locally"
+            print(f"layer {lin.layer_id} forward {where}: max error vs local {err:.3e}")
             cur = np.maximum(z, 0.0)
 
         # the backward products aggregate the opposite way: row-split

@@ -181,28 +181,40 @@ def save_model(net: nn.Network, path: str) -> None:
 
 
 def load_model(path: str) -> nn.Network:
+    """The network saved at path.  A file that is not a well-formed model,
+    down to the shape of each weight and bias, is a ConfigError."""
     with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "blindtrain-model":
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != "blindtrain-model":
         raise ConfigError(f"{path} is not a model file")
-    layers: list = []
-    for spec in doc["layers"]:
-        kind = spec["type"]
-        if kind == "linear":
-            try:
-                lin = nn.Linear(spec["out_dim"], spec["in_dim"], spec.get("policy", "tensor"))
-            except ValueError as exc:  # an unknown policy or a non-positive dim
-                raise ConfigError(f"{path}: {exc}") from exc
-            lin.W = _unhex_matrix(spec["weights"])
-            lin.b = np.array([float.fromhex(v) for v in spec["bias"]], dtype=np.float64)
-            layers.append(lin)
-        elif kind == "relu":
-            layers.append(nn.ReLU())
-        elif kind == "softmax":
-            layers.append(nn.Softmax())
-        else:
-            raise ConfigError(f"{path}: unknown layer type {kind!r}")
-    return nn.Network(layers)
+    try:
+        return nn.Network([_load_layer(spec) for spec in doc["layers"]])
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:  # a bad value, shape or layer order
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _load_layer(spec: dict):
+    kind = spec["type"]
+    if kind == "relu":
+        return nn.ReLU()
+    if kind == "softmax":
+        return nn.Softmax()
+    if kind != "linear":
+        raise ConfigError(f"unknown layer type {kind!r}")
+    lin = nn.Linear(spec["out_dim"], spec["in_dim"], spec.get("policy", "tensor"))
+    lin.W = _unhex_matrix(spec["weights"])
+    lin.b = np.array([float.fromhex(v) for v in spec["bias"]], dtype=np.float64)
+    if lin.W.shape != (lin.out_dim, lin.in_dim) or lin.b.shape != (lin.out_dim,):
+        raise ConfigError(f"a ({lin.out_dim}, {lin.in_dim}) linear layer has weights "
+                          f"of shape {lin.W.shape} and a bias of shape {lin.b.shape}")
+    if not (np.isfinite(lin.W).all() and np.isfinite(lin.b).all()):
+        raise ConfigError("a linear layer has a non-finite weight or bias")
+    return lin
 
 
 # -- subcommands -----------------------------------------------------------

@@ -8,6 +8,13 @@ transposed delta is freshly blinded (one matrix instead of the four a
 from-scratch approach would need), shipped under the key rotated by
 two, and the two returned products decrypt under rotations one and two.
 
+Every offloaded product takes one path.  A call sends all its requests
+first: a freshly blinded pair as a StorePair or, in the reuse backward
+mode, the blinded delta as a MultBwd.  Then one collector receives the
+replies in send order, verifies every product each carries and
+unblinds it into its block of the result.  The reuse and the reference
+backward modes differ only in the requests they queue.
+
 The network is the partition plan: the executor reads each layer's
 policy from the network it serves.  "tensor" splits the weight by
 output rows, "data" splits the batch by columns, "master" keeps the
@@ -284,14 +291,20 @@ class WorkerPool:
 class EncryptedExecutor(nn.MatMulExecutor):
     """Offloading backend for the training loop over `net`, whose
     layer `lid` is split by the policy of net.linears[lid] into
-    pool.size shards.
+    pool.size shards; "master" layers go to an nn.LocalExecutor.
+
+    A sent request is queued as (shard, tag, products), one (key, a, b,
+    block, add) per product its reply carries, and _finish collects,
+    verifies and unblinds the queue in send order.
 
     rounds is the per-product probe count (see min_rounds).  With
     pipelined=True the executor blinds the next layer's weight shards
     while the current layer's requests are in flight, as nn.forward
     calls them: with the network's weights and one batch width for all
-    layers.  Results are bitwise identical either way because keys
-    derive from (epoch, layer, shard, dims), not from call order.
+    layers.  A pre-blinded weight is sent only under the key and from
+    the weight it was blinded for; otherwise it is blinded afresh.
+    Results are bitwise identical either way because keys derive from
+    (epoch, layer, shard, dims), not from call order.
     reuse_backward=False is the reference accounting mode: the backward
     products are shipped as two freshly blinded pairs (four matrices)
     instead of one.
@@ -316,31 +329,49 @@ class EncryptedExecutor(nn.MatMulExecutor):
         self.keys = EpochKeys(seed, keyspace or KeySpaceConfig())
         self.stats = OffloadStats()
         self._rng = make_rng(_derive_seed(seed, -1, -1, -1, 0, 0, 0))  # probes, one-off keys
-        self._ctx: dict[int, dict] = {}
-        self._pre_enc: dict[tuple[int, int], np.ndarray] = {}
+        self._local = nn.LocalExecutor()
+        # per offloaded layer awaiting its backward: w, x and each shard's key
+        self._held: dict[int, tuple[np.ndarray, np.ndarray, list[SecretKey]]] = {}
+        # (layer, shard) -> the key and weight a pre-blinded weight shard serves
+        self._pre_enc: dict[tuple[int, int], tuple[SecretKey, np.ndarray, np.ndarray]] = {}
 
     def start_epoch(self, epoch: int) -> None:
         self.keys.refresh(epoch)
         self._pre_enc.clear()
 
-    # -- helpers -------------------------------------------------------
-
-    def _encrypt_weight(self, lid: int, shard: int, sk: SecretKey, w_part: np.ndarray,
-                        out: np.ndarray) -> np.ndarray:
-        cached = self._pre_enc.pop((lid, shard), None)
-        if cached is not None:
-            return cached
+    def _store(self, lid: int, j: int, sk: SecretKey, a: np.ndarray, b: np.ndarray,
+               block: np.ndarray, add: bool, a_enc: np.ndarray | None = None) -> tuple:
+        """Blind (a, b) under sk into the pool's wire buffer, send them to
+        shard j as one StorePair, answered by their blinded product, and
+        return the request for _finish.  a_enc, if given, is a already
+        blinded under sk."""
+        a_out, b_out = self.pool.wire.matrices(a.shape, b.shape)
+        if a_enc is None:
+            a_enc = enc_left(sk, a, out=a_out)
+            self.stats.matrices_encrypted += 1
+        b_enc = enc_right(sk, b, out=b_out)
         self.stats.matrices_encrypted += 1
-        return enc_left(sk, w_part, out=out)
+        tag = self.pool.conn(j).request(StorePair(lid, j, a_enc, b_enc))
+        self.stats.products_offloaded += 1
+        return j, tag, [(sk, a, b, block, add)]
 
-    def _dec(self, sk, c_enc, a_plain, b_plain, out=None):
-        self.stats.matrices_decrypted += 1
-        self.stats.verification_rounds += self.rounds
-        try:
-            return dec(sk, c_enc, a_plain, b_plain, self.rounds, self._rng, out=out)
-        except IntegrityFailure:
-            self.stats.failures += 1
-            raise
+    def _finish(self, j: int, tag: int, products: list) -> None:
+        """Collect shard j's reply to request `tag`, and verify and
+        unblind each (key, a, b, block, add) product it carries in turn:
+        into its block, or added to it where add is set.  Each is done
+        before the next collect receives over it in the wire buffer."""
+        shapes = tuple((a.shape[0], b.shape[1]) for _, a, b, _, _ in products)
+        reply = self.pool.conn(j).collect(tag, shapes)
+        for c_enc, (sk, a, b, block, add) in zip(reply.matrices, products):
+            self.stats.matrices_decrypted += 1
+            self.stats.verification_rounds += self.rounds
+            try:
+                c = dec(sk, c_enc, a, b, self.rounds, self._rng, out=None if add else block)
+            except IntegrityFailure:
+                self.stats.failures += 1
+                raise
+            if add:
+                block += c
 
     def _pre_encrypt_next(self, lid: int, batch_width: int) -> None:
         if lid + 1 == len(self.net.linears):
@@ -352,7 +383,7 @@ class EncryptedExecutor(nn.MatMulExecutor):
                                             batch_width)):
             sk = self.keys.get(lid + 1, j, *sh.dims)
             # a new array: it must outlive the collects before its send
-            self._pre_enc[(lid + 1, j)] = enc_left(sk, nxt.W[sh.rows])
+            self._pre_enc[(lid + 1, j)] = (sk, nxt.W, enc_left(sk, nxt.W[sh.rows]))
             self.stats.matrices_encrypted += 1
 
     # -- forward -------------------------------------------------------
@@ -362,103 +393,68 @@ class EncryptedExecutor(nn.MatMulExecutor):
             raise ShapeError(f"forward product: {w.shape} x {x.shape}")
         policy = self.net.linears[lid].policy
         if policy == "master":
-            self._ctx[lid] = {"w": w, "x": x}
-            return w @ x
+            return self._local.multiply_forward(lid, w, x)
 
         p = x.shape[1]
-        records = []
+        z = np.empty((w.shape[0], p))  # each shard unblinds into its block
+        keys, pending = [], []
         for j, sh in enumerate(shard_layout(policy, self.pool.size, *w.shape, p)):
             wj, xj = w[sh.rows], x[:, sh.cols]
             sk = self.keys.get(lid, j, *sh.dims)
-            w_out, x_out = self.pool.wire.matrices(wj.shape, xj.shape)
-            w_enc = self._encrypt_weight(lid, j, sk, wj, w_out)
-            x_enc = enc_right(sk, xj, out=x_out)
-            self.stats.matrices_encrypted += 1
-            tag = self.pool.conn(j).request(StorePair(lid, j, w_enc, x_enc))
-            self.stats.products_offloaded += 1
-            records.append({"sk": sk, "w": wj, "x": xj, "shard": sh, "tag": tag})
+            pre = self._pre_enc.pop((lid, j), None)
+            w_enc = pre[2] if pre and pre[0] is sk and pre[1] is w else None
+            pending.append(self._store(lid, j, sk, wj, xj, z[sh.rows, sh.cols], False, w_enc))
+            keys.append(sk)
 
         if self.pipelined:
             self._pre_encrypt_next(lid, p)
-
-        z = np.empty((w.shape[0], p))  # each shard unblinds into its block
-        for j, rec in enumerate(records):
-            sh = rec["shard"]
-            reply = self.pool.conn(j).collect(rec["tag"], ((sh.dims[0], sh.dims[2]),))
-            self._dec(rec["sk"], reply.matrices[0], rec["w"], rec["x"], out=z[sh.rows, sh.cols])
-
-        self._ctx[lid] = {"records": records, "w": w, "x": x}
+        for request in pending:
+            self._finish(*request)
+        self._held[lid] = (w, x, keys)
         return z
 
     # -- backward ------------------------------------------------------
 
     def multiply_backward(self, lid: int, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ctx = self._ctx.pop(lid, None)
-        if ctx is None:
-            raise RuntimeError(f"backward for layer {lid} without a matching forward")
         policy = self.net.linears[lid].policy
         if policy == "master":
-            w, x = ctx["w"], ctx["x"]
-            return x @ delta.T, delta.T @ w
-        (m, n), p = ctx["w"].shape, ctx["x"].shape[1]
+            return self._local.multiply_backward(lid, delta)
+        held = self._held.pop(lid, None)
+        if held is None:
+            raise RuntimeError(f"backward for layer {lid} without a matching forward")
+        w, x, keys = held
+        (m, n), p = w.shape, x.shape[1]
         if delta.shape != (m, p):
             raise ShapeError(
                 f"backward delta {delta.shape} does not match product shape ({m}, {p})")
         t1, t2 = np.empty((n, m)), np.empty((p, n))
-        # All shards write one block whole: T2 under "tensor", T1 under "data".
-        # Shard 0 unblinds into it; later shards add theirs in shard order.
-        shared = (policy == "data", policy == "tensor")
-        # A sender ships one shard's requests and returns the keys that
-        # unblind T1 and T2 and the (tag, reply shapes) of each request;
-        # the replies carry T1, then T2.
-        send = self._send_reuse if self.reuse_backward else self._send_naive
-        sent = []
-        for j, rec in enumerate(ctx["records"]):
-            sh = rec["shard"]
+        pending = []
+        for j, (sh, sk) in enumerate(zip(shard_layout(policy, self.pool.size, m, n, p), keys)):
+            wj, xj = w[sh.rows], x[:, sh.cols]
             d_t = np.ascontiguousarray(delta[sh.rows, sh.cols].T)
-            sent.append((rec, d_t, *send(lid, j, rec, d_t)))
-        for j, (rec, d_t, keys, requests) in enumerate(sent):
-            conn, sh = self.pool.conn(j), rec["shard"]
-            # lazily, so each reply is unblinded before the next one is
-            # received over it in the pool's wire buffer
-            products = (c for tag, shapes in requests for c in conn.collect(tag, shapes).matrices)
-            operands = ((rec["x"], d_t), (d_t, rec["w"]))
-            blocks = (t1[:, sh.rows], t2[sh.cols])
-            for sk, c_enc, (a, b), block, summed in zip(keys, products, operands, blocks, shared):
-                if j and summed:
-                    block += self._dec(sk, c_enc, a, b)
-                else:
-                    self._dec(sk, c_enc, a, b, out=block)
+            # All shards write one block whole: T2 under "tensor", T1 under "data".
+            # Shard 0 unblinds into it; later shards add theirs in shard order.
+            t1_part = (xj, d_t, t1[:, sh.rows], j > 0 and policy == "data")
+            t2_part = (d_t, wj, t2[sh.cols], j > 0 and policy == "tensor")
+            if self.reuse_backward:
+                # the transposed delta under the key rotated by two; the
+                # worker multiplies it against the pair it still holds
+                k2 = key_shift(sk, 2)
+                d_enc = enc_left(k2, d_t, out=self.pool.wire.matrices(d_t.shape)[0])
+                self.stats.matrices_encrypted += 1
+                tag = self.pool.conn(j).request(MultBwd(lid, j, d_enc))
+                self.stats.products_offloaded += 2
+                pending.append((j, tag, [(key_shift(sk, 1), *t1_part), (k2, *t2_part)]))
+            else:
+                # reference mode: two independently keyed, freshly blinded pairs
+                mj, _, pj = sh.dims
+                k1 = kgen(n, pj, mj, self.keys.keyspace, self._rng)
+                pending.append(self._store(lid, j, k1, *t1_part))
+                k2 = kgen(pj, mj, n, self.keys.keyspace, self._rng)
+                pending.append(self._store(lid, j, k2, *t2_part))
+        for request in pending:
+            self._finish(*request)
         return t1, t2
-
-    def _send_reuse(self, lid, j, rec, d_t):
-        """One fresh blinded matrix per shard: the transposed delta under
-        the key rotated by two; the worker multiplies it against the pair
-        it already holds."""
-        m, n, p = rec["shard"].dims
-        k1, k2 = key_shift(rec["sk"], 1), key_shift(rec["sk"], 2)
-        d_enc = enc_left(k2, d_t, out=self.pool.wire.matrices(d_t.shape)[0])
-        self.stats.matrices_encrypted += 1
-        tag = self.pool.conn(j).request(MultBwd(lid, j, d_enc))
-        self.stats.products_offloaded += 2
-        return (k1, k2), [(tag, ((n, m), (p, n)))]
-
-    def _send_naive(self, lid, j, rec, d_t):
-        """Reference mode: no operand reuse.  Both backward products are
-        shipped as independently keyed, freshly blinded pairs, so four
-        matrices are blinded per shard where reuse needs one."""
-        m, n, p = rec["shard"].dims
-        x, w = rec["x"], rec["w"]
-        conn, wire = self.pool.conn(j), self.pool.wire
-        k1 = kgen(n, p, m, self.keys.keyspace, self._rng)
-        a1, b1 = wire.matrices(x.shape, d_t.shape)
-        tag1 = conn.request(StorePair(lid, j, enc_left(k1, x, out=a1), enc_right(k1, d_t, out=b1)))
-        k2 = kgen(p, m, n, self.keys.keyspace, self._rng)
-        a2, b2 = wire.matrices(d_t.shape, w.shape)
-        tag2 = conn.request(StorePair(lid, j, enc_left(k2, d_t, out=a2), enc_right(k2, w, out=b2)))
-        self.stats.matrices_encrypted += 4
-        self.stats.products_offloaded += 2
-        return (k1, k2), [(tag1, ((n, m),)), (tag2, ((p, n),))]
 
 
 def _integrity_rounds(t: float, task: str, pool_size: int, net: nn.Network,

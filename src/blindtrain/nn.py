@@ -78,6 +78,8 @@ class LocalExecutor(MatMulExecutor):
         return w @ x
 
     def multiply_backward(self, layer_id, delta):
+        if layer_id not in self._held:
+            raise RuntimeError(f"backward for layer {layer_id} without a matching forward")
         w, x = self._held.pop(layer_id)
         if delta.shape != (w.shape[0], x.shape[1]):
             raise ShapeError(

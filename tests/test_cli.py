@@ -94,18 +94,31 @@ def test_model_roundtrip_is_bitwise(tmp_path):
         assert a.policy == b.policy
 
 
-def test_model_with_an_unknown_policy_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("breakage,message", [
+    (lambda doc: doc["layers"][0].update(policy="diagonal"), "unknown policy 'diagonal'"),
+    (None, "is not valid JSON"),  # the file cut short
+    (lambda doc: doc["layers"][0].pop("weights"), "missing key 'weights'"),
+    (lambda doc: doc["layers"][0]["weights"].pop(),
+     "a (3, 2) linear layer has weights of shape (2, 2)"),
+    (lambda doc: doc["layers"][0]["weights"][0].__setitem__(0, "nan"), "non-finite weight"),
+    (lambda doc: doc.update(layers=[]), "network must end with a Softmax layer"),
+], ids=["unknown-policy", "not-json", "no-weights", "short-weights", "nan-weight", "no-layers"])
+def test_malformed_model_exits_2(tmp_path, capsys, breakage, message):
     net = Network.from_dims([2, 3, 2])
     net.init_weights(1)
     path = tmp_path / "model.json"
     save_model(net, str(path))
-    doc = json.loads(path.read_text())
-    doc["layers"][0]["policy"] = "diagonal"
-    path.write_text(json.dumps(doc))
+    if breakage is None:
+        path.write_text(path.read_text()[:-10])
+    else:
+        doc = json.loads(path.read_text())
+        breakage(doc)
+        path.write_text(json.dumps(doc))
     csv_path = tmp_path / "query.csv"
     csv_path.write_text("0,1.0,2.0\n1,2.0,1.0\n")
     assert main(["infer", "--model", str(path), "--input", str(csv_path)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {path}: unknown policy 'diagonal'")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and message in err
 
 
 def test_load_model_rejects_foreign_json(tmp_path):
@@ -286,6 +299,16 @@ def test_infer_input_of_the_wrong_width_exits_2_before_any_worker_is_contacted(t
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "has 2 features per sample, but the model takes 3" in err
+
+
+def test_tampering_worker_exits_3(tmp_path, capsys):
+    from blindtrain.worker import WorkerMode, spawn_local_workers
+
+    cfg = write_config(tmp_path, pipelined=True)
+    with spawn_local_workers(2, WorkerMode.tamper(1.0, magnitude=1.0), seed=1) as addresses:
+        workers = ",".join(f"{host}:{port}" for host, port in addresses)
+        assert main(["train", "--config", cfg, "--workers", workers]) == 3
+    assert capsys.readouterr().err.startswith("integrity failure, aborting: verification")
 
 
 def test_worker_dropping_mid_run_exits_4(tmp_path, capsys):

@@ -240,13 +240,53 @@ def test_master_policy_stays_local():
             assert all(v == 0 for v in empty.values())
 
 
-def test_backward_without_forward_raises():
-    net = make_net()
+@pytest.mark.parametrize("policy", ["tensor", "data", "master"])
+def test_backward_without_forward_raises(policy):
+    net = make_net(policies=[policy] * 3)
     with spawn_local_workers(1) as addresses:
         with pool_for(addresses, net) as pool:
             ex = offload_executor(pool, net)
-            with pytest.raises(RuntimeError):
+            with pytest.raises(RuntimeError, match="without a matching forward"):
                 ex.multiply_backward(0, np.ones((5, 2)))
+
+
+@pytest.mark.parametrize("reuse", [True, False])
+def test_backward_sends_every_request_before_the_first_collect(reuse, monkeypatch):
+    """Every shard's backward requests are in flight before the first
+    reply is collected.  In the reference mode both one-off keys of every
+    shard are drawn before the first reply is verified, which fixes the
+    order of the probe rng stream, and so every byte of the result."""
+    net = make_net((3, 4, 2))
+    rng = make_rng(28)
+    x, delta = rng.standard_normal((3, 6)), rng.standard_normal((4, 6))
+    events = []
+
+    def record(owner, attr, describe=None):
+        call = getattr(owner, attr)
+
+        def wrapper(*args, **kw):
+            events.append(describe(*args) if describe else attr)
+            return call(*args, **kw)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    with spawn_local_workers(2) as addresses:
+        with pool_for(addresses, net) as pool:
+            ex = offload_executor(pool, net, seed=5, reuse_backward=reuse)
+            ex.multiply_forward(0, net.linears[0].W, x)
+            record(WorkerConnection, "request", lambda conn, msg: f"request {msg.shard_id}")
+            record(WorkerConnection, "collect",
+                   lambda conn, *args: f"collect {pool.connections.index(conn)}")
+            record(master, "kgen")
+            record(master, "dec")
+            ex.multiply_backward(0, delta)
+    if reuse:  # one MultBwd per shard, its reply carrying T1 and T2
+        assert events == ["request 0", "request 1",
+                          "collect 0", "dec", "dec", "collect 1", "dec", "dec"]
+    else:  # two freshly keyed StorePairs per shard
+        assert events == ["kgen", "request 0", "kgen", "request 0",
+                          "kgen", "request 1", "kgen", "request 1",
+                          "collect 0", "dec", "collect 0", "dec",
+                          "collect 1", "dec", "collect 1", "dec"]
 
 
 # -- counters --------------------------------------------------------------
@@ -380,6 +420,27 @@ def test_directly_built_pipelined_executor_blinds_the_next_layer_before_collecti
     assert piped[2] == blind(0) + blind(1) + replies + blind(2) + replies + replies
     assert plain[2] == blind(0) + replies + blind(1) + replies + blind(2) + replies
     assert piped[:2] == plain[:2]
+
+
+@pytest.mark.parametrize("case", ["narrower-batch", "other-weight"])
+def test_pre_blinded_weight_is_sent_only_under_its_own_key(case):
+    """A pipelined executor pre-blinds layer 1's weight shards for the
+    batch width and weight of layer 0's call.  If layer 1 is then called
+    with another width (so another key) or another weight, the shards are
+    blinded afresh and honest workers' products verify."""
+    net = make_net((3, 5, 4, 2))
+    rng = make_rng(29)
+    with spawn_local_workers(2) as addresses:
+        with pool_for(addresses, net) as pool:
+            ex = offload_executor(pool, net, seed=3, pipelined=True)
+            ex.multiply_forward(0, net.linears[0].W, rng.standard_normal((3, 6)))
+            if case == "narrower-batch":
+                w, x = net.linears[1].W, rng.standard_normal((5, 4))
+            else:
+                w, x = 2 * net.linears[1].W, rng.standard_normal((5, 6))
+            z = ex.multiply_forward(1, w, x)
+    assert np.max(np.abs(z - w @ x)) < 1e-9
+    assert ex.stats.failures == 0
 
 
 def test_naive_backward_same_numerics():
