@@ -57,12 +57,12 @@ _CONFIG_DEFAULTS = {
 
 class RunConfig:
     """Validated view of a training config JSON (see README for the
-    schema).  Validation happens before any socket is opened."""
+    schema).  A missing key, or a value of the wrong type or out of
+    range, raises KeyError, TypeError or ValueError here, and a
+    ConfigError naming the file from load().  Validation happens before
+    any socket is opened."""
 
     def __init__(self, raw: dict):
-        for key in ("layer_dims", "learning_rate", "batch_size", "epochs", "seed", "data"):
-            if key not in raw:
-                raise ConfigError(f"config missing required key {key!r}")
         known = set(_CONFIG_DEFAULTS) | {
             "layer_dims", "learning_rate", "batch_size", "epochs", "seed", "data",
         }
@@ -78,30 +78,34 @@ class RunConfig:
         self.batch_size = int(raw["batch_size"])
         self.epochs = int(raw["epochs"])
         self.seed = int(raw["seed"])
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 0:
-            raise ConfigError("learning_rate must be > 0, batch_size >= 1, epochs >= 0")
         merged = dict(_CONFIG_DEFAULTS)
         merged.update({k: raw[k] for k in _CONFIG_DEFAULTS if k in raw})
         self.policies = merged["policies"]
-        try:  # the policies are the partition's only input: nn checks them
-            nn.Network.from_dims(self.layer_dims, self.policies)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad policies {self.policies!r}: {exc}") from exc
         self.t = float(merged["t"])
-        if not 0.0 < self.t < 1.0:
-            raise ConfigError("t must be in (0, 1)")
         self.keyspace = int(merged["keyspace"])
-        if self.keyspace < 2:
-            raise ConfigError("keyspace must be >= 2")
+        # the objects these values go to check their ranges
+        nn.Network.from_dims(self.layer_dims, self.policies)
+        nn.TrainConfig(self.learning_rate, self.batch_size, self.epochs, self.seed)
+        IntegrityConfig(self.t)
+        KeySpaceConfig(self.keyspace)
         self.executor = merged["executor"]
         if self.executor not in ("offloaded", "local"):
             raise ConfigError("executor must be 'offloaded' or 'local'")
         self.pipelined = bool(merged["pipelined"])
         self.naive_backward = bool(merged["naive_backward"])
-        self.workers = merged["workers"]
+        workers = merged["workers"]
+        self.workers = None if workers is None else _parse_addresses(",".join(workers))
         self.data = raw["data"]
         if not isinstance(self.data, dict) or not ("csv" in self.data or "blobs" in self.data):
             raise ConfigError("data must be {'csv': path} or {'blobs': {...}}")
+        if "csv" in self.data:
+            if not isinstance(self.data["csv"], str):  # a number would open a file descriptor
+                raise ConfigError("data's csv must be a path")
+        else:
+            blob = self.data["blobs"]
+            self.blobs = dict(n_per_class=int(blob["n_per_class"]),
+                              n_classes=int(blob["n_classes"]), dim=int(blob["dim"]),
+                              separation=float(blob["separation"]), seed=int(blob["seed"]))
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
@@ -110,9 +114,14 @@ class RunConfig:
                 raw = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-        return cls(raw)
+        try:
+            return cls(raw)
+        except KeyError as exc:
+            raise ConfigError(f"{path}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:  # a value of the wrong type or range
+            raise ConfigError(f"{path}: {exc}") from exc
 
     def build_network(self) -> nn.Network:
         net = nn.Network.from_dims(self.layer_dims, self.policies)
@@ -121,20 +130,7 @@ class RunConfig:
 
     def load_dataset(self) -> Dataset:
         """The configured data, checked against layer_dims and batch_size."""
-        if "csv" in self.data:
-            ds = load_csv(self.data["csv"])
-        else:
-            blob = self.data["blobs"]
-            try:
-                ds = gen_blobs(
-                    n_per_class=int(blob["n_per_class"]),
-                    n_classes=int(blob["n_classes"]),
-                    dim=int(blob["dim"]),
-                    separation=float(blob["separation"]),
-                    seed=int(blob["seed"]),
-                )
-            except KeyError as exc:
-                raise ConfigError(f"blobs spec missing key {exc}")
+        ds = load_csv(self.data["csv"]) if "csv" in self.data else gen_blobs(**self.blobs)
         dim, classes = self.layer_dims[0], self.layer_dims[-1]
         if ds.features.shape[0] != dim:
             raise ConfigError(f"data has {ds.features.shape[0]} features per sample, "
@@ -256,7 +252,7 @@ def cmd_train(args) -> int:
     if args.workers:
         return _train_over(net, dataset, cfg, _parse_addresses(args.workers), args)
     if cfg.workers:
-        return _train_over(net, dataset, cfg, _parse_addresses(",".join(cfg.workers)), args)
+        return _train_over(net, dataset, cfg, cfg.workers, args)
     if cfg.executor == "local":
         return _train_local(net, dataset, cfg, args)
     raise ConfigError("offloaded training needs --workers, --local-workers, "

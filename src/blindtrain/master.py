@@ -29,6 +29,7 @@ import hashlib
 import socket
 import struct
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,16 +178,22 @@ class WorkerConnection:
     """One socket to one worker.  Requests are answered in order; every
     send returns the tag its reply must carry.  Replies are received
     into `wire`, which a pool replaces with the one its connections
-    share."""
+    share.  `failure` names what closed the connection with replies
+    unread, if anything did."""
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
         self._next_tag = 0
         self.wire = WireBuffer()
+        self.failure: str | None = None
 
     def request(self, msg) -> int:
-        """Send one request; a worker that hung up is a WorkerFault."""
+        """Send one request; a worker that hung up, or a connection
+        closed after a failure, is a WorkerFault."""
         tag = self._next_tag
+        if self.failure is not None:
+            raise WorkerFault(f"cannot send request {tag} ({type(msg).__name__}): "
+                              f"the connection was closed after {self.failure}")
         try:
             protocol.send_message(self._sock, msg)
         except OSError as exc:
@@ -217,7 +224,8 @@ class WorkerConnection:
         if isinstance(reply, protocol.Error):
             raise WorkerFault(f"worker error {reply.code}: {reply.text}")
         if not isinstance(reply, Result) or reply.request_tag != tag:
-            raise WorkerFault(f"expected result for request {tag}, got {reply!r}")
+            raise WorkerFault(f"expected result for request {tag}, got {type(reply).__name__} "
+                              f"for request {getattr(reply, 'request_tag', None)}")
         got = tuple(m.shape for m in reply.matrices)
         if got != shapes:
             raise WorkerFault(f"result for request {tag} carries shapes {got}, expected {shapes}")
@@ -226,7 +234,10 @@ class WorkerConnection:
     def call(self, msg, shapes: tuple) -> Result:
         return self.collect(self.request(msg), shapes)
 
-    def close(self):
+    def close(self, failure: BaseException | None = None):
+        """Close the socket; a failure given is kept, if it is the first."""
+        if failure is not None and self.failure is None:
+            self.failure = f"{type(failure).__name__}: {failure}"
         try:
             self._sock.close()
         except OSError:
@@ -276,9 +287,11 @@ class WorkerPool:
     def conn(self, shard_id: int) -> WorkerConnection:
         return self.connections[shard_id]
 
-    def close(self):
+    def close(self, failure: BaseException | None = None):
+        """Close every connection.  A failure that left replies unread
+        is kept, so a later request names it (WorkerConnection.request)."""
         for c in self.connections:
-            c.close()
+            c.close(failure)
 
     def __enter__(self):
         return self
@@ -295,7 +308,9 @@ class EncryptedExecutor(nn.MatMulExecutor):
 
     A sent request is queued as (shard, tag, products), one (key, a, b,
     block, add) per product its reply carries, and _finish collects,
-    verifies and unblinds the queue in send order.
+    verifies and unblinds the queue in send order.  A failure that leaves
+    a queued reply unread closes the pool, whose later requests then
+    raise a WorkerFault naming that failure.
 
     rounds is the per-product probe count (see min_rounds).  With
     pipelined=True the executor blinds the next layer's weight shards
@@ -355,23 +370,40 @@ class EncryptedExecutor(nn.MatMulExecutor):
         self.stats.products_offloaded += 1
         return j, tag, [(sk, a, b, block, add)]
 
-    def _finish(self, j: int, tag: int, products: list) -> None:
-        """Collect shard j's reply to request `tag`, and verify and
-        unblind each (key, a, b, block, add) product it carries in turn:
+    @contextmanager
+    def _requests(self):
+        """The queue of one call's sent requests.  A failure that leaves
+        any of them unread closes the pool: their replies could only be
+        misread as answers to later requests."""
+        pending: list = []
+        try:
+            yield pending
+        except BaseException as exc:
+            if pending:
+                self.pool.close(exc)
+            raise
+
+    def _finish(self, pending: list) -> None:
+        """Collect every queued request's reply in send order, and verify
+        and unblind each (key, a, b, block, add) product a reply carries:
         into its block, or added to it where add is set.  Each is done
-        before the next collect receives over it in the wire buffer."""
-        shapes = tuple((a.shape[0], b.shape[1]) for _, a, b, _, _ in products)
-        reply = self.pool.conn(j).collect(tag, shapes)
-        for c_enc, (sk, a, b, block, add) in zip(reply.matrices, products):
-            self.stats.matrices_decrypted += 1
-            self.stats.verification_rounds += self.rounds
-            try:
-                c = dec(sk, c_enc, a, b, self.rounds, self._rng, out=None if add else block)
-            except IntegrityFailure:
-                self.stats.failures += 1
-                raise
-            if add:
-                block += c
+        before the next collect receives over it in the wire buffer, and
+        a request leaves the queue once its reply is read."""
+        while pending:
+            j, tag, products = pending[0]
+            shapes = tuple((a.shape[0], b.shape[1]) for _, a, b, _, _ in products)
+            reply = self.pool.conn(j).collect(tag, shapes)
+            del pending[0]
+            for c_enc, (sk, a, b, block, add) in zip(reply.matrices, products):
+                self.stats.matrices_decrypted += 1
+                self.stats.verification_rounds += self.rounds
+                try:
+                    c = dec(sk, c_enc, a, b, self.rounds, self._rng, out=None if add else block)
+                except IntegrityFailure:
+                    self.stats.failures += 1
+                    raise
+                if add:
+                    block += c
 
     def _pre_encrypt_next(self, lid: int, batch_width: int) -> None:
         if lid + 1 == len(self.net.linears):
@@ -397,19 +429,18 @@ class EncryptedExecutor(nn.MatMulExecutor):
 
         p = x.shape[1]
         z = np.empty((w.shape[0], p))  # each shard unblinds into its block
-        keys, pending = [], []
-        for j, sh in enumerate(shard_layout(policy, self.pool.size, *w.shape, p)):
-            wj, xj = w[sh.rows], x[:, sh.cols]
-            sk = self.keys.get(lid, j, *sh.dims)
-            pre = self._pre_enc.pop((lid, j), None)
-            w_enc = pre[2] if pre and pre[0] is sk and pre[1] is w else None
-            pending.append(self._store(lid, j, sk, wj, xj, z[sh.rows, sh.cols], False, w_enc))
-            keys.append(sk)
-
-        if self.pipelined:
-            self._pre_encrypt_next(lid, p)
-        for request in pending:
-            self._finish(*request)
+        keys = []
+        with self._requests() as pending:
+            for j, sh in enumerate(shard_layout(policy, self.pool.size, *w.shape, p)):
+                wj, xj = w[sh.rows], x[:, sh.cols]
+                sk = self.keys.get(lid, j, *sh.dims)
+                pre = self._pre_enc.pop((lid, j), None)
+                w_enc = pre[2] if pre and pre[0] is sk and pre[1] is w else None
+                pending.append(self._store(lid, j, sk, wj, xj, z[sh.rows, sh.cols], False, w_enc))
+                keys.append(sk)
+            if self.pipelined:
+                self._pre_encrypt_next(lid, p)
+            self._finish(pending)
         self._held[lid] = (w, x, keys)
         return z
 
@@ -428,32 +459,31 @@ class EncryptedExecutor(nn.MatMulExecutor):
             raise ShapeError(
                 f"backward delta {delta.shape} does not match product shape ({m}, {p})")
         t1, t2 = np.empty((n, m)), np.empty((p, n))
-        pending = []
-        for j, (sh, sk) in enumerate(zip(shard_layout(policy, self.pool.size, m, n, p), keys)):
-            wj, xj = w[sh.rows], x[:, sh.cols]
-            d_t = np.ascontiguousarray(delta[sh.rows, sh.cols].T)
-            # All shards write one block whole: T2 under "tensor", T1 under "data".
-            # Shard 0 unblinds into it; later shards add theirs in shard order.
-            t1_part = (xj, d_t, t1[:, sh.rows], j > 0 and policy == "data")
-            t2_part = (d_t, wj, t2[sh.cols], j > 0 and policy == "tensor")
-            if self.reuse_backward:
-                # the transposed delta under the key rotated by two; the
-                # worker multiplies it against the pair it still holds
-                k2 = key_shift(sk, 2)
-                d_enc = enc_left(k2, d_t, out=self.pool.wire.matrices(d_t.shape)[0])
-                self.stats.matrices_encrypted += 1
-                tag = self.pool.conn(j).request(MultBwd(lid, j, d_enc))
-                self.stats.products_offloaded += 2
-                pending.append((j, tag, [(key_shift(sk, 1), *t1_part), (k2, *t2_part)]))
-            else:
-                # reference mode: two independently keyed, freshly blinded pairs
-                mj, _, pj = sh.dims
-                k1 = kgen(n, pj, mj, self.keys.keyspace, self._rng)
-                pending.append(self._store(lid, j, k1, *t1_part))
-                k2 = kgen(pj, mj, n, self.keys.keyspace, self._rng)
-                pending.append(self._store(lid, j, k2, *t2_part))
-        for request in pending:
-            self._finish(*request)
+        with self._requests() as pending:
+            for j, (sh, sk) in enumerate(zip(shard_layout(policy, self.pool.size, m, n, p), keys)):
+                wj, xj = w[sh.rows], x[:, sh.cols]
+                d_t = np.ascontiguousarray(delta[sh.rows, sh.cols].T)
+                # All shards write one block whole: T2 under "tensor", T1 under "data".
+                # Shard 0 unblinds into it; later shards add theirs in shard order.
+                t1_part = (xj, d_t, t1[:, sh.rows], j > 0 and policy == "data")
+                t2_part = (d_t, wj, t2[sh.cols], j > 0 and policy == "tensor")
+                if self.reuse_backward:
+                    # the transposed delta under the key rotated by two; the
+                    # worker multiplies it against the pair it still holds
+                    k2 = key_shift(sk, 2)
+                    d_enc = enc_left(k2, d_t, out=self.pool.wire.matrices(d_t.shape)[0])
+                    self.stats.matrices_encrypted += 1
+                    tag = self.pool.conn(j).request(MultBwd(lid, j, d_enc))
+                    self.stats.products_offloaded += 2
+                    pending.append((j, tag, [(key_shift(sk, 1), *t1_part), (k2, *t2_part)]))
+                else:
+                    # reference mode: two independently keyed, freshly blinded pairs
+                    mj, _, pj = sh.dims
+                    k1 = kgen(n, pj, mj, self.keys.keyspace, self._rng)
+                    pending.append(self._store(lid, j, k1, *t1_part))
+                    k2 = kgen(pj, mj, n, self.keys.keyspace, self._rng)
+                    pending.append(self._store(lid, j, k2, *t2_part))
+            self._finish(pending)
         return t1, t2
 
 

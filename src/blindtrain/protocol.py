@@ -8,6 +8,9 @@ Frame layout, all integers little-endian:
     length   8 bytes  payload byte count
     payload  variable
 
+A payload is its message's fixed fields, then its matrices, as the one
+table _PAYLOADS describes each type; encode, decode and message equality
+all read it.  ERROR's payload ends in UTF-8 text instead of matrices.
 Matrices travel as u32 rows, u32 cols, then rows*cols float64 values in
 row-major order.  Every message has exactly one byte encoding; decoders
 reject bad magic, unsupported versions, unknown types and short or
@@ -53,10 +56,7 @@ HEADER = struct.Struct("<4sBBQ")  # magic, version, type, payload length
 MAX_PAYLOAD = 1 << 30  # sanity cap; a declared length past this is rejected
 
 _MAT_HEADER = struct.Struct("<II")
-_CONFIG = struct.Struct("<I")
-_PAIR_HEADER = struct.Struct("<II")
 _RESULT_HEADER = struct.Struct("<QB")
-_ERROR_HEADER = struct.Struct("<H")
 
 
 class MsgType(IntEnum):
@@ -88,29 +88,15 @@ class UnknownMessageType(ProtocolError):
     pass
 
 
-def _arrays_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 class _WireMessage:
-    """Equality compares fields bitwise, including matrix payloads."""
+    """Two messages are equal when their frames are: every message has
+    exactly one encoding, so this compares each field as it travels,
+    matrices bitwise."""
 
     def __eq__(self, other):
         if type(self) is not type(other):
             return NotImplemented
-        for name, mine in vars(self).items():
-            theirs = getattr(other, name)
-            if isinstance(mine, np.ndarray):
-                if not _arrays_equal(mine, theirs):
-                    return False
-            elif isinstance(mine, tuple) and mine and isinstance(mine[0], np.ndarray):
-                if len(mine) != len(theirs) or not all(
-                    _arrays_equal(x, y) for x, y in zip(mine, theirs)
-                ):
-                    return False
-            elif mine != theirs:
-                return False
-        return True
+        return encode(self) == encode(other)
 
     def __hash__(self):
         return id(self)
@@ -192,24 +178,39 @@ def _decode_matrix(payload, offset: int) -> tuple[np.ndarray, int]:
     return mat, offset + nbytes
 
 
+# type -> (message class, struct of its fixed fields, matrix count).  A
+# class's fields are its fixed fields, then its matrices.  A count of
+# None is sent as the last fixed field, and the class holds those
+# matrices as one tuple.
+_PAYLOADS = {
+    MsgType.HELLO: (Hello, struct.Struct("<"), 0),
+    MsgType.CONFIG: (Config, struct.Struct("<I"), 0),  # layer count
+    MsgType.STORE_PAIR: (StorePair, struct.Struct("<II"), 2),  # layer, shard; A', B'
+    MsgType.MULT_BWD: (MultBwd, struct.Struct("<II"), 1),  # layer, shard; (delta^T)'
+    MsgType.RESULT: (Result, _RESULT_HEADER, None),  # request tag, count; products
+    MsgType.ERROR: (Error, struct.Struct("<H"), 0),  # code; text to the payload's end
+}
+_LAYOUT_OF = {cls: (msg_type, fixed, count) for msg_type, (cls, fixed, count) in _PAYLOADS.items()}
+
+
 def _payload_parts(msg) -> tuple[int, bytes, tuple]:
     """Message type, fixed leading fields and matrices of a payload."""
-    if isinstance(msg, Hello):
-        return MsgType.HELLO, b"", ()
-    if isinstance(msg, Config):
-        return MsgType.CONFIG, _CONFIG.pack(msg.n_layers), ()
-    if isinstance(msg, StorePair):
-        return (MsgType.STORE_PAIR, _PAIR_HEADER.pack(msg.layer_id, msg.shard_id),
-                (msg.a_enc, msg.b_enc))
-    if isinstance(msg, MultBwd):
-        return MsgType.MULT_BWD, _PAIR_HEADER.pack(msg.layer_id, msg.shard_id), (msg.d_enc,)
-    if isinstance(msg, Result):
-        if len(msg.matrices) > 255:
-            raise ValueError("result carries at most 255 matrices")
-        return MsgType.RESULT, _RESULT_HEADER.pack(msg.request_tag, len(msg.matrices)), msg.matrices
-    if isinstance(msg, Error):
-        return MsgType.ERROR, _ERROR_HEADER.pack(msg.code) + msg.text.encode("utf-8"), ()
-    raise ValueError(f"cannot encode {type(msg).__name__}")
+    layout = _LAYOUT_OF.get(type(msg))
+    if layout is None:
+        raise ValueError(f"cannot encode {type(msg).__name__}")
+    msg_type, fixed, count = layout
+    if msg_type == MsgType.ERROR:
+        return msg_type, fixed.pack(msg.code) + msg.text.encode("utf-8"), ()
+    values = tuple(vars(msg).values())
+    if count is None:  # the matrices, counted in the last fixed field
+        values, matrices = (*values[:-1], len(values[-1])), values[-1]
+    else:
+        split = len(values) - count
+        values, matrices = values[:split], values[split:]
+    try:
+        return msg_type, fixed.pack(*values), matrices
+    except struct.error as exc:
+        raise ValueError(f"cannot encode {type(msg).__name__}: {exc}") from exc
 
 
 def result_size(shapes) -> int:
@@ -218,53 +219,25 @@ def result_size(shapes) -> int:
 
 
 def _decode_payload(msg_type: int, payload):
-    def exact(size: int):
-        if len(payload) != size:
-            raise TruncatedFrame(
-                f"payload is {len(payload)} bytes, message type needs {size}"
-            )
-
-    if msg_type == MsgType.HELLO:
-        exact(0)
-        return Hello()
-    if msg_type == MsgType.CONFIG:
-        exact(_CONFIG.size)
-        return Config(*_CONFIG.unpack(payload))
-    if msg_type == MsgType.STORE_PAIR:
-        if len(payload) < _PAIR_HEADER.size:
-            raise TruncatedFrame("store payload shorter than its fixed header")
-        layer_id, shard_id = _PAIR_HEADER.unpack_from(payload, 0)
-        a_enc, offset = _decode_matrix(payload, _PAIR_HEADER.size)
-        b_enc, offset = _decode_matrix(payload, offset)
-        if offset != len(payload):
-            raise TruncatedFrame(f"{len(payload) - offset} trailing payload bytes")
-        return StorePair(layer_id, shard_id, a_enc, b_enc)
-    if msg_type == MsgType.MULT_BWD:
-        if len(payload) < _PAIR_HEADER.size:
-            raise TruncatedFrame("mult payload shorter than its fixed header")
-        layer_id, shard_id = _PAIR_HEADER.unpack_from(payload, 0)
-        d_enc, offset = _decode_matrix(payload, _PAIR_HEADER.size)
-        if offset != len(payload):
-            raise TruncatedFrame(f"{len(payload) - offset} trailing payload bytes")
-        return MultBwd(layer_id, shard_id, d_enc)
-    if msg_type == MsgType.RESULT:
-        if len(payload) < _RESULT_HEADER.size:
-            raise TruncatedFrame("result payload shorter than its fixed header")
-        tag, count = _RESULT_HEADER.unpack_from(payload, 0)
-        offset = _RESULT_HEADER.size
-        matrices = []
-        for _ in range(count):
-            mat, offset = _decode_matrix(payload, offset)
-            matrices.append(mat)
-        if offset != len(payload):
-            raise TruncatedFrame(f"{len(payload) - offset} trailing payload bytes")
-        return Result(tag, tuple(matrices))
+    if msg_type not in _PAYLOADS:
+        raise UnknownMessageType(f"message type 0x{msg_type:02x}")
+    cls, fixed, count = _PAYLOADS[msg_type]
+    if len(payload) < fixed.size:
+        raise TruncatedFrame(f"{cls.__name__} payload is {len(payload)} bytes, "
+                             f"shorter than its {fixed.size} fixed bytes")
+    values = fixed.unpack_from(payload, 0)
+    offset = fixed.size
     if msg_type == MsgType.ERROR:
-        if len(payload) < _ERROR_HEADER.size:
-            raise TruncatedFrame("error payload shorter than its fixed header")
-        (code,) = _ERROR_HEADER.unpack_from(payload, 0)
-        return Error(code, bytes(payload[_ERROR_HEADER.size :]).decode("utf-8"))
-    raise UnknownMessageType(f"message type 0x{msg_type:02x}")
+        return Error(*values, bytes(payload[offset:]).decode("utf-8"))
+    matrices = []
+    for _ in range(values[-1] if count is None else count):
+        mat, offset = _decode_matrix(payload, offset)
+        matrices.append(mat)
+    if offset != len(payload):
+        raise TruncatedFrame(f"{len(payload) - offset} trailing payload bytes")
+    if count is None:
+        return cls(*values[:-1], tuple(matrices))
+    return cls(*values, *matrices)
 
 
 def _frame_parts(msg) -> list:

@@ -58,6 +58,8 @@ def test_config_rejects_bad_json(tmp_path):
 def test_config_validates_ranges(tmp_path):
     with pytest.raises(ConfigError):
         RunConfig.load(write_config(tmp_path, learning_rate=0))
+    with pytest.raises(ConfigError, match="batch_size must be >= 1 and epochs >= 0"):
+        RunConfig.load(write_config(tmp_path, epochs=-1))
     with pytest.raises(ConfigError):
         RunConfig.load(write_config(tmp_path, t=1.5))
     with pytest.raises(ConfigError):
@@ -284,6 +286,56 @@ def test_bad_run_config_exits_2_before_any_worker_is_contacted(tmp_path, capsys,
     assert main(["train", "--config", cfg, "--workers", dead_address()]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err  # not "unreachable"
+
+
+def _with_blob(**spec):
+    blobs = {"n_per_class": 15, "n_classes": 2, "dim": 2, "separation": 8.0, "seed": 7}
+    return {"data": {"blobs": dict(blobs, **spec)}}
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"learning_rate": "fast"}, "could not convert string to float: 'fast'"),
+    ({"batch_size": None}, "NoneType"),
+    ({"t": "x"}, "could not convert string to float: 'x'"),
+    ({"layer_dims": 5}, "'int' object is not iterable"),
+    (_with_blob(n_per_class="a"), "invalid literal for int() with base 10: 'a'"),
+    (None, "is not valid JSON"),  # not UTF-8
+    ({"workers": 5}, "can only join an iterable"),
+    ({"data": {"csv": 0}}, "data's csv must be a path"),
+], ids=["learning-rate", "batch-size", "t", "layer-dims", "n-per-class", "not-utf8", "workers",
+        "csv"])
+def test_run_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, overrides, message):
+    cfg = write_config(tmp_path, **(overrides or {}))
+    if overrides is None:
+        with open(cfg, "ab") as fh:
+            fh.write(b" \xff\xfe")
+    assert main(["baseline", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and cfg in err
+
+
+def test_naive_backward_blinds_four_matrices_per_backward_shard(tmp_path, capsys):
+    """Over 2 workers, both of the [2, 6, 2] net's layers are cut into 2
+    shards: 30 samples in batches of 10 for 2 epochs are 6 steps, so 24
+    forward and 24 backward shard products.  Each forward shard blinds
+    2 matrices; each backward shard blinds 1 when it reuses the stored
+    pair and 4 in the reference mode.  The trained models agree to
+    rounding, not bitwise: the reference mode blinds under fresh keys."""
+    runs = {}
+    for naive in (False, True):
+        cfg = write_config(tmp_path, name=f"run-{naive}.json", naive_backward=naive)
+        model, report = tmp_path / f"model-{naive}.json", tmp_path / f"report-{naive}.json"
+        assert main(["train", "--config", cfg, "--local-workers", "2",
+                     "--out", str(model), "--report", str(report)]) == 0
+        runs[naive] = (load_model(str(model)), json.loads(report.read_text())["stats"])
+    (reuse_net, reuse), (naive_net, naive) = runs[False], runs[True]
+    assert reuse["matrices_encrypted"] == 24 * 2 + 24 * 1
+    assert naive["matrices_encrypted"] == 24 * 2 + 24 * 4
+    assert naive["products_offloaded"] == reuse["products_offloaded"] == 24 + 24 * 2
+    for a, b in zip(reuse_net.linears, naive_net.linears):
+        assert np.allclose(a.W, b.W, rtol=0, atol=1e-14)
+        assert np.allclose(a.b, b.b, rtol=0, atol=1e-14)
+    capsys.readouterr()
 
 
 def test_infer_input_of_the_wrong_width_exits_2_before_any_worker_is_contacted(tmp_path,

@@ -769,6 +769,96 @@ def test_request_to_a_closed_peer_is_a_worker_fault():
         conn.close()
 
 
+def test_reply_to_another_request_names_its_tag_not_its_matrices():
+    conn, peer = raw_peer()
+    try:
+        tag = conn.request(small_store())
+        send_message(peer, Result(tag + 5, (np.full((2, 3), 0.125),)))
+        with pytest.raises(WorkerFault) as info:
+            conn.collect(tag, ((2, 3),))
+    finally:
+        conn.close()
+        peer.close()
+    assert str(info.value) == \
+        f"expected result for request {tag}, got Result for request {tag + 5}"
+
+
+def test_a_closed_connection_names_the_first_failure_it_was_closed_after():
+    conn, peer = raw_peer()
+    try:
+        conn.close(RuntimeError("first"))
+        conn.close(RuntimeError("second"))
+        conn.close()
+        with pytest.raises(WorkerFault, match="closed after RuntimeError: first$"):
+            conn.request(small_store())
+    finally:
+        peer.close()
+
+
+class FirstProductTamperSession(WorkerSession):
+    """Adds 1 to one entry of its first product, then answers honestly."""
+
+    tampered = False
+
+    def _emit(self, honest):
+        if self.tampered:
+            return honest
+        self.tampered = True
+        out = honest.copy()
+        out[0, 0] += 1.0
+        return out
+
+
+def test_a_call_that_fails_with_replies_unread_closes_the_pool():
+    """Shard 0's first product fails verification while shard 1's reply
+    is still unread.  The pool closes, and every later request on it
+    names that first failure instead of blaming shard 1's honest worker
+    for a reply to the wrong request."""
+    net = make_net((3, 5, 4, 2))
+    x = make_rng(33).standard_normal((3, 4))
+    server = serving(FirstProductTamperSession)
+    try:
+        with spawn_local_workers(1) as honest:
+            with pool_for([server.address, *honest], net) as pool:
+                with pytest.raises(IntegrityFailure) as first:
+                    offload_executor(pool, net, rounds=20, seed=1).multiply_forward(
+                        0, net.linears[0].W, x)
+                for seed in (2, 3):  # the first failure is kept, not the later ones
+                    with pytest.raises(WorkerFault) as later:
+                        offload_executor(pool, net, rounds=20, seed=seed).multiply_forward(
+                            0, net.linears[0].W, x)
+                    message = str(later.value)
+                    assert f"closed after IntegrityFailure: {first.value}" in message
+                    assert "expected result" not in message and "array(" not in message
+    finally:
+        server.stop()
+
+
+@pytest.mark.parametrize("fault", ["hung-up", "stalled"])
+def test_a_worker_fault_with_replies_unread_closes_the_pool(fault):
+    """Shard 1's peer has hung up, so sending to it fails with shard 0's
+    reply unread; or it never answers, so its own reply may still come
+    and be misread.  Either way later requests name that first fault."""
+    net = make_net((3, 4, 2))
+    x = np.ones((3, 2))
+    left, peer = socket.socketpair()
+    left.settimeout(0.2)
+    if fault == "hung-up":
+        peer.close()
+    with spawn_local_workers(1) as honest:
+        with pool_for(honest, net) as first:
+            pool = WorkerPool([first.conn(0), WorkerConnection(left)])
+            try:
+                with pytest.raises(WorkerFault) as failed:
+                    offload_executor(pool, net).multiply_forward(0, net.linears[0].W, x)
+                with pytest.raises(WorkerFault) as later:
+                    offload_executor(pool, net).multiply_forward(0, net.linears[0].W, x)
+            finally:
+                pool.close()
+                peer.close()
+    assert f"closed after WorkerFault: {failed.value}" in str(later.value)
+
+
 class HangUpSession(WorkerSession):
     """Drops the connection on the first backward request, after the
     forward product of the step went through."""

@@ -91,6 +91,29 @@ def test_config_payload_is_one_u32():
     assert frame[14:] == struct.pack("<I", 5)
 
 
+def test_store_pair_golden_frame():
+    """Layer, shard, then A', then B', each matrix as rows, cols and its
+    values in row-major order."""
+    msg = StorePair(layer_id=3, shard_id=1, a_enc=np.arange(6.0).reshape(2, 3),
+                    b_enc=np.arange(6.0, 12.0).reshape(3, 2))
+    payload = (struct.pack("<II", 3, 1)
+               + struct.pack("<II", 2, 3) + struct.pack("<6d", 0, 1, 2, 3, 4, 5)
+               + struct.pack("<II", 3, 2) + struct.pack("<6d", 6, 7, 8, 9, 10, 11))
+    frame = b"TEMP\x02\x10" + struct.pack("<Q", len(payload)) + payload
+    assert len(payload) == 8 + 2 * (8 + 48)
+    assert bytes(encode(msg)) == frame
+    assert decode(frame) == msg
+
+
+def test_mult_bwd_golden_frame():
+    msg = MultBwd(layer_id=7, shard_id=2, d_enc=np.arange(1.0, 9.0).reshape(4, 2))
+    payload = (struct.pack("<II", 7, 2)
+               + struct.pack("<II", 4, 2) + struct.pack("<8d", 1, 2, 3, 4, 5, 6, 7, 8))
+    frame = b"TEMP\x02\x12" + struct.pack("<Q", len(payload)) + payload
+    assert bytes(encode(msg)) == frame
+    assert decode(frame) == msg
+
+
 # -- roundtrips ------------------------------------------------------------
 
 def test_every_message_type_roundtrips():
@@ -140,6 +163,34 @@ def test_truncated_frames_rejected():
     for cut in (0, 3, HEADER.size - 1, HEADER.size + 1, len(frame) - 1):
         with pytest.raises(TruncatedFrame):
             decode(frame[:cut])
+
+
+ONE_OF_EACH = [Hello(), Config(3), StorePair(1, 0, np.ones((2, 3)), np.ones((3, 2))),
+               MultBwd(1, 0, np.ones((2, 2))), Result(5, (np.ones((1, 2)),)), Error(2, "")]
+EACH_ID = ["hello", "config", "store-pair", "mult-bwd", "result", "error"]
+
+
+@pytest.mark.parametrize("msg", ONE_OF_EACH, ids=EACH_ID)
+@pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+def test_frame_one_byte_off_its_declared_length_is_truncated(msg, change):
+    frame = bytes(encode(msg))
+    with pytest.raises(TruncatedFrame):
+        decode(frame[:-1] if change < 0 else frame + b"\x00")
+
+
+@pytest.mark.parametrize("msg,change", [
+    pytest.param(msg, change, id=f"{name}-{way}")
+    for msg, name in zip(ONE_OF_EACH, EACH_ID) for change, way in ((-1, "short"), (1, "long"))
+    # HELLO has no payload byte to drop, and an ERROR's text runs to its end
+    if (name, way) not in (("hello", "short"), ("error", "long"))
+])
+def test_payload_one_byte_off_its_layout_is_truncated(msg, change):
+    """The header declares the changed length, so only the payload's own
+    layout can tell that a byte is missing or extra."""
+    frame = bytes(encode(msg))
+    payload = frame[HEADER.size:-1] if change < 0 else frame[HEADER.size:] + b"\x00"
+    with pytest.raises(TruncatedFrame):
+        decode(HEADER.pack(MAGIC, VERSION, frame[5], len(payload)) + payload)
 
 
 def test_trailing_bytes_rejected():
