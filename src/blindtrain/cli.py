@@ -3,21 +3,25 @@
 Subcommands:
 
     worker             serve blinded products on a TCP port
-    train              distributed verified training from a JSON config
+    train              verified training offloaded to workers, from a JSON config
     baseline           same training loop, plain local products
-    infer              predictions from a saved model
+    infer              predictions from a saved model, offloaded if given workers
     min-k              probe count for a whole-run error budget
     verify-experiment  empirical detection rates for cheating workers
     mi-eval            privacy comparison table across schemes
 
-Model files are JSON with weights as hex float literals, so save/load
-round-trips bitwise.  The run config schema is documented in the README.
+The run config schema is the table _RUN_CONFIG, listed in the README;
+RunConfig checks each value's type against it and converts none.  Model
+files are JSON with weights as hex float literals, so save/load
+round-trips bitwise.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from contextlib import contextmanager
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -44,83 +48,94 @@ class ConfigError(ValueError):
 
 # -- run configuration ----------------------------------------------------
 
-_CONFIG_DEFAULTS = {
-    "policies": None,
-    "t": 0.01,
-    "keyspace": 255,
-    "executor": "offloaded",
-    "pipelined": False,
-    "naive_backward": False,
-    "workers": None,
+_REQUIRED = object()  # the default of a key the config must give
+
+# key -> (type, default) of the run config, and of its data's blobs spec.
+# An int passes where a float is asked for; a bool never passes as a number.
+_RUN_CONFIG = {
+    "layer_dims": (list[int], _REQUIRED),
+    "learning_rate": (float, _REQUIRED),
+    "batch_size": (int, _REQUIRED),
+    "epochs": (int, _REQUIRED),
+    "seed": (int, _REQUIRED),
+    "data": (dict, _REQUIRED),
+    "policies": (list[str], None),
+    "t": (float, 0.01),
+    "keyspace": (int, 255),
+    "pipelined": (bool, False),
+    "naive_backward": (bool, False),
+    "workers": (list[str], None),
 }
+_BLOBS = {"n_per_class": (int, _REQUIRED), "n_classes": (int, _REQUIRED), "dim": (int, _REQUIRED),
+          "separation": (float, _REQUIRED), "seed": (int, _REQUIRED)}
+_TYPE_NAMES = {list[int]: "a list of integers", list[str]: "a list of strings", dict: "an object",
+               float: "a number", int: "an integer", bool: "true or false"}
+
+
+def _is_a(value, kind) -> bool:
+    if get_origin(kind) is list:
+        return isinstance(value, list) and all(_is_a(v, get_args(kind)[0]) for v in value)
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _read(raw, table: dict, where: str) -> dict:
+    """raw's values, checked by table and not converted, defaults filled in."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object")
+    for key in raw:
+        if key not in table:
+            raise ConfigError(f"{where} has unknown key {key!r}")
+    out = {}
+    for key, (kind, default) in table.items():
+        value = raw.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"{where} is missing key {key!r}")
+        if not (_is_a(value, kind) or value is default is None):
+            raise ConfigError(f"{where} key {key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
+        out[key] = value
+    return out
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 class RunConfig:
-    """Validated view of a training config JSON (see README for the
-    schema).  A missing key, or a value of the wrong type or out of
-    range, raises KeyError, TypeError or ValueError here, and a
-    ConfigError naming the file from load().  Validation happens before
-    any socket is opened."""
+    """A training config JSON, one attribute per _RUN_CONFIG key (and
+    blobs for generated data).  An unknown or missing key, a value of the
+    wrong type or one the object it configures refuses raises ValueError
+    here, and a ConfigError naming the file from load(), before any
+    socket is opened."""
 
     def __init__(self, raw: dict):
-        known = set(_CONFIG_DEFAULTS) | {
-            "layer_dims", "learning_rate", "batch_size", "epochs", "seed", "data",
-        }
-        for key in raw:
-            if key not in known:
-                raise ConfigError(f"config has unknown key {key!r}")
-        self.layer_dims = list(raw["layer_dims"])
-        if len(self.layer_dims) < 2 or any(
-            not isinstance(d, int) or d < 1 for d in self.layer_dims
-        ):
-            raise ConfigError("layer_dims must be a list of >= 2 positive integers")
-        self.learning_rate = float(raw["learning_rate"])
-        self.batch_size = int(raw["batch_size"])
-        self.epochs = int(raw["epochs"])
-        self.seed = int(raw["seed"])
-        merged = dict(_CONFIG_DEFAULTS)
-        merged.update({k: raw[k] for k in _CONFIG_DEFAULTS if k in raw})
-        self.policies = merged["policies"]
-        self.t = float(merged["t"])
-        self.keyspace = int(merged["keyspace"])
+        vars(self).update(_read(raw, _RUN_CONFIG, "config"))
         # the objects these values go to check their ranges
         nn.Network.from_dims(self.layer_dims, self.policies)
         nn.TrainConfig(self.learning_rate, self.batch_size, self.epochs, self.seed)
         IntegrityConfig(self.t)
         KeySpaceConfig(self.keyspace)
-        self.executor = merged["executor"]
-        if self.executor not in ("offloaded", "local"):
-            raise ConfigError("executor must be 'offloaded' or 'local'")
-        self.pipelined = bool(merged["pipelined"])
-        self.naive_backward = bool(merged["naive_backward"])
-        workers = merged["workers"]
-        self.workers = None if workers is None else _parse_addresses(",".join(workers))
-        self.data = raw["data"]
-        if not isinstance(self.data, dict) or not ("csv" in self.data or "blobs" in self.data):
+        if self.workers is not None:
+            self.workers = _parse_addresses(",".join(self.workers))
+        if list(self.data) not in (["csv"], ["blobs"]):
             raise ConfigError("data must be {'csv': path} or {'blobs': {...}}")
-        if "csv" in self.data:
-            if not isinstance(self.data["csv"], str):  # a number would open a file descriptor
-                raise ConfigError("data's csv must be a path")
-        else:
-            blob = self.data["blobs"]
-            self.blobs = dict(n_per_class=int(blob["n_per_class"]),
-                              n_classes=int(blob["n_classes"]), dim=int(blob["dim"]),
-                              separation=float(blob["separation"]), seed=int(blob["seed"]))
+        if not isinstance(self.data.get("csv", ""), str):  # a number would open a file descriptor
+            raise ConfigError("data's csv must be a path")
+        self.blobs = _read(self.data["blobs"], _BLOBS, "blobs") if "blobs" in self.data else None
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
         try:
             with open(path) as fh:
-                raw = json.load(fh)
+                raw = json.load(fh, parse_constant=_no_constant)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
-        except ValueError as exc:  # not JSON, or not UTF-8
+        except ValueError as exc:  # not JSON, not UTF-8, or NaN or Infinity
             raise ConfigError(f"config file {path} is not valid JSON: {exc}")
         try:
             return cls(raw)
-        except KeyError as exc:
-            raise ConfigError(f"{path}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:  # a value of the wrong type or range
+        except ValueError as exc:  # a key, type or range the config may not have
             raise ConfigError(f"{path}: {exc}") from exc
 
     def build_network(self) -> nn.Network:
@@ -219,88 +234,100 @@ def _parse_addresses(text: str) -> list[tuple[str, int]]:
     out = []
     for part in text.split(","):
         host, _, port = part.strip().rpartition(":")
-        if not host or not port.isdigit():
-            raise ConfigError(f"bad worker address {part!r}, expected host:port")
+        if not host or not port.isdecimal() or int(port) > 65535:
+            raise ConfigError(f"bad address {part!r}, expected host:port with a port "
+                              f"up to 65535")
         out.append((host, int(port)))
     return out
 
 
+def _checked(make, *args, **kwargs):
+    """make(*args, **kwargs), a value it refuses raised as a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _at_least(low: int, listed: bool = False):
+    """argparse type: an integer no smaller than low or, listed, a
+    comma-separated list of them."""
+    def one(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse = (lambda text: [one(v) for v in text.split(",")]) if listed else one
+    parse.__name__ = "int list" if listed else "int"  # argparse's "invalid int value"
+    return parse
+
+
+@contextmanager
+def _worker_pool(args, n_layers: int, seed: int, configured=None):
+    """The pool over --local-workers, else --workers, else the configured
+    addresses; None if there are none."""
+    with spawn_local_workers(args.local_workers, seed=seed) as spawned:  # none for 0
+        addresses = spawned or (_parse_addresses(args.workers) if args.workers else configured)
+        if not addresses:
+            yield None
+            return
+        with master.WorkerPool.connect(addresses, n_layers=n_layers) as pool:
+            yield pool
+
+
 def cmd_worker(args) -> int:
-    host, _, port = args.listen.rpartition(":")
-    if not host or not port.isdigit():
-        raise ConfigError(f"bad listen address {args.listen!r}, expected host:port")
-    mode = WorkerMode(args.mode, args.prob, args.magnitude)
-    run_worker(host, int(port), mode, args.seed)
+    addresses = _parse_addresses(args.listen)
+    if len(addresses) != 1:
+        raise ConfigError(f"--listen takes one host:port, got {args.listen!r}")
+    mode = _checked(WorkerMode, args.mode, args.prob, args.magnitude)
+    run_worker(*addresses[0], mode, args.seed)
     return 0
 
 
-def _write_report(report: dict, path: str | None) -> None:
-    if path:
-        with open(path, "w") as fh:
+def _finish(net, report: dict, args, counts: str = "") -> int:
+    if args.out:
+        save_model(net, args.out)
+    if args.report:
+        with open(args.report, "w") as fh:
             json.dump(report, fh, indent=1, sort_keys=True)
             fh.write("\n")
+    loss = report["final_loss"]  # None after 0 epochs
+    print(f"final_loss={'none' if loss is None else f'{loss:.6f}'} "
+          f"accuracy={report['accuracy']:.4f}{counts}")
+    return 0
 
 
 def cmd_train(args) -> int:
     cfg = RunConfig.load(args.config)
-    dataset = cfg.load_dataset()
-    net = cfg.build_network()
-
-    if args.local_workers:
-        with spawn_local_workers(args.local_workers, seed=cfg.seed) as addresses:
-            return _train_over(net, dataset, cfg, addresses, args)
-    if args.workers:
-        return _train_over(net, dataset, cfg, _parse_addresses(args.workers), args)
-    if cfg.workers:
-        return _train_over(net, dataset, cfg, cfg.workers, args)
-    if cfg.executor == "local":
-        return _train_local(net, dataset, cfg, args)
-    raise ConfigError("offloaded training needs --workers, --local-workers, "
-                      "or a workers list in the config")
-
-
-def _train_over(net, dataset, cfg: RunConfig, addresses, args) -> int:
-    with master.WorkerPool.connect(addresses, n_layers=len(net.linears)) as pool:
+    net, dataset = cfg.build_network(), cfg.load_dataset()
+    with _worker_pool(args, len(net.linears), cfg.seed, cfg.workers) as pool:
+        if pool is None:
+            raise ConfigError("train offloads: give --workers, --local-workers or a workers "
+                              "list in the config, or run baseline to train locally")
         net, stats, report = master.run_training(
             net, dataset, pool,
             learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
             epochs=cfg.epochs, seed=cfg.seed, t=cfg.t, keyspace=cfg.keyspace,
             pipelined=cfg.pipelined, reuse_backward=not cfg.naive_backward,
         )
-    if args.out:
-        save_model(net, args.out)
-    _write_report(report, args.report)
-    print(f"final_loss={report['final_loss']:.6f} accuracy={report['accuracy']:.4f} "
-          f"encrypted={stats.matrices_encrypted} offloaded={stats.products_offloaded}")
-    return 0
-
-
-def _train_local(net, dataset, cfg: RunConfig, args, label: str = "local") -> int:
-    losses: list[dict] = []
-
-    def on_epoch(epoch, loss):
-        losses.append({"epoch": epoch, "loss": loss})
-
-    nn.train(net, dataset,
-             nn.TrainConfig(cfg.learning_rate, cfg.batch_size, cfg.epochs, cfg.seed),
-             nn.LocalExecutor(), on_epoch)
-    report = {
-        "final_loss": losses[-1]["loss"] if losses else None,
-        "accuracy": nn.accuracy(net, dataset),
-        "executor": label,
-        "epochs": losses,
-    }
-    if args.out:
-        save_model(net, args.out)
-    _write_report(report, args.report)
-    print(f"final_loss={report['final_loss']:.6f} accuracy={report['accuracy']:.4f}")
-    return 0
+    return _finish(net, report, args, f" encrypted={stats.matrices_encrypted} "
+                                      f"offloaded={stats.products_offloaded}")
 
 
 def cmd_baseline(args) -> int:
     cfg = RunConfig.load(args.config)
-    return _train_local(cfg.build_network(), cfg.load_dataset(), cfg, args,
-                        label="baseline")
+    net, dataset = cfg.build_network(), cfg.load_dataset()
+    losses: list[dict] = []
+    nn.train(net, dataset,
+             nn.TrainConfig(cfg.learning_rate, cfg.batch_size, cfg.epochs, cfg.seed),
+             nn.LocalExecutor(), lambda epoch, loss: losses.append({"epoch": epoch, "loss": loss}))
+    return _finish(net, {
+        "final_loss": losses[-1]["loss"] if losses else None,
+        "accuracy": nn.accuracy(net, dataset),
+        "executor": "baseline",
+        "epochs": losses,
+    }, args)
 
 
 def cmd_infer(args) -> int:
@@ -309,16 +336,9 @@ def cmd_infer(args) -> int:
     if dataset.features.shape[0] != net.in_dim:
         raise ConfigError(f"{args.input} has {dataset.features.shape[0]} features per sample, "
                           f"but the model takes {net.in_dim}")
-    if args.workers:
-        addresses = _parse_addresses(args.workers)
-        with master.WorkerPool.connect(addresses, n_layers=len(net.linears)) as pool:
-            preds = master.run_inference(net, dataset.features, pool, seed=args.seed)
-    elif args.local_workers:
-        with spawn_local_workers(args.local_workers, seed=args.seed) as addresses:
-            with master.WorkerPool.connect(addresses, n_layers=len(net.linears)) as pool:
-                preds = master.run_inference(net, dataset.features, pool, seed=args.seed)
-    else:
-        preds = nn.predict(net, dataset.features)
+    with _worker_pool(args, len(net.linears), args.seed) as pool:
+        preds = nn.predict(net, dataset.features) if pool is None else \
+            master.run_inference(net, dataset.features, pool, seed=args.seed)
     for label in preds:
         print(int(label))
     return 0
@@ -329,22 +349,22 @@ def cmd_min_k(args) -> int:
     if any(v is not None for v in training_flags):
         if any(v is None for v in training_flags):
             raise ConfigError("training mode needs --epochs, --dataset-size and --batch-size")
-        cfg = IntegrityConfig(t=args.t, task="training", n_epochs=args.epochs,
-                              dataset_size=args.dataset_size, batch_size=args.batch_size,
-                              n_workers=args.N, n_layers=args.L)
+        cfg = _checked(IntegrityConfig, t=args.t, task="training", n_epochs=args.epochs,
+                       dataset_size=args.dataset_size, batch_size=args.batch_size,
+                       n_workers=args.N, n_layers=args.L)
     else:
-        cfg = IntegrityConfig(t=args.t, task="inference", n_workers=args.N, n_layers=args.L)
+        cfg = _checked(IntegrityConfig, t=args.t, task="inference", n_workers=args.N,
+                       n_layers=args.L)
     print(min_rounds(cfg))
     return 0
 
 
 def cmd_verify_experiment(args) -> int:
-    ks = [int(v) for v in args.k.split(",")]
     rng = make_rng(args.seed)
     keyspace = KeySpaceConfig()
     mode = WorkerMode(args.mode, 1.0, args.magnitude)
     print("k,trials,detected,rate,bound")
-    for k in ks:
+    for k in args.k:
         detected = 0
         last_by_shape: dict = {}
         for _ in range(args.trials):
@@ -364,8 +384,7 @@ def cmd_verify_experiment(args) -> int:
 
 
 def cmd_mi_eval(args) -> int:
-    sizes = [int(v) for v in args.keyspace_sizes.split(",")]
-    rows = privacy.compare_schemes(sizes, n_patches=args.patches,
+    rows = privacy.compare_schemes(args.keyspace_sizes, n_patches=args.patches,
                                    n_bins=args.bins, seed=args.seed)
     print("scheme,keyspace,privacy_bits")
     for row in rows:
@@ -385,13 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["honest", "tamper", "lazy"], default="honest")
     p.add_argument("--prob", type=float, default=0.0)
     p.add_argument("--magnitude", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=cmd_worker)
 
     p = sub.add_parser("train", help="offloaded verified training")
     p.add_argument("--config", required=True)
     p.add_argument("--workers", help="comma-separated host:port list")
-    p.add_argument("--local-workers", type=int, default=0,
+    p.add_argument("--local-workers", type=_at_least(0), default=0,
                    help="spawn N in-process loopback workers")
     p.add_argument("--out", help="write the trained model JSON here")
     p.add_argument("--report", help="write the run report JSON here")
@@ -407,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True, help="CSV of label,features rows")
     p.add_argument("--workers")
-    p.add_argument("--local-workers", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--local-workers", type=_at_least(0), default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("min-k", help="probe count for an error budget")
@@ -421,18 +440,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_min_k)
 
     p = sub.add_parser("verify-experiment", help="empirical detection rates")
-    p.add_argument("--k", default="1,2,4,10", help="comma-separated probe counts")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--k", type=_at_least(0, listed=True), default="1,2,4,10",
+                   help="comma-separated probe counts")
+    p.add_argument("--trials", type=_at_least(1), default=1000)
     p.add_argument("--mode", choices=["tamper", "lazy"], default="tamper")
     p.add_argument("--magnitude", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=cmd_verify_experiment)
 
     p = sub.add_parser("mi-eval", help="privacy comparison table")
-    p.add_argument("--keyspace-sizes", default="4,16,64,255")
-    p.add_argument("--patches", type=int, default=12)
-    p.add_argument("--bins", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--keyspace-sizes", type=_at_least(2, listed=True), default="4,16,64,255")
+    p.add_argument("--patches", type=_at_least(1), default=12)
+    p.add_argument("--bins", type=_at_least(1), default=16)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=cmd_mi_eval)
     return parser
 

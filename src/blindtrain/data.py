@@ -50,8 +50,8 @@ def gen_blobs(n_per_class: int, n_classes: int, dim: int, separation: float,
     """Gaussian clusters with unit noise.  Class k's center sits at
     distance `separation` along axis k mod dim (scaled up each wrap), so
     separation 0 collapses all classes onto one cloud."""
-    if n_per_class < 1 or n_classes < 2 or dim < 1:
-        raise DataError("need n_per_class >= 1, n_classes >= 2, dim >= 1")
+    if n_per_class < 1 or n_classes < 2 or dim < 1 or seed < 0:
+        raise DataError("need n_per_class >= 1, n_classes >= 2, dim >= 1, seed >= 0")
     rng = make_rng(seed)
     cols, labels = [], []
     for k in range(n_classes):

@@ -118,15 +118,19 @@ class Softmax:
 
 
 class Network:
-    """Ordered layer list; the last layer must be Softmax and adjacent
-    linear dims must chain."""
+    """Ordered layer list; the last layer must be the only Softmax, right
+    after a linear layer, and adjacent linear dims must chain."""
 
     def __init__(self, layers: list):
         if not layers or not isinstance(layers[-1], Softmax):
             raise ValueError("network must end with a Softmax layer")
+        # backward seeds its delta from the last linear layer's output, so
+        # the loss must be the softmax of exactly that output
+        if len(layers) < 2 or not isinstance(layers[-2], Linear) or any(
+            isinstance(l, Softmax) for l in layers[:-1]
+        ):
+            raise ValueError("the only Softmax must directly follow the last linear layer")
         linears = [l for l in layers if isinstance(l, Linear)]
-        if not linears:
-            raise ValueError("network needs at least one linear layer")
         for prev, cur in zip(linears, linears[1:]):
             if cur.in_dim != prev.out_dim:
                 raise ShapeError(
@@ -279,6 +283,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def train(net, dataset, cfg: TrainConfig, executor: MatMulExecutor, epoch_callback=None):

@@ -1,8 +1,10 @@
 import json
+import re
 import socket
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,8 +66,8 @@ def test_config_validates_ranges(tmp_path):
         RunConfig.load(write_config(tmp_path, t=1.5))
     with pytest.raises(ConfigError):
         RunConfig.load(write_config(tmp_path, keyspace=1))
-    with pytest.raises(ConfigError):
-        RunConfig.load(write_config(tmp_path, executor="quantum"))
+    with pytest.raises(ConfigError, match="unknown key 'executor'"):
+        RunConfig.load(write_config(tmp_path, executor="local"))
     with pytest.raises(ConfigError):
         RunConfig.load(write_config(tmp_path, layer_dims=[2]))
     with pytest.raises(ConfigError):
@@ -104,7 +106,10 @@ def test_model_roundtrip_is_bitwise(tmp_path):
      "a (3, 2) linear layer has weights of shape (2, 2)"),
     (lambda doc: doc["layers"][0]["weights"][0].__setitem__(0, "nan"), "non-finite weight"),
     (lambda doc: doc.update(layers=[]), "network must end with a Softmax layer"),
-], ids=["unknown-policy", "not-json", "no-weights", "short-weights", "nan-weight", "no-layers"])
+    (lambda doc: doc["layers"].insert(1, {"type": "softmax"}),
+     "the only Softmax must directly follow the last linear layer"),
+], ids=["unknown-policy", "not-json", "no-weights", "short-weights", "nan-weight", "no-layers",
+        "inner-softmax"])
 def test_malformed_model_exits_2(tmp_path, capsys, breakage, message):
     net = Network.from_dims([2, 3, 2])
     net.init_weights(1)
@@ -226,16 +231,11 @@ def test_train_with_local_workers_and_infer_roundtrip(tmp_path, capsys):
     assert offloaded_lines == local_lines
 
 
-def test_train_local_executor_without_workers(tmp_path, capsys):
-    cfg = write_config(tmp_path, executor="local")
-    assert main(["train", "--config", cfg]) == 0
-    assert "final_loss=" in capsys.readouterr().out
-
-
 def test_train_offloaded_without_workers_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["train", "--config", cfg]) == 2
-    assert "--workers" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--workers" in err and "baseline" in err
 
 
 def test_missing_config_exit_code(tmp_path, capsys):
@@ -269,6 +269,24 @@ def dead_address():
         return "127.0.0.1:%d" % probe.getsockname()[1]
 
 
+def _with_blob(**spec):
+    blobs = {"n_per_class": 15, "n_classes": 2, "dim": 2, "separation": 8.0, "seed": 7}
+    return {"data": {"blobs": dict(blobs, **spec)}}
+
+
+def test_train_takes_local_workers_then_workers_then_the_configs(tmp_path, capsys):
+    from blindtrain.worker import spawn_local_workers
+
+    cfg = write_config(tmp_path, workers=[dead_address()])
+    assert main(["train", "--config", cfg, "--local-workers", "1",
+                 "--workers", dead_address()]) == 0
+    with spawn_local_workers(1) as addresses:
+        workers = ",".join(f"{host}:{port}" for host, port in addresses)
+        assert main(["train", "--config", cfg, "--workers", workers]) == 0
+    assert main(["train", "--config", cfg]) == 2
+    assert "unreachable" in capsys.readouterr().err
+
+
 THREE_BLOBS = {"blobs": {"n_per_class": 15, "n_classes": 3, "dim": 2,
                          "separation": 8.0, "seed": 7}}
 
@@ -279,7 +297,10 @@ THREE_BLOBS = {"blobs": {"n_per_class": 15, "n_classes": 3, "dim": 2,
     ({"layer_dims": [3, 6, 2]}, "data has 2 features per sample, but layer_dims starts at 3"),
     ({"data": THREE_BLOBS}, "data has label 2, but layer_dims ends at 2 classes"),
     ({"batch_size": 31}, "batch_size 31 exceeds the 30 samples"),
-], ids=["unknown-policy", "policy-count", "feature-dim", "label-range", "batch-size"])
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    (_with_blob(seed=-7), "seed >= 0"),
+], ids=["unknown-policy", "policy-count", "feature-dim", "label-range", "batch-size", "seed",
+        "blobs-seed"])
 def test_bad_run_config_exits_2_before_any_worker_is_contacted(tmp_path, capsys,
                                                               overrides, message):
     cfg = write_config(tmp_path, **overrides)
@@ -288,22 +309,34 @@ def test_bad_run_config_exits_2_before_any_worker_is_contacted(tmp_path, capsys,
     assert err.startswith("error: ") and message in err  # not "unreachable"
 
 
-def _with_blob(**spec):
-    blobs = {"n_per_class": 15, "n_classes": 2, "dim": 2, "separation": 8.0, "seed": 7}
-    return {"data": {"blobs": dict(blobs, **spec)}}
-
-
 @pytest.mark.parametrize("overrides,message", [
-    ({"learning_rate": "fast"}, "could not convert string to float: 'fast'"),
-    ({"batch_size": None}, "NoneType"),
-    ({"t": "x"}, "could not convert string to float: 'x'"),
-    ({"layer_dims": 5}, "'int' object is not iterable"),
-    (_with_blob(n_per_class="a"), "invalid literal for int() with base 10: 'a'"),
+    ({"learning_rate": "fast"}, "config key 'learning_rate' must be a number, got 'fast'"),
+    ({"batch_size": None}, "config key 'batch_size' must be an integer, got None"),
+    ({"t": "x"}, "config key 't' must be a number, got 'x'"),
+    ({"layer_dims": 5}, "config key 'layer_dims' must be a list of integers, got 5"),
+    (_with_blob(n_per_class="a"), "blobs key 'n_per_class' must be an integer, got 'a'"),
     (None, "is not valid JSON"),  # not UTF-8
-    ({"workers": 5}, "can only join an iterable"),
+    ({"workers": 5}, "config key 'workers' must be a list of strings, got 5"),
     ({"data": {"csv": 0}}, "data's csv must be a path"),
+    ({"pipelined": "no"}, "config key 'pipelined' must be true or false, got 'no'"),
+    ({"naive_backward": "false"}, "config key 'naive_backward' must be true or false, got 'false'"),
+    ({"batch_size": 10.7}, "config key 'batch_size' must be an integer, got 10.7"),
+    ({"epochs": True}, "config key 'epochs' must be an integer, got True"),
+    ({"seed": 2.9}, "config key 'seed' must be an integer, got 2.9"),
+    ({"keyspace": 255.5}, "config key 'keyspace' must be an integer, got 255.5"),
+    (_with_blob(n_per_class=15.9), "blobs key 'n_per_class' must be an integer, got 15.9"),
+    ({"workers": "127.0.0.1:9000"},
+     "config key 'workers' must be a list of strings, got '127.0.0.1:9000'"),
+    ({"policies": "tensor"}, "config key 'policies' must be a list of strings, got 'tensor'"),
+    ({"layer_dims": [2, True, 2]},
+     "config key 'layer_dims' must be a list of integers, got [2, True, 2]"),
+    ({"workers": [5]}, "config key 'workers' must be a list of strings, got [5]"),
+    ({"learning_rate": float("nan")}, "is not valid JSON: NaN is not a JSON number"),
+    (_with_blob(separation=float("inf")), "is not valid JSON: Infinity is not a JSON number"),
 ], ids=["learning-rate", "batch-size", "t", "layer-dims", "n-per-class", "not-utf8", "workers",
-        "csv"])
+        "csv", "pipelined-string", "naive-backward-string", "batch-size-float", "epochs-bool",
+        "seed-float", "keyspace-float", "n-per-class-float", "workers-string",
+        "policies-string", "layer-dims-bool", "workers-number", "learning-rate-nan", "separation-infinity"])
 def test_run_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **(overrides or {}))
     if overrides is None:
@@ -312,6 +345,82 @@ def test_run_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, overrides,
     assert main(["baseline", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and cfg in err
+
+
+def test_run_config_schema_in_the_readme_is_the_table():
+    """README's "Run config" lists name each key as `key` (type[, default
+    `value`]); the keys and the defaults are the table's."""
+    from blindtrain.cli import _BLOBS, _REQUIRED, _RUN_CONFIG
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("### Run config (JSON)")[1].split("\n### ")[0]
+    lists = {}
+    for block in section.split("\n\n"):
+        title, _, body = block.partition(":\n")
+        lists[title] = dict(re.findall(r"^- `(\w+)` \((?:[^`)]*default `([^`]*)`)?", body, re.M))
+    required, optional = lists["Required keys"], lists["Optional keys"]
+    assert set(required) | set(optional) == set(_RUN_CONFIG)
+    assert set(lists["Blobs keys, all required"]) == set(_BLOBS)
+    for table, keys in ((_RUN_CONFIG, required), (_BLOBS, lists["Blobs keys, all required"])):
+        assert all(table[key][1] is _REQUIRED and not default for key, default in keys.items())
+    assert {key: json.loads(default) for key, default in optional.items()} == \
+        {key: _RUN_CONFIG[key][1] for key in optional}
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse refusing an argument
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    "min-k --t 2 --N 2 --L 3",
+    "min-k --t 0.01 --N 0 --L 3",
+    "min-k --t 0.01 --N 2 --L 3 --epochs 1 --dataset-size 10 --batch-size 0",
+    "mi-eval --keyspace-sizes 1",
+    "mi-eval --bins 0",
+    "verify-experiment --k x",
+    "verify-experiment --k 4,-1",
+    "verify-experiment --trials 0",
+    "worker --listen 127.0.0.1:99999",
+    "worker --listen 127.0.0.1:0 --prob 2",
+    "worker --listen 127.0.0.1:0,127.0.0.1:0",
+    "train --config {config} --local-workers -1",
+    "train --config {config} --workers 127.0.0.1:\u00b2",
+    "infer --model {model} --input {csv} --local-workers -2",
+    "infer --model {model} --input {csv} --local-workers 1 --seed -1",
+], ids=["min-k-t", "min-k-N", "min-k-batch-size", "mi-eval-keyspace", "mi-eval-bins",
+        "verify-k", "verify-k-negative", "verify-trials", "worker-port", "worker-prob",
+        "worker-two-listen", "train-local-workers", "train-superscript-port", "infer-local-workers", "infer-seed"])
+def test_refused_argument_exits_2_with_an_error_line(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr("blindtrain.cli.run_worker", lambda *a: pytest.fail("worker started"))
+    net = Network.from_dims([2, 3, 2])
+    net.init_weights(1)
+    save_model(net, str(tmp_path / "model.json"))
+    (tmp_path / "query.csv").write_text("0,1.0,2.0\n1,2.0,1.0\n")
+    argv = argv.format(config=write_config(tmp_path), model=tmp_path / "model.json",
+                       csv=tmp_path / "query.csv").split()
+    assert _exit_code(argv) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+def test_zero_epochs_reports_no_loss(tmp_path, capsys):
+    cfg = write_config(tmp_path, epochs=0)
+    assert main(["baseline", "--config", cfg]) == 0
+    assert main(["train", "--config", cfg, "--local-workers", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["final_loss=none"] * 2
+
+
+def test_an_integer_passes_where_a_number_is_asked_for(tmp_path, capsys):
+    models = []
+    for lr, separation in ((1, 8), (1.0, 8.0)):
+        cfg = write_config(tmp_path, learning_rate=lr, **_with_blob(separation=separation))
+        models.append(tmp_path / f"model-{lr!r}.json")
+        assert main(["baseline", "--config", cfg, "--out", str(models[-1])]) == 0
+    assert models[0].read_bytes() == models[1].read_bytes()
+    capsys.readouterr()
 
 
 def test_naive_backward_blinds_four_matrices_per_backward_shard(tmp_path, capsys):

@@ -46,6 +46,21 @@ def test_network_validates_structure():
         Linear(2, 2, policy="weird")
 
 
+@pytest.mark.parametrize("layers", [
+    [Linear(3, 2), Softmax(), Linear(2, 3), Softmax()],  # forward squashes, backward did not
+    [Linear(3, 3), ReLU(), Softmax()],  # backward ignored the last ReLU
+    [Softmax()],
+], ids=["inner-softmax", "relu-before-softmax", "softmax-only"])
+def test_network_refuses_a_softmax_anywhere_but_right_after_the_last_linear(layers):
+    with pytest.raises(ValueError, match="the only Softmax must directly follow the last linear"):
+        Network(layers)
+
+
+def test_train_config_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        TrainConfig(0.1, 8, 1, seed=-1)
+
+
 def test_from_dims_layout():
     net = Network.from_dims([2, 16, 16, 3])
     kinds = [type(l).__name__ for l in net.layers]
