@@ -13,7 +13,7 @@ Subcommands:
 The run config schema is the table _RUN_CONFIG, listed in the README;
 RunConfig checks each value's type against it and converts none.  Model
 files are JSON with weights as hex float literals, so save/load
-round-trips bitwise.
+round-trips bitwise, and their layer list is the one _layer_types gives.
 """
 from __future__ import annotations
 
@@ -169,22 +169,17 @@ def _unhex_matrix(rows: list) -> np.ndarray:
     return np.array([[float.fromhex(v) for v in row] for row in rows], dtype=np.float64)
 
 
+def _layer_types(n_linear: int) -> list[str]:
+    """A model file's layer types: its linear layers with a relu between
+    each pair and a softmax after the last, the only order a network has."""
+    return ["linear", "relu"] * (n_linear - 1) + ["linear", "softmax"]
+
+
 def save_model(net: nn.Network, path: str) -> None:
-    layers = []
-    for layer in net.layers:
-        if isinstance(layer, nn.Linear):
-            layers.append({
-                "type": "linear",
-                "out_dim": layer.out_dim,
-                "in_dim": layer.in_dim,
-                "policy": layer.policy,
-                "weights": _hex_matrix(layer.W),
-                "bias": [v.hex() for v in layer.b.tolist()],
-            })
-        elif isinstance(layer, nn.ReLU):
-            layers.append({"type": "relu"})
-        else:
-            layers.append({"type": "softmax"})
+    layers = [{"type": kind} for kind in _layer_types(len(net.linears))]
+    for spec, lin in zip(layers[::2], net.linears):  # the linear layers
+        spec.update(out_dim=lin.out_dim, in_dim=lin.in_dim, policy=lin.policy,
+                    weights=_hex_matrix(lin.W), bias=[v.hex() for v in lin.b.tolist()])
     with open(path, "w") as fh:
         json.dump({"format": "blindtrain-model", "version": 1, "layers": layers},
                   fh, indent=1)
@@ -193,7 +188,8 @@ def save_model(net: nn.Network, path: str) -> None:
 
 def load_model(path: str) -> nn.Network:
     """The network saved at path.  A file that is not a well-formed model,
-    down to the shape of each weight and bias, is a ConfigError."""
+    down to its layer order and the shape of each weight and bias, is a
+    ConfigError."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -202,21 +198,18 @@ def load_model(path: str) -> nn.Network:
     if not isinstance(doc, dict) or doc.get("format") != "blindtrain-model":
         raise ConfigError(f"{path} is not a model file")
     try:
-        return nn.Network([_load_layer(spec) for spec in doc["layers"]])
+        kinds = [spec["type"] for spec in doc["layers"]]
+        expected = _layer_types(kinds.count("linear"))  # no linear layer: expect one
+        if kinds != expected:
+            raise ConfigError(f"layer types {kinds}, expected {expected}")
+        return nn.Network([_load_linear(spec) for spec in doc["layers"][::2]])  # the linear layers
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:  # a bad value, shape or layer order
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _load_layer(spec: dict):
-    kind = spec["type"]
-    if kind == "relu":
-        return nn.ReLU()
-    if kind == "softmax":
-        return nn.Softmax()
-    if kind != "linear":
-        raise ConfigError(f"unknown layer type {kind!r}")
+def _load_linear(spec: dict) -> nn.Linear:
     lin = nn.Linear(spec["out_dim"], spec["in_dim"], spec.get("policy", "tensor"))
     lin.W = _unhex_matrix(spec["weights"])
     lin.b = np.array([float.fromhex(v) for v in spec["bias"]], dtype=np.float64)

@@ -3,11 +3,13 @@
 A dataset is features (dim x n_samples, samples as columns) plus an
 integer label per sample.  The CSV layout is one sample per row, label
 first: ``label,f1,f2,...``.  A header row is allowed and detected by
-its non-numeric cells.
+its non-numeric cells; a nan or inf cell is refused, never taken for
+a header.
 """
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,10 +88,12 @@ def load_csv(path: str, standardize: bool = True) -> Dataset:
                 raise DataError(f"{path}:{line_no}: need a label and at least one feature")
             if not all(_is_number(c) for c in cells):
                 raise DataError(f"{path}:{line_no}: non-numeric cell")
-            label = float(cells[0])
+            label, *feats = (float(c) for c in cells)
+            if not all(math.isfinite(v) for v in (label, *feats)):
+                raise DataError(f"{path}:{line_no}: non-finite cell (nan or inf)")
             if label < 0 or label != int(label):
                 raise DataError(f"{path}:{line_no}: label must be a non-negative integer")
-            rows.append((int(label), [float(c) for c in cells[1:]]))
+            rows.append((int(label), feats))
     if not rows:
         raise DataError(f"{path}: no data rows")
     width = len(rows[0][1])

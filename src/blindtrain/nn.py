@@ -1,6 +1,8 @@
 """Small fully-connected classifier with a pluggable matrix-product backend.
 
-Samples are columns: a batch of p inputs of dimension n is an (n x p)
+A network is its linear layers: a ReLU sits between each pair and a
+softmax follows the last, so those are implied, not stored.  Samples
+are columns: a batch of p inputs of dimension n is an (n x p)
 matrix, a linear layer holds W (m x n) and bias b (m,), and the forward
 product is W @ X.  Every heavy product goes through a MatMulExecutor so
 the same training loop runs against plain local numpy or against the
@@ -11,7 +13,7 @@ for each linear layer:
 
     T1 = X @ delta.T    (so the weight gradient is T1.T / batch)
     T2 = delta.T @ W    (so the upstream delta is T2.T, gated by the
-                         activation derivative)
+                         ReLU derivative)
 
 and applies all weight updates only after every product verified, so an
 aborted step leaves the network untouched.
@@ -27,8 +29,6 @@ from .tensor import ShapeError, make_rng
 
 __all__ = [
     "Linear",
-    "ReLU",
-    "Softmax",
     "Network",
     "ForwardCache",
     "TrainConfig",
@@ -109,28 +109,13 @@ class Linear:
         self.b: np.ndarray | None = None
 
 
-class ReLU:
-    pass
-
-
-class Softmax:
-    pass
-
-
 class Network:
-    """Ordered layer list; the last layer must be the only Softmax, right
-    after a linear layer, and adjacent linear dims must chain."""
+    """Linear layers, with a ReLU between each pair and a softmax after
+    the last; adjacent linear dims must chain."""
 
-    def __init__(self, layers: list):
-        if not layers or not isinstance(layers[-1], Softmax):
-            raise ValueError("network must end with a Softmax layer")
-        # backward seeds its delta from the last linear layer's output, so
-        # the loss must be the softmax of exactly that output
-        if len(layers) < 2 or not isinstance(layers[-2], Linear) or any(
-            isinstance(l, Softmax) for l in layers[:-1]
-        ):
-            raise ValueError("the only Softmax must directly follow the last linear layer")
-        linears = [l for l in layers if isinstance(l, Linear)]
+    def __init__(self, linears: list[Linear]):
+        if not linears:
+            raise ValueError("a network needs at least one linear layer")
         for prev, cur in zip(linears, linears[1:]):
             if cur.in_dim != prev.out_dim:
                 raise ShapeError(
@@ -139,12 +124,11 @@ class Network:
                 )
         for i, lin in enumerate(linears):
             lin.layer_id = i
-        self.layers = list(layers)
-        self.linears = linears
+        self.linears = list(linears)
 
     @classmethod
     def from_dims(cls, dims: list[int], policies: list[str] | None = None) -> "Network":
-        """[2, 16, 16, 2] -> Linear/ReLU chain ending in Softmax."""
+        """[2, 16, 16, 2] -> three linear layers, 2 -> 16 -> 16 -> 2."""
         if len(dims) < 2:
             raise ValueError("need at least input and output dims")
         n_linear = len(dims) - 1
@@ -152,13 +136,7 @@ class Network:
             policies = ["tensor"] * n_linear
         if len(policies) != n_linear:
             raise ValueError(f"{n_linear} linear layers need {n_linear} policies, got {len(policies)}")
-        layers: list = []
-        for i in range(n_linear):
-            layers.append(Linear(dims[i + 1], dims[i], policies[i]))
-            if i < n_linear - 1:
-                layers.append(ReLU())
-        layers.append(Softmax())
-        return cls(layers)
+        return cls([Linear(dims[i + 1], dims[i], policies[i]) for i in range(n_linear)])
 
     def init_weights(self, seed: int) -> None:
         """Uniform in [-sqrt(1/n), sqrt(1/n)] per layer, biases zero."""
@@ -167,16 +145,6 @@ class Network:
             bound = math.sqrt(1.0 / lin.in_dim)
             lin.W = rng.uniform(-bound, bound, size=(lin.out_dim, lin.in_dim))
             lin.b = np.zeros(lin.out_dim)
-
-    def activation_after(self, linear_index: int):
-        """The nonlinearity between this linear layer and the next, if any."""
-        seen = -1
-        for layer in self.layers:
-            if isinstance(layer, Linear):
-                seen += 1
-            elif seen == linear_index and isinstance(layer, ReLU):
-                return layer
-        return None
 
     @property
     def in_dim(self) -> int:
@@ -211,10 +179,11 @@ def cross_entropy_softmax(z: np.ndarray, labels: np.ndarray) -> tuple[float, np.
         raise ValueError(f"labels must be in [0, {n_classes}), got range "
                          f"[{labels.min()}, {labels.max()}]")
     shifted = z - z.max(axis=0, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=0))
+    e = np.exp(shifted)
+    total = e.sum(axis=0)
     cols = np.arange(width)
-    loss = float(np.mean(log_norm - shifted[labels, cols]))
-    delta = softmax_cols(z)
+    loss = float(np.mean(np.log(total) - shifted[labels, cols]))
+    delta = e / total
     delta[labels, cols] -= 1.0
     return loss, delta
 
@@ -224,19 +193,13 @@ def forward(net: Network, x: np.ndarray, executor: MatMulExecutor) -> tuple[np.n
         raise ShapeError(f"input {x.shape} does not match network in_dim {net.in_dim}")
     cache = ForwardCache()
     cur = x
-    for layer in net.layers:
-        if isinstance(layer, Linear):
-            z = executor.multiply_forward(layer.layer_id, layer.W, cur)
-            z += layer.b[:, None]
-            cache.preacts[layer.layer_id] = z
-            cur = z
-        elif isinstance(layer, ReLU):
+    for lin in net.linears:
+        if lin.layer_id:  # the ReLU between this layer and the one before
             cur = np.maximum(cur, 0.0)
-        elif isinstance(layer, Softmax):
-            cur = softmax_cols(cur)
-        else:
-            raise TypeError(f"unknown layer type {type(layer).__name__}")
-    return cur, cache
+        cur = executor.multiply_forward(lin.layer_id, lin.W, cur)
+        cur += lin.b[:, None]
+        cache.preacts[lin.layer_id] = cur
+    return softmax_cols(cur), cache
 
 
 def backward(
@@ -261,10 +224,7 @@ def backward(
         new_b = lin.b - scale * delta.sum(axis=1)
         updates.append((lin, new_w, new_b))
         if i > 0:
-            delta = np.ascontiguousarray(t2.T)
-            prev = net.linears[i - 1]
-            if isinstance(net.activation_after(i - 1), ReLU):
-                delta = delta * (cache.preacts[prev.layer_id] > 0.0)
+            delta = np.ascontiguousarray(t2.T) * (cache.preacts[i - 1] > 0.0)
     for lin, new_w, new_b in updates:
         lin.W = new_w
         lin.b = new_b

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import socket
@@ -90,12 +91,14 @@ def test_model_roundtrip_is_bitwise(tmp_path):
     path = str(tmp_path / "model.json")
     save_model(net, path)
     again = load_model(path)
-    assert [type(l).__name__ for l in again.layers] == \
-        [type(l).__name__ for l in net.layers]
+    assert len(again.linears) == len(net.linears)
     for a, b in zip(net.linears, again.linears):
         assert a.W.tobytes() == b.W.tobytes()
         assert a.b.tobytes() == b.b.tobytes()
         assert a.policy == b.policy
+
+
+TWO_LINEAR = "['linear', 'relu', 'linear', 'softmax']"
 
 
 @pytest.mark.parametrize("breakage,message", [
@@ -105,11 +108,27 @@ def test_model_roundtrip_is_bitwise(tmp_path):
     (lambda doc: doc["layers"][0]["weights"].pop(),
      "a (3, 2) linear layer has weights of shape (2, 2)"),
     (lambda doc: doc["layers"][0]["weights"][0].__setitem__(0, "nan"), "non-finite weight"),
-    (lambda doc: doc.update(layers=[]), "network must end with a Softmax layer"),
+    (lambda doc: doc.update(layers=[]), "layer types [], expected ['linear', 'softmax']"),
     (lambda doc: doc["layers"].insert(1, {"type": "softmax"}),
-     "the only Softmax must directly follow the last linear layer"),
+     "layer types ['linear', 'softmax', 'relu', 'linear', 'softmax'], expected " + TWO_LINEAR),
+    (lambda doc: doc["layers"].pop(1), "layer types ['linear', 'linear', 'softmax'], expected "
+     + TWO_LINEAR),
+    (lambda doc: doc["layers"].insert(0, {"type": "relu"}),
+     "layer types ['relu', 'linear', 'relu', 'linear', 'softmax'], expected " + TWO_LINEAR),
+    (lambda doc: doc["layers"].insert(1, {"type": "relu"}),
+     "layer types ['linear', 'relu', 'relu', 'linear', 'softmax'], expected " + TWO_LINEAR),
+    (lambda doc: doc["layers"].insert(3, {"type": "relu"}),
+     "layer types ['linear', 'relu', 'linear', 'relu', 'softmax'], expected " + TWO_LINEAR),
+    (lambda doc: doc["layers"][1].update(type="tanh"),
+     "layer types ['linear', 'tanh', 'linear', 'softmax'], expected " + TWO_LINEAR),
+    (lambda doc: doc.update(layers=[{"type": "softmax"}]),
+     "layer types ['softmax'], expected ['linear', 'softmax']"),
+    (lambda doc: doc["layers"][1].pop("type"), "missing key 'type'"),
+    (lambda doc: doc["layers"][1].update(type="softmax"),
+     "layer types ['linear', 'softmax', 'linear', 'softmax'], expected " + TWO_LINEAR),
 ], ids=["unknown-policy", "not-json", "no-weights", "short-weights", "nan-weight", "no-layers",
-        "inner-softmax"])
+        "inner-softmax", "no-relu", "relu-first", "double-relu", "relu-before-softmax",
+        "unknown-type", "softmax-only", "no-type", "softmax-between-linears"])
 def test_malformed_model_exits_2(tmp_path, capsys, breakage, message):
     net = Network.from_dims([2, 3, 2])
     net.init_weights(1)
@@ -126,6 +145,17 @@ def test_malformed_model_exits_2(tmp_path, capsys, breakage, message):
     assert main(["infer", "--model", str(path), "--input", str(csv_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}") and message in err
+
+
+def test_saved_model_bytes_are_pinned(tmp_path):
+    """The model file format is fixed: a seeded net saves to the same
+    bytes on every machine (init_weights draws its numbers without BLAS)."""
+    net = Network.from_dims([3, 5, 4, 2], policies=["data", "master", "tensor"])
+    net.init_weights(11)
+    path = tmp_path / "model.json"
+    save_model(net, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "cd39bbfe299865b5660e906945271a515a5416647605c5782615318db4329657"
 
 
 def test_load_model_rejects_foreign_json(tmp_path):
@@ -460,6 +490,24 @@ def test_infer_input_of_the_wrong_width_exits_2_before_any_worker_is_contacted(t
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "has 2 features per sample, but the model takes 3" in err
+
+
+def test_a_nan_feature_exits_2_before_any_worker_is_contacted(tmp_path, capsys):
+    """A nan cell is the data's fault: it must not reach a worker, where
+    its nan residual would read as an integrity failure (exit 3)."""
+    csv_path = tmp_path / "nan.csv"
+    csv_path.write_text("".join(f"{i % 2},{i}.0,1.0\n" for i in range(12)) + "1,nan,2.0\n")
+    cfg = write_config(tmp_path, data={"csv": str(csv_path)})
+    net = Network.from_dims([2, 3, 2])
+    net.init_weights(1)
+    model = str(tmp_path / "model.json")
+    save_model(net, model)
+    for argv in (["train", "--config", cfg, "--local-workers", "2"],
+                 ["baseline", "--config", cfg],
+                 ["infer", "--model", model, "--input", str(csv_path), "--local-workers", "2"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {csv_path}:13: non-finite cell (nan or inf)\n"
 
 
 def test_tampering_worker_exits_3(tmp_path, capsys):

@@ -103,6 +103,14 @@ def test_csv_errors_cite_line_numbers(tmp_path):
     neg_label = write(tmp_path, "-1,1.0\n", "neg.csv")
     with pytest.raises(DataError, match="label"):
         load_csv(neg_label)
+    for name, text, line in [("nan-feature", "0,1.0\n1,nan\n", 2),
+                             ("inf-feature", "0,1.0\n0,1.0\n1,-inf\n", 3),
+                             ("nan-label", "0,1.0\nNaN,2.0\n", 2),
+                             ("inf-label", "0,1.0\ninf,2.0\n", 2),
+                             ("nan-first-line", "0,nan\n1,2.0\n", 1)]:
+        path = write(tmp_path, text, f"{name}.csv")
+        with pytest.raises(DataError, match=f"{name}.csv:{line}: non-finite cell"):
+            load_csv(path)
 
 
 def test_csv_rejects_ragged_rows(tmp_path):

@@ -8,8 +8,6 @@ from blindtrain.nn import (
     LocalExecutor,
     Linear,
     Network,
-    ReLU,
-    Softmax,
     TrainConfig,
     accuracy,
     backward,
@@ -23,7 +21,7 @@ from blindtrain.tensor import ShapeError, make_rng
 
 
 def tiny_net():
-    net = Network([Linear(2, 2), ReLU(), Linear(2, 2), Softmax()])
+    net = Network([Linear(2, 2), Linear(2, 2)])
     net.linears[0].W = np.array([[1.0, -1.0], [2.0, 0.0]])
     net.linears[0].b = np.array([0.5, -0.5])
     net.linears[1].W = np.array([[1.0, 1.0], [-1.0, 1.0]])
@@ -34,26 +32,16 @@ def tiny_net():
 # -- structure -------------------------------------------------------------
 
 def test_network_validates_structure():
-    with pytest.raises(ValueError):
-        Network([Linear(2, 2)])  # no softmax at the end
+    with pytest.raises(ValueError, match="at least one linear layer"):
+        Network([])
     with pytest.raises(ShapeError):
-        Network([Linear(3, 2), ReLU(), Linear(2, 4), Softmax()])  # dims do not chain
+        Network([Linear(3, 2), Linear(2, 4)])  # dims do not chain
     with pytest.raises(ValueError):
         Network.from_dims([2])
     with pytest.raises(ValueError):
         Network.from_dims([2, 3, 2], policies=["tensor"])
     with pytest.raises(ValueError):
         Linear(2, 2, policy="weird")
-
-
-@pytest.mark.parametrize("layers", [
-    [Linear(3, 2), Softmax(), Linear(2, 3), Softmax()],  # forward squashes, backward did not
-    [Linear(3, 3), ReLU(), Softmax()],  # backward ignored the last ReLU
-    [Softmax()],
-], ids=["inner-softmax", "relu-before-softmax", "softmax-only"])
-def test_network_refuses_a_softmax_anywhere_but_right_after_the_last_linear(layers):
-    with pytest.raises(ValueError, match="the only Softmax must directly follow the last linear"):
-        Network(layers)
 
 
 def test_train_config_refuses_a_negative_seed():
@@ -63,12 +51,9 @@ def test_train_config_refuses_a_negative_seed():
 
 def test_from_dims_layout():
     net = Network.from_dims([2, 16, 16, 3])
-    kinds = [type(l).__name__ for l in net.layers]
-    assert kinds == ["Linear", "ReLU", "Linear", "ReLU", "Linear", "Softmax"]
+    assert [(l.out_dim, l.in_dim) for l in net.linears] == [(16, 2), (16, 16), (3, 16)]
     assert [l.layer_id for l in net.linears] == [0, 1, 2]
     assert net.in_dim == 2 and net.out_dim == 3
-    assert isinstance(net.activation_after(0), ReLU)
-    assert net.activation_after(2) is None
 
 
 def test_init_weights_bounds_and_determinism():
