@@ -48,9 +48,13 @@ class MatMulExecutor:
     """Seam for the two products of each linear layer.
 
     multiply_forward returns a fresh array that the caller owns and may
-    write in place.  multiply_backward may reuse operands retained from
-    the matching multiply_forward call of the same batch; callers
-    guarantee the forward/backward pairing per layer.
+    write in place: nn.forward adds the bias to it, applies the ReLU to
+    it in place and passes that same array as the next layer's x.  An
+    executor may retain x until the matching multiply_backward, so the
+    caller must not write x after passing it.  multiply_backward may
+    reuse operands retained from the matching multiply_forward call of
+    the same batch; callers guarantee the forward/backward pairing per
+    layer.
     """
 
     def start_epoch(self, epoch: int) -> None:
@@ -157,7 +161,11 @@ class Network:
 
 @dataclass
 class ForwardCache:
-    """Per-layer pre-activations retained for one backward pass."""
+    """Per-layer outputs retained for one backward pass: the last
+    layer's pre-softmax logits, and each hidden layer's ReLU output
+    (the ReLU is applied in place, and its output is the next layer's
+    input).  The backward pass reads only a hidden entry's sign, and
+    relu(z) > 0 exactly where z > 0."""
 
     preacts: dict[int, np.ndarray] = field(default_factory=dict)
 
@@ -194,8 +202,8 @@ def forward(net: Network, x: np.ndarray, executor: MatMulExecutor) -> tuple[np.n
     cache = ForwardCache()
     cur = x
     for lin in net.linears:
-        if lin.layer_id:  # the ReLU between this layer and the one before
-            cur = np.maximum(cur, 0.0)
+        if lin.layer_id:  # the ReLU between this layer and the one before, in place
+            np.maximum(cur, 0.0, out=cur)
         cur = executor.multiply_forward(lin.layer_id, lin.W, cur)
         cur += lin.b[:, None]
         cache.preacts[lin.layer_id] = cur

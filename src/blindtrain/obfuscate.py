@@ -7,10 +7,16 @@ a ratio of coefficients and shuffles rows and columns, so the plain
 product of the blinded operands decrypts exactly to A @ B: the inner
 coefficients cancel term by term and the permutations invert.
 
+Each slot keeps its coefficients' reciprocals, so a ratio is one
+multiplication, num * (1 / den), not a division per entry: a blinded or
+unblinded entry lies within 5 ulps of the division form
+(num / den) * a (see _gather_scale).
+
 Decryption can additionally verify the returned product with k rounds
 of randomized binary probes before releasing it; a single corrupted
 entry survives one round with probability 1/2, so k rounds leave a
-2**-k escape probability.  All k probes go through one matrix product.
+2**-k escape probability.  The k probes are the rows of one k x m
+matrix L, and (LA)B is compared against LC in one pass.
 min_rounds() turns a whole-run error budget into the per-product k, and
 brute_force_bound() gives the log2 cost of enumerating keys.
 """
@@ -43,6 +49,7 @@ __all__ = [
 ]
 
 _TOLERANCE = 1e-8  # probe threshold per unit of max|A| max|B| n
+_NORMAL_MIN = np.finfo(np.float64).tiny  # 2**-1022, the smallest normal float64
 
 
 @dataclass(frozen=True)
@@ -62,11 +69,14 @@ class KeySpaceConfig:
 
 @dataclass(frozen=True)
 class KeySlot:
-    """One blinding slot: nonzero coefficients plus a permutation."""
+    """One blinding slot: nonzero coefficients plus a permutation, with
+    the coefficients' reciprocals and the inverse permutation derived
+    once, when the slot is made."""
 
     coeffs: np.ndarray  # float64, values in {1..keyspace}
     perm: np.ndarray  # int64 permutation of 0..size-1
     inv_perm: np.ndarray = field(default=None)  # type: ignore[assignment]
+    recip: np.ndarray = field(default=None)  # type: ignore[assignment]  # 1 / coeffs
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=np.float64)
@@ -75,13 +85,22 @@ class KeySlot:
             raise ShapeError(
                 f"key slot: coeffs {coeffs.shape} and perm {perm.shape} must be equal-length vectors"
             )
-        if np.any(coeffs == 0):
-            raise ValueError("key slot: zero coefficient is not invertible")
-        if not np.array_equal(np.sort(perm), np.arange(perm.size)):
+        mag = np.abs(coeffs)  # NaN fails both bounds
+        if not ((mag >= _NORMAL_MIN) & (mag <= 1.0 / _NORMAL_MIN)).all():
+            raise ValueError("key slot: a coefficient is not invertible: each must have "
+                             "magnitude in [2**-1022, 2**1022], so that it and its "
+                             "reciprocal are normal floats")
+        size = perm.size
+        if size and (perm.min() < 0 or perm.max() >= size):
+            raise ValueError("key slot: perm has entries outside 0..size-1")
+        inv = np.full(size, -1)
+        inv[perm] = np.arange(size)
+        if (inv < 0).any():  # an index never hit: perm repeats another
             raise ValueError("key slot: perm is not a permutation of 0..size-1")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "inv_perm", np.argsort(perm))
+        object.__setattr__(self, "inv_perm", inv)
+        object.__setattr__(self, "recip", 1.0 / coeffs)
 
     @property
     def size(self) -> int:
@@ -141,18 +160,25 @@ _BLOCK_BYTES = 1 << 18  # output bytes filled per row block: cache-sized
 
 
 def _gather_scale(a, rows: np.ndarray, cols: np.ndarray,
-                  num: np.ndarray, den: np.ndarray, out=None) -> np.ndarray:
-    """out(i, j) = a(rows(i), cols(j)) * (num / den)(i, j), as float64.
+                  num: np.ndarray, recip: np.ndarray, out=None) -> np.ndarray:
+    """out(i, j) = a(rows(i), cols(j)) * (num * recip)(i, j), as float64.
 
-    num and den are a column (m x 1) and a row (1 x n), either way
+    num and recip (a coefficient vector and the reciprocals of another,
+    see KeySlot) are a column (m x 1) and a row (1 x n), either way
     round.  The output is filled in cache-sized blocks of rows: gather
     the block's rows, gather their columns straight into the block, then
-    scale it in place by the block's rows of num / den.  Each entry is
-    rounded once, as in (num / den) * a[np.ix_(rows, cols)], and IEEE
-    multiplication commutes, so the bytes are the same; only block-sized
-    temporaries are made.  rows and cols are key permutations, already
-    validated, so take() may skip its bounds check.  `out`, if given,
-    must not overlap `a`; it may be a strided view.
+    scale it in place by the block's rows of the ratio num * recip.
+    Each entry is rounded as in (num * recip) * a[np.ix_(rows, cols)],
+    and IEEE multiplication commutes, so the bytes are the same; only
+    block-sized temporaries are made.  The operand is multiplied by the
+    ratio once, as in the division form (num / den) * a[...].  Where the
+    ratio is a normal float (kgen's integer coefficients always give
+    one) and the entry does not overflow, the entry lies within 5 ulps
+    of that form: the reciprocal, the ratio and the product are each
+    rounded by at most 2**-53 relative, the division form twice.  rows
+    and cols are key permutations, already validated, so take() may
+    skip its bounds check.  `out`, if given, must not overlap `a`; it
+    may be a strided view.
     """
     a = np.asarray(a, dtype=np.float64)
     m, n = rows.size, cols.size
@@ -167,21 +193,21 @@ def _gather_scale(a, rows: np.ndarray, cols: np.ndarray,
         hi = lo + step
         block = out[lo:hi]
         a.take(rows[lo:hi], axis=0).take(cols, axis=1, out=block, mode="clip")
-        block *= num[lo:hi] / den if len(den) == 1 else num / den[lo:hi]
+        block *= num[lo:hi] * recip if len(recip) == 1 else num * recip[lo:hi]
     return out
 
 
 def _enc(row_slot: KeySlot, col_slot: KeySlot, a: np.ndarray, out=None) -> np.ndarray:
-    """out(i, j) = (c_row(i) / c_col(j)) * a(perm_row(i), perm_col(j)).
+    """out(i, j) = (c_row(i) * (1 / c_col(j))) * a(perm_row(i), perm_col(j)).
 
     This is E_row A E_col^-1 (see encryption_matrix) up to rounding,
     computed block by block as a row gather, a column gather and an
-    in-place scaling by the coefficient ratios.  Any real input comes
-    back as float64, in `out` when one is given and in a new array
-    otherwise; the input is never written.
+    in-place scaling by the coefficient ratios (see _gather_scale).  Any
+    real input comes back as float64, in `out` when one is given and in
+    a new array otherwise; the input is never written.
     """
     return _gather_scale(a, row_slot.perm, col_slot.perm,
-                         row_slot.coeffs[:, None], col_slot.coeffs[None, :], out)
+                         row_slot.coeffs[:, None], col_slot.recip[None, :], out)
 
 
 def enc_left(sk: SecretKey, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -222,7 +248,7 @@ def dec_only(sk: SecretKey, c_enc: np.ndarray, out: np.ndarray | None = None) ->
         raise ShapeError(f"dec_only: product {c_enc.shape} does not match key dims ({m}, {p})")
     row, col = sk.slots[0], sk.slots[2]
     im, ip = row.inv_perm, col.inv_perm
-    return _gather_scale(c_enc, im, ip, col.coeffs[ip][None, :], row.coeffs[im][:, None], out)
+    return _gather_scale(c_enc, im, ip, col.coeffs[ip][None, :], row.recip[im][:, None], out)
 
 
 def _verify(
@@ -234,18 +260,20 @@ def _verify(
 ) -> None:
     """k rounds of binary probing of c_dec against a_plain @ b_plain.
 
-    The k probes are the columns of one R in {0,1}^(p x k), compared as
-    A(BR) against CR; the bracketing keeps every step a product with a
-    k-column matrix.  The columns are independent, so each still lets a
-    corrupted product through with probability 1/2.  The threshold
-    scales with the operand magnitudes so honest float64 rounding never
-    trips it; a NaN residual fails it too.
+    The k probes are the rows of one L in {0,1}^(k x m), compared as
+    (LA)B against LC; the bracketing keeps every step a product with a
+    k-row matrix, k(mn + np + mp) flops in all.  Freivalds' check works
+    alike from either side, and the rows are independent, so each still
+    lets a corrupted product through with probability 1/2; BLAS runs
+    the k-row products faster than k-column ones.  The threshold scales
+    with the operand magnitudes so honest float64 rounding never trips
+    it; a NaN residual fails it too.  A NaN or Inf anywhere in C fails
+    every row, as 0 * NaN and 0 * Inf are NaN.
     """
-    n = a_plain.shape[1]
-    p = b_plain.shape[1]
+    m, n = a_plain.shape
     threshold = _TOLERANCE * max(1.0, max_abs(a_plain) * max_abs(b_plain) * n)
-    r = rng.integers(0, 2, size=(p, k)).astype(np.float64)
-    residuals = np.max(np.abs(a_plain @ (b_plain @ r) - c_dec @ r), axis=0)
+    probes = rng.integers(0, 2, size=(k, m)).astype(np.float64)
+    residuals = np.max(np.abs((probes @ a_plain) @ b_plain - probes @ c_dec), axis=1)
     failed = np.flatnonzero(~(residuals <= threshold))
     if failed.size:
         i = int(failed[0])

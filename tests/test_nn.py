@@ -74,11 +74,42 @@ def test_forward_hand_trace():
     net = tiny_net()
     x = np.array([[1.0], [2.0]])
     probs, cache = forward(net, x, LocalExecutor())
-    assert np.max(np.abs(cache.preacts[0] - [[-0.5], [1.5]])) < 1e-12
+    # a hidden layer's entry holds its ReLU output: relu([-0.5, 1.5])
+    assert np.max(np.abs(cache.preacts[0] - [[0.0], [1.5]])) < 1e-12
     assert np.max(np.abs(cache.preacts[1] - [[1.5], [2.5]])) < 1e-12
     expected = np.array([math.exp(1.5), math.exp(2.5)])
     expected /= expected.sum()
     assert np.max(np.abs(probs[:, 0] - expected)) < 1e-12
+
+
+def test_forward_passes_each_returned_array_on_as_the_next_input():
+    """The ReLU runs in place on the array the executor returned: layer
+    i + 1 multiplies that very array, and the cache holds it, so no
+    operand-sized copy is made between layers."""
+
+    class Recording(LocalExecutor):
+        def __init__(self):
+            super().__init__()
+            self.inputs, self.outputs = [], []
+
+        def multiply_forward(self, layer_id, w, x):
+            self.inputs.append(x)
+            self.outputs.append(super().multiply_forward(layer_id, w, x))
+            return self.outputs[-1]
+
+    net = Network.from_dims([3, 5, 4, 2])
+    net.init_weights(7)
+    x = make_rng(8).standard_normal((3, 6))
+    kept = x.copy()
+    ex = Recording()
+    probs, cache = forward(net, x, ex)
+    assert ex.inputs[0] is x and x.tobytes() == kept.tobytes()
+    for i in range(len(net.linears) - 1):
+        assert ex.inputs[i + 1] is ex.outputs[i]
+        assert cache.preacts[i] is ex.outputs[i]
+        assert ex.outputs[i].min() >= 0.0
+    assert cache.preacts[2] is ex.outputs[2]
+    assert probs.tobytes() == forward(net, x, LocalExecutor())[0].tobytes()
 
 
 def test_forward_rejects_bad_input_dim():

@@ -76,10 +76,25 @@ def test_kgen_validation():
 def test_key_slot_validation():
     with pytest.raises(ValueError):
         KeySlot(np.array([0.0, 1.0]), np.array([0, 1]))  # zero coefficient
+    for bad in (np.inf, -np.inf, np.nan, 1e-320, 1e308):  # non-finite, or no normal reciprocal
+        with pytest.raises(ValueError, match="not invertible"):
+            KeySlot(np.array([bad, 2.0]), np.array([1, 0]))
     with pytest.raises(ValueError):
         KeySlot(np.array([1.0, 2.0]), np.array([0, 0]))  # not a permutation
+    for perm in ([0, 2], [-1, 0], [1, -2]):  # out of range, negative
+        with pytest.raises(ValueError, match="outside"):
+            KeySlot(np.array([1.0, 2.0]), np.array(perm))
     with pytest.raises(ShapeError):
         KeySlot(np.array([1.0, 2.0]), np.array([0, 1, 2]))
+
+
+def test_key_slot_derives_reciprocals_and_the_inverse_permutation():
+    rng = make_rng(13)
+    for size in (1, 2, 7, 300):
+        slot = KeySlot(rng.integers(1, 256, size).astype(np.float64), rng.permutation(size))
+        assert slot.recip.tobytes() == (1.0 / slot.coeffs).tobytes()
+        assert slot.inv_perm.dtype == np.argsort(slot.perm).dtype
+        assert slot.inv_perm.tobytes() == np.argsort(slot.perm).tobytes()
 
 
 # -- blinding --------------------------------------------------------------
@@ -169,14 +184,26 @@ def test_dec_only_equals_inverse_sandwich():
 # -- kernels: bytes, dtypes, layout ---------------------------------------
 
 def ix_enc(row, col, a):
-    """The single-expression blinding the gather-and-scale kernel replaced."""
-    return (row.coeffs[:, None] / col.coeffs[None, :]) * a[np.ix_(row.perm, col.perm)]
+    """The single-expression blinding the gather-and-scale kernel
+    computes block by block: the ratio is num * (1 / den)."""
+    return (row.coeffs[:, None] * (1.0 / col.coeffs)[None, :]) * a[np.ix_(row.perm, col.perm)]
 
 
 def ix_dec(sk, c_enc):
     row, col = sk.slots[0], sk.slots[2]
     im, ip = row.inv_perm, col.inv_perm
-    return (col.coeffs[ip][None, :] / row.coeffs[im][:, None]) * c_enc[np.ix_(im, ip)]
+    return (col.coeffs[ip][None, :] * (1.0 / row.coeffs[im])[:, None]) * c_enc[np.ix_(im, ip)]
+
+
+def division_outputs(sk, a, b, c):
+    """Each kernel's output in the division form (num / den) * a[np.ix_(...)],
+    the exact ratio rounded once."""
+    def enc(row, col, x):
+        return (row.coeffs[:, None] / col.coeffs[None, :]) * x[np.ix_(row.perm, col.perm)]
+    row, col = sk.slots[0], sk.slots[2]
+    im, ip = row.inv_perm, col.inv_perm
+    return [enc(sk.slots[0], sk.slots[1], a), enc(sk.slots[1], sk.slots[2], b),
+            (col.coeffs[ip][None, :] / row.coeffs[im][:, None]) * c[np.ix_(im, ip)]]
 
 
 def kernel_cases(rng):
@@ -267,6 +294,34 @@ def test_kernels_match_ix_form_at_block_edges():
         for got, want in kernel_outputs(*case):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def test_kernels_stay_within_five_ulps_of_the_division_form():
+    # Against the exact x = (num / den) * a, the kernels' ratio
+    # num * fl(1 / den) is rounded twice and the product once, each time
+    # by at most u = 2**-53 relative; the division form is rounded twice.
+    # So |kernel - division| <= 5u|x| (1 + O(u)), and u|v| < ulp(v) for a
+    # normal v: at most 5 ulps of the division form.  A subnormal result
+    # is rounded in absolute steps of 2**-1074 instead.  The two ratios
+    # differ by at most 3u relative, so before the product's rounding
+    # the two results differ by at most 3u|x|: under one step wherever
+    # |x| < 2**-1021 / 3, which holds for every subnormal result here
+    # (at most 255 times the 5e-324 the cases inject).  Two reals under a
+    # step apart round at most one step apart.  Non-finite entries come
+    # only from non-finite operand entries (coefficient ratios lie in
+    # [1/255, 255]), so both forms hold them in the same places.
+    cases = [*kernel_cases(make_rng(60)), *block_edge_cases(make_rng(64))]
+    tiny = np.finfo(np.float64).tiny
+    for sk, a, b, c in cases:
+        got = [enc_left(sk, a), enc_right(sk, b), dec_only(sk, c)]
+        for new, old in zip(got, division_outputs(sk, a, b, c)):
+            finite = np.isfinite(old)
+            assert np.array_equal(np.isfinite(new), finite)
+            assert np.array_equal(new[~finite], old[~finite], equal_nan=True)
+            new, old = new[finite], old[finite]
+            ulp = np.spacing(np.abs(old))
+            bound = np.where(np.abs(old) < tiny, ulp, 5 * ulp)
+            assert np.all(np.abs(new - old) <= bound)
 
 
 def test_unblinding_into_a_column_slice_writes_only_that_slice():
@@ -452,9 +507,9 @@ class FixedProbes:
         return self.probes
 
 
-def test_probe_matrix_matches_column_by_column_reference():
-    # the k probes run as one product; checking them one vector at a
-    # time must fail on the same first column with the same residual
+def test_probe_matrix_matches_row_by_row_reference():
+    # the k probes run as one product; checking them one row vector at
+    # a time must fail on the same first row with the same residual
     rng = make_rng(34)
     first_failures = set()
     for _ in range(200):
@@ -463,10 +518,10 @@ def test_probe_matrix_matches_column_by_column_reference():
         k = int(rng.integers(1, 6))
         c_enc = enc_left(sk, a) @ enc_right(sk, b)
         c_enc[int(rng.integers(m)), int(rng.integers(p))] += 1.0
-        probes = rng.integers(0, 2, size=(p, k))
+        probes = rng.integers(0, 2, size=(k, m))
         c = dec_only(sk, c_enc)
         threshold = 1e-8 * max(1.0, np.max(np.abs(a)) * np.max(np.abs(b)) * n)
-        residuals = [np.max(np.abs(a @ (b @ r) - c @ r)) for r in probes.T.astype(np.float64)]
+        residuals = [np.max(np.abs((l @ a) @ b - l @ c)) for l in probes.astype(np.float64)]
         failing = [i for i, res in enumerate(residuals) if not res <= threshold]
         if not failing:
             dec(sk, c_enc, a, b, k=k, rng=FixedProbes(probes))
@@ -476,7 +531,7 @@ def test_probe_matrix_matches_column_by_column_reference():
         assert err.value.round_index == failing[0]
         assert err.value.residual == pytest.approx(residuals[failing[0]], rel=1e-9)
         first_failures.add(failing[0])
-    assert len(first_failures) > 1  # later columns were reached too
+    assert len(first_failures) > 1  # later rows were reached too
 
 
 def test_dec_validates_plaintext_shapes():
