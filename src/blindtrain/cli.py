@@ -63,7 +63,6 @@ _RUN_CONFIG = {
     "t": (float, 0.01),
     "keyspace": (int, 255),
     "pipelined": (bool, False),
-    "naive_backward": (bool, False),
     "workers": (list[str], None),
 }
 _BLOBS = {"n_per_class": (int, _REQUIRED), "n_classes": (int, _REQUIRED), "dim": (int, _REQUIRED),
@@ -115,7 +114,7 @@ class RunConfig:
         nn.Network.from_dims(self.layer_dims, self.policies)
         nn.TrainConfig(self.learning_rate, self.batch_size, self.epochs, self.seed)
         IntegrityConfig(self.t)
-        KeySpaceConfig(self.keyspace)
+        master.EpochKeys(self.seed, KeySpaceConfig(self.keyspace))
         if self.workers is not None:
             self.workers = _parse_addresses(",".join(self.workers))
         if list(self.data) not in (["csv"], ["blobs"]):
@@ -302,7 +301,7 @@ def cmd_train(args) -> int:
             net, dataset, pool,
             learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
             epochs=cfg.epochs, seed=cfg.seed, t=cfg.t, keyspace=cfg.keyspace,
-            pipelined=cfg.pipelined, reuse_backward=not cfg.naive_backward,
+            pipelined=cfg.pipelined,
         )
     return _finish(net, report, args, f" encrypted={stats.matrices_encrypted} "
                                       f"offloaded={stats.products_offloaded}")
@@ -324,6 +323,7 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    _checked(master.EpochKeys, args.seed, KeySpaceConfig())  # the seed's range, before any worker
     net = load_model(args.model)
     dataset = load_csv(args.input)
     if dataset.features.shape[0] != net.in_dim:
@@ -377,6 +377,8 @@ def cmd_verify_experiment(args) -> int:
 
 
 def cmd_mi_eval(args) -> int:
+    for size in args.keyspace_sizes:
+        _checked(KeySpaceConfig, size)
     rows = privacy.compare_schemes(args.keyspace_sizes, n_patches=args.patches,
                                    n_bins=args.bins, seed=args.seed)
     print("scheme,keyspace,privacy_bits")

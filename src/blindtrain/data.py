@@ -4,7 +4,8 @@ A dataset is features (dim x n_samples, samples as columns) plus an
 integer label per sample.  The CSV layout is one sample per row, label
 first: ``label,f1,f2,...``.  A header row is allowed and detected by
 its non-numeric cells; a nan or inf cell is refused, never taken for
-a header.
+a header.  Features are read as written: nothing is rescaled, so a
+sample reads the same whichever other rows share its file.
 """
 from __future__ import annotations
 
@@ -72,10 +73,8 @@ def _is_number(cell: str) -> bool:
         return False
 
 
-def load_csv(path: str, standardize: bool = True) -> Dataset:
-    """Read label,features rows.  With standardize=True each feature is
-    shifted to zero mean and scaled to unit variance (constant features
-    are left centered only)."""
+def load_csv(path: str) -> Dataset:
+    """Read label,features rows, each value as written."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -102,9 +101,4 @@ def load_csv(path: str, standardize: bool = True) -> Dataset:
             raise DataError(f"{path}: row {i} has {len(feats)} features, expected {width}")
     features = np.array([feats for _, feats in rows], dtype=np.float64).T
     labels = np.array([label for label, _ in rows], dtype=np.int64)
-    if standardize:
-        mean = features.mean(axis=1, keepdims=True)
-        std = features.std(axis=1, keepdims=True)
-        std[std == 0.0] = 1.0
-        features = (features - mean) / std
     return Dataset(features, labels)

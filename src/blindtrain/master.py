@@ -109,9 +109,12 @@ def _derive_seed(master_seed: int, epoch: int, layer_id: int, shard_id: int,
 
 class EpochKeys:
     """Per-epoch key store.  Keys never leave this process; the map is
-    dropped wholesale on refresh so nothing outlives its epoch."""
+    dropped wholesale on refresh so nothing outlives its epoch.  The
+    master seed must fit the signed 64-bit integer _derive_seed packs."""
 
     def __init__(self, master_seed: int, keyspace: KeySpaceConfig):
+        if not 0 <= master_seed <= 2**63 - 1:
+            raise ValueError(f"seed must be in [0, 2**63 - 1], got {master_seed}")
         self.master_seed = master_seed
         self.keyspace = keyspace
         self.epoch = 0
@@ -512,7 +515,6 @@ def run_training(
     t: float = 0.01,
     keyspace: int = 255,
     pipelined: bool = False,
-    reuse_backward: bool = True,
 ):
     """Train over the pool and report.  Verification failures abort the
     run (the failing step commits nothing); honest workers never trip a
@@ -520,10 +522,8 @@ def run_training(
     n_samples = dataset.features.shape[1]
     rounds = _integrity_rounds(t, "training", pool.size, net,
                                epochs=epochs, dataset_size=n_samples, batch_size=batch_size)
-    executor = EncryptedExecutor(
-        pool, net, rounds=rounds, keyspace=KeySpaceConfig(keyspace),
-        seed=seed, pipelined=pipelined, reuse_backward=reuse_backward,
-    )
+    executor = EncryptedExecutor(pool, net, rounds=rounds, keyspace=KeySpaceConfig(keyspace),
+                                 seed=seed, pipelined=pipelined)
 
     epoch_log: list[dict] = []
     last_mark = time.perf_counter()

@@ -286,5 +286,5 @@ def predict(net: Network, x: np.ndarray, executor: MatMulExecutor | None = None)
     return np.argmax(probs, axis=0)
 
 
-def accuracy(net: Network, dataset, executor: MatMulExecutor | None = None) -> float:
-    return float(np.mean(predict(net, dataset.features, executor) == dataset.labels))
+def accuracy(net: Network, dataset) -> float:
+    return float(np.mean(predict(net, dataset.features) == dataset.labels))

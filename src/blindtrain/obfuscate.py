@@ -57,14 +57,15 @@ class KeySpaceConfig:
     """Coefficients are drawn uniformly from {1, ..., size}.
 
     Zero is excluded so every coefficient ratio is invertible.  255 is
-    the default working size; anything >= 2 is accepted.
+    the default working size; anything from 2 to 2**63 - 1, the largest
+    coefficient an int64 draw can give, is accepted.
     """
 
     size: int = 255
 
     def __post_init__(self):
-        if self.size < 2:
-            raise ValueError(f"key space size must be >= 2, got {self.size}")
+        if not 2 <= self.size <= 2**63 - 1:
+            raise ValueError(f"key space size must be in [2, 2**63 - 1], got {self.size}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,8 @@ class KeySlot:
 
     coeffs: np.ndarray  # float64, values in {1..keyspace}
     perm: np.ndarray  # int64 permutation of 0..size-1
-    inv_perm: np.ndarray = field(default=None)  # type: ignore[assignment]
-    recip: np.ndarray = field(default=None)  # type: ignore[assignment]  # 1 / coeffs
+    inv_perm: np.ndarray = field(init=False)
+    recip: np.ndarray = field(init=False)  # 1 / coeffs
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=np.float64)

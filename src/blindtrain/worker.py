@@ -58,20 +58,12 @@ class WorkerMode:
     def honest(cls):
         return cls("honest")
 
-    @classmethod
-    def tamper(cls, probability: float, magnitude: float = 1.0):
-        return cls("tamper", probability, magnitude)
-
-    @classmethod
-    def lazy(cls, probability: float):
-        return cls("lazy", probability)
-
 
 def apply_adversary(
     mode: WorkerMode,
     honest_result: np.ndarray,
     rng: np.random.Generator,
-    last_by_shape: dict | None = None,
+    last_by_shape: dict,
 ) -> np.ndarray:
     """Possibly corrupt one result matrix according to the worker mode.
 
@@ -88,12 +80,10 @@ def apply_adversary(
         j = int(rng.integers(out.shape[1]))
         out[i, j] += mode.magnitude
     elif mode.kind == "lazy" and rng.random() < mode.probability:
-        if last_by_shape is not None and honest_result.shape in last_by_shape:
-            out = last_by_shape[honest_result.shape]
-        else:
+        out = last_by_shape.get(honest_result.shape)
+        if out is None:
             out = np.zeros_like(honest_result)
-    if last_by_shape is not None:
-        last_by_shape[honest_result.shape] = honest_result
+    last_by_shape[honest_result.shape] = honest_result
     return out
 
 
@@ -179,8 +169,9 @@ class WorkerServer:
                 return  # listener closed
             # replies go out as soon as they are written; with Nagle's
             # algorithm on, a RESULT sent while the one before it is still
-            # unacknowledged (two STORE_PAIRs in flight, as reuse_backward=False
-            # sends them) waits for the coordinator's delayed ACK (about 40 ms)
+            # unacknowledged (two STORE_PAIRs in flight, as the executor's
+            # reference backward mode sends them) waits for the
+            # coordinator's delayed ACK (about 40 ms)
             try:
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:
@@ -190,8 +181,10 @@ class WorkerServer:
             rng = make_rng(self.seed + 1000003 * self._conn_count)
             self._conn_count += 1
             t = threading.Thread(target=self._serve, args=(conn, rng), daemon=True)
-            # listed before it runs: once a reply is out, stop() must see it
-            self._threads.append(t)
+            # listed before it runs: once a reply is out, stop() must see it;
+            # finished ones go, so a long-running worker's list stays bounded
+            # (this thread alone writes it, and rebinds rather than edits it)
+            self._threads = [u for u in self._threads if u.is_alive()] + [t]
             t.start()
 
     def _serve(self, conn: socket.socket, rng: np.random.Generator):

@@ -329,8 +329,11 @@ THREE_BLOBS = {"blobs": {"n_per_class": 15, "n_classes": 3, "dim": 2,
     ({"batch_size": 31}, "batch_size 31 exceeds the 30 samples"),
     ({"seed": -1}, "seed must be >= 0, got -1"),
     (_with_blob(seed=-7), "seed >= 0"),
+    ({"seed": 2**63}, "seed must be in [0, 2**63 - 1], got 9223372036854775808"),
+    ({"keyspace": 2**63}, "key space size must be in [2, 2**63 - 1], got 9223372036854775808"),
+    ({"naive_backward": True}, "config has unknown key 'naive_backward'"),
 ], ids=["unknown-policy", "policy-count", "feature-dim", "label-range", "batch-size", "seed",
-        "blobs-seed"])
+        "blobs-seed", "seed-beyond-64-bits", "keyspace-beyond-64-bits", "naive-backward"])
 def test_bad_run_config_exits_2_before_any_worker_is_contacted(tmp_path, capsys,
                                                               overrides, message):
     cfg = write_config(tmp_path, **overrides)
@@ -349,7 +352,6 @@ def test_bad_run_config_exits_2_before_any_worker_is_contacted(tmp_path, capsys,
     ({"workers": 5}, "config key 'workers' must be a list of strings, got 5"),
     ({"data": {"csv": 0}}, "data's csv must be a path"),
     ({"pipelined": "no"}, "config key 'pipelined' must be true or false, got 'no'"),
-    ({"naive_backward": "false"}, "config key 'naive_backward' must be true or false, got 'false'"),
     ({"batch_size": 10.7}, "config key 'batch_size' must be an integer, got 10.7"),
     ({"epochs": True}, "config key 'epochs' must be an integer, got True"),
     ({"seed": 2.9}, "config key 'seed' must be an integer, got 2.9"),
@@ -364,7 +366,7 @@ def test_bad_run_config_exits_2_before_any_worker_is_contacted(tmp_path, capsys,
     ({"learning_rate": float("nan")}, "is not valid JSON: NaN is not a JSON number"),
     (_with_blob(separation=float("inf")), "is not valid JSON: Infinity is not a JSON number"),
 ], ids=["learning-rate", "batch-size", "t", "layer-dims", "n-per-class", "not-utf8", "workers",
-        "csv", "pipelined-string", "naive-backward-string", "batch-size-float", "epochs-bool",
+        "csv", "pipelined-string", "batch-size-float", "epochs-bool",
         "seed-float", "keyspace-float", "n-per-class-float", "workers-string",
         "policies-string", "layer-dims-bool", "workers-number", "learning-rate-nan", "separation-infinity"])
 def test_run_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, overrides, message):
@@ -420,9 +422,12 @@ def _exit_code(argv) -> int:
     "train --config {config} --workers 127.0.0.1:\u00b2",
     "infer --model {model} --input {csv} --local-workers -2",
     "infer --model {model} --input {csv} --local-workers 1 --seed -1",
+    "mi-eval --keyspace-sizes 9223372036854775808",
+    "infer --model {model} --input {csv} --local-workers 1 --seed 9223372036854775808",
 ], ids=["min-k-t", "min-k-N", "min-k-batch-size", "mi-eval-keyspace", "mi-eval-bins",
         "verify-k", "verify-k-negative", "verify-trials", "worker-port", "worker-prob",
-        "worker-two-listen", "train-local-workers", "train-superscript-port", "infer-local-workers", "infer-seed"])
+        "worker-two-listen", "train-local-workers", "train-superscript-port", "infer-local-workers",
+        "infer-seed", "mi-eval-keyspace-beyond-64-bits", "infer-seed-beyond-64-bits"])
 def test_refused_argument_exits_2_with_an_error_line(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr("blindtrain.cli.run_worker", lambda *a: pytest.fail("worker started"))
     net = Network.from_dims([2, 3, 2])
@@ -453,28 +458,29 @@ def test_an_integer_passes_where_a_number_is_asked_for(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_naive_backward_blinds_four_matrices_per_backward_shard(tmp_path, capsys):
-    """Over 2 workers, both of the [2, 6, 2] net's layers are cut into 2
-    shards: 30 samples in batches of 10 for 2 epochs are 6 steps, so 24
-    forward and 24 backward shard products.  Each forward shard blinds
-    2 matrices; each backward shard blinds 1 when it reuses the stored
-    pair and 4 in the reference mode.  The trained models agree to
-    rounding, not bitwise: the reference mode blinds under fresh keys."""
-    runs = {}
-    for naive in (False, True):
-        cfg = write_config(tmp_path, name=f"run-{naive}.json", naive_backward=naive)
-        model, report = tmp_path / f"model-{naive}.json", tmp_path / f"report-{naive}.json"
-        assert main(["train", "--config", cfg, "--local-workers", "2",
-                     "--out", str(model), "--report", str(report)]) == 0
-        runs[naive] = (load_model(str(model)), json.loads(report.read_text())["stats"])
-    (reuse_net, reuse), (naive_net, naive) = runs[False], runs[True]
-    assert reuse["matrices_encrypted"] == 24 * 2 + 24 * 1
-    assert naive["matrices_encrypted"] == 24 * 2 + 24 * 4
-    assert naive["products_offloaded"] == reuse["products_offloaded"] == 24 + 24 * 2
-    for a, b in zip(reuse_net.linears, naive_net.linears):
-        assert np.allclose(a.W, b.W, rtol=0, atol=1e-14)
-        assert np.allclose(a.b, b.b, rtol=0, atol=1e-14)
-    capsys.readouterr()
+def test_the_largest_64_bit_keyspace_and_seed_still_train(tmp_path, capsys):
+    cfg = write_config(tmp_path, keyspace=2**63 - 1, seed=2**63 - 1)
+    assert main(["train", "--config", cfg, "--local-workers", "2"]) == 0
+    assert "final_loss=" in capsys.readouterr().out
+
+
+def test_infer_labels_each_row_by_its_own_features(tmp_path, capsys):
+    """A row's label does not depend on the other rows of its file, and
+    it is the model's prediction on the row's raw features."""
+    cfg = write_config(tmp_path, layer_dims=[2, 16, 16, 2], learning_rate=0.05,
+                       batch_size=32, epochs=10, seed=7,
+                       **_with_blob(n_per_class=150, separation=9.0, seed=3))  # README's example
+    model = str(tmp_path / "model.json")
+    assert main(["baseline", "--config", cfg, "--out", model]) == 0
+    labels = {}
+    for name, text in (("alone", "1,8.3,0.1\n"), ("pair", "0,0.1,0.2\n1,8.3,0.1\n")):
+        (tmp_path / f"{name}.csv").write_text(text)
+        capsys.readouterr()
+        assert main(["infer", "--model", model, "--input", str(tmp_path / f"{name}.csv")]) == 0
+        labels[name] = capsys.readouterr().out.split()
+    expected = str(int(predict(load_model(model), np.array([[8.3], [0.1]]))[0]))
+    assert labels["alone"] == [expected]
+    assert labels["pair"][1] == expected
 
 
 def test_infer_input_of_the_wrong_width_exits_2_before_any_worker_is_contacted(tmp_path,
@@ -514,7 +520,7 @@ def test_tampering_worker_exits_3(tmp_path, capsys):
     from blindtrain.worker import WorkerMode, spawn_local_workers
 
     cfg = write_config(tmp_path, pipelined=True)
-    with spawn_local_workers(2, WorkerMode.tamper(1.0, magnitude=1.0), seed=1) as addresses:
+    with spawn_local_workers(2, WorkerMode("tamper", 1.0, magnitude=1.0), seed=1) as addresses:
         workers = ",".join(f"{host}:{port}" for host, port in addresses)
         assert main(["train", "--config", cfg, "--workers", workers]) == 3
     assert capsys.readouterr().err.startswith("integrity failure, aborting: verification")

@@ -347,13 +347,12 @@ def test_training_counter_totals():
 
 # -- equivalence with local training ---------------------------------------
 
-def run_offloaded(ds, addresses, *, policies=None, pipelined=False,
-                  reuse_backward=True, epochs=3):
+def run_offloaded(ds, addresses, *, policies=None, pipelined=False, epochs=3):
     net = make_net((2, 6, 2), policies=policies, seed=8)
     with pool_for(addresses, net) as pool:
         _, stats, report = run_training(
             net, ds, pool, learning_rate=0.1, batch_size=10, epochs=epochs,
-            seed=8, pipelined=pipelined, reuse_backward=reuse_backward)
+            seed=8, pipelined=pipelined)
     return net, stats, report
 
 
@@ -444,10 +443,20 @@ def test_pre_blinded_weight_is_sent_only_under_its_own_key(case):
 
 
 def test_naive_backward_same_numerics():
+    """The executor's reference backward mode trains to the same weights
+    as the reuse mode, up to rounding, from more blinded matrices."""
     ds = gen_blobs(15, 2, 2, separation=8.0, seed=7)
+
+    def train_offloaded(addresses, reuse_backward):
+        net = make_net((2, 6, 2), seed=8)
+        with pool_for(addresses, net) as pool:
+            ex = offload_executor(pool, net, seed=8, reuse_backward=reuse_backward)
+            train(net, ds, TrainConfig(0.1, 10, 3, seed=8), ex)
+        return net, ex.stats
+
     with spawn_local_workers(2) as addresses:
-        reuse, stats_reuse, _ = run_offloaded(ds, addresses)
-        naive, stats_naive, _ = run_offloaded(ds, addresses, reuse_backward=False)
+        reuse, stats_reuse = train_offloaded(addresses, True)
+        naive, stats_naive = train_offloaded(addresses, False)
     for a, b in zip(reuse.linears, naive.linears):
         assert np.max(np.abs(a.W - b.W)) < 1e-6
     assert stats_naive.matrices_encrypted > stats_reuse.matrices_encrypted
@@ -469,7 +478,7 @@ def test_tampering_worker_always_detected():
     rng = make_rng(31)
     detected = 0
     trials = 60
-    with spawn_local_workers(1, WorkerMode.tamper(1.0, magnitude=1.0), seed=2) as addresses:
+    with spawn_local_workers(1, WorkerMode("tamper", 1.0, magnitude=1.0), seed=2) as addresses:
         for trial in range(trials):
             net = make_net((2, 3, 2), seed=trial)
             with pool_for(addresses, net) as pool:
@@ -486,7 +495,7 @@ def test_tampering_worker_always_detected():
 def test_lazy_worker_detected_during_training():
     ds = gen_blobs(10, 2, 2, separation=8.0, seed=3)
     net = make_net((2, 4, 2), seed=3)
-    with spawn_local_workers(1, WorkerMode.lazy(1.0), seed=0) as addresses:
+    with spawn_local_workers(1, WorkerMode("lazy", 1.0), seed=0) as addresses:
         with pool_for(addresses, net) as pool:
             with pytest.raises(IntegrityFailure):
                 run_training(net, ds, pool, learning_rate=0.1, batch_size=10,
@@ -497,7 +506,7 @@ def test_aborted_step_leaves_weights_untouched():
     ds = gen_blobs(10, 2, 2, separation=8.0, seed=3)
     net = make_net((2, 4, 2), seed=3)
     before = [lin.W.copy() for lin in net.linears]
-    with spawn_local_workers(1, WorkerMode.tamper(1.0, 2.0), seed=1) as addresses:
+    with spawn_local_workers(1, WorkerMode("tamper", 1.0, 2.0), seed=1) as addresses:
         with pool_for(addresses, net) as pool:
             with pytest.raises(IntegrityFailure):
                 run_training(net, ds, pool, learning_rate=0.1, batch_size=10,
@@ -702,9 +711,11 @@ def test_later_calls_reuse_the_pools_wire_buffer():
             assert all(conn.wire is pool.wire for conn in pool.connections)
 
             def calls():
-                for reuse in (True, False):
-                    run_training(net, ds, pool, learning_rate=0.1, batch_size=10, epochs=1,
-                                 seed=7, pipelined=True, reuse_backward=reuse)
+                run_training(net, ds, pool, learning_rate=0.1, batch_size=10, epochs=1,
+                             seed=7, pipelined=True)
+                reference = offload_executor(pool, net, seed=7, pipelined=True,
+                                             reuse_backward=False)
+                train(net, ds, TrainConfig(0.1, 10, 1, seed=7), reference)
                 run_inference(net, ds.features, pool, seed=7)
 
             calls()
@@ -1015,7 +1026,7 @@ def test_run_inference_matches_local_predict():
 def test_run_inference_aborts_on_tampering():
     net = make_net((2, 4, 2), seed=1)
     x = make_rng(12).standard_normal((2, 8))
-    with spawn_local_workers(1, WorkerMode.tamper(1.0, 3.0), seed=5) as addresses:
+    with spawn_local_workers(1, WorkerMode("tamper", 1.0, 3.0), seed=5) as addresses:
         with pool_for(addresses, net) as pool:
             with pytest.raises(IntegrityFailure):
                 run_inference(net, x, pool, seed=2)

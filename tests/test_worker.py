@@ -45,16 +45,14 @@ def test_mode_validation():
     with pytest.raises(ValueError):
         WorkerMode("tamper", probability=1.5)
     assert WorkerMode.honest().kind == "honest"
-    assert WorkerMode.tamper(0.25, 3.0) == WorkerMode("tamper", 0.25, 3.0)
-    assert WorkerMode.lazy(1.0).probability == 1.0
 
 
 def test_tamper_changes_exactly_one_entry():
     rng = make_rng(1)
-    mode = WorkerMode.tamper(1.0, magnitude=2.5)
+    mode = WorkerMode("tamper", 1.0, magnitude=2.5)
     for _ in range(50):
         honest = rng.standard_normal((4, 6))
-        out = apply_adversary(mode, honest.copy(), rng)
+        out = apply_adversary(mode, honest.copy(), rng, {})
         diff = out - honest
         changed = np.nonzero(diff)
         assert len(changed[0]) == 1
@@ -64,24 +62,24 @@ def test_tamper_changes_exactly_one_entry():
 def test_tamper_probability_zero_is_honest():
     rng = make_rng(2)
     honest = rng.standard_normal((3, 3))
-    out = apply_adversary(WorkerMode.tamper(0.0, 9.0), honest, rng)
+    out = apply_adversary(WorkerMode("tamper", 0.0, 9.0), honest, rng, {})
     assert np.array_equal(out, honest)
 
 
 def test_tamper_rate_tracks_probability():
     rng = make_rng(3)
-    mode = WorkerMode.tamper(0.3, 1.0)
+    mode = WorkerMode("tamper", 0.3, 1.0)
     hits = 0
     for _ in range(2000):
         honest = np.ones((2, 2))
-        out = apply_adversary(mode, honest, rng)
+        out = apply_adversary(mode, honest, rng, {})
         hits += not np.array_equal(out, np.ones((2, 2)))
     assert abs(hits / 2000 - 0.3) < 0.04
 
 
 def test_lazy_returns_zeros_then_stale():
     rng = make_rng(4)
-    mode = WorkerMode.lazy(1.0)
+    mode = WorkerMode("lazy", 1.0)
     history = {}
     first = apply_adversary(mode, np.full((2, 3), 7.0), rng, history)
     assert np.array_equal(first, np.zeros((2, 3)))
@@ -98,7 +96,7 @@ def test_honest_history_feeds_lazy():
     history = {}
     real = np.arange(6.0).reshape(2, 3)
     apply_adversary(WorkerMode.honest(), real, rng, history)
-    stale = apply_adversary(WorkerMode.lazy(1.0), np.full((2, 3), -1.0), rng, history)
+    stale = apply_adversary(WorkerMode("lazy", 1.0), np.full((2, 3), -1.0), rng, history)
     assert np.array_equal(stale, real)
 
 
@@ -225,7 +223,7 @@ def test_unexpected_message_type_is_rejected():
 
 
 def test_tampering_session_corrupts_forward_product():
-    s = WorkerSession(WorkerMode.tamper(1.0, 5.0), make_rng(8))
+    s = WorkerSession(WorkerMode("tamper", 1.0, 5.0), make_rng(8))
     a, b = np.eye(3), np.eye(3)
     reply = s.handle(StorePair(0, 0, a, b))
     diff = reply.matrices[0] - np.eye(3)
@@ -297,6 +295,23 @@ def test_each_connection_gets_a_fresh_session():
         finally:
             first.close()
             second.close()
+
+
+def test_finished_connections_are_not_kept_listed():
+    """However many connections a worker has served, it lists only the
+    live ones and the one it accepted last."""
+    server = WorkerServer().start()
+    try:
+        for _ in range(50):
+            with socket.create_connection(server.address, timeout=5) as sock:
+                send_message(sock, Hello())
+                assert isinstance(read_message(sock), Result)  # served, so listed
+            for t in list(server._threads):
+                t.join(timeout=5)
+                assert not t.is_alive()
+        assert len(server._threads) == 1
+    finally:
+        server.stop()
 
 
 def test_spawn_local_workers_distinct_addresses():
