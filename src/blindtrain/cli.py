@@ -348,7 +348,10 @@ def cmd_min_k(args) -> int:
     else:
         cfg = _checked(IntegrityConfig, t=args.t, task="inference", n_workers=args.N,
                        n_layers=args.L)
-    print(min_rounds(cfg))
+    try:
+        print(min_rounds(cfg))
+    except OverflowError as exc:
+        raise ConfigError(f"the run's verification count is too large: {exc}") from exc
     return 0
 
 

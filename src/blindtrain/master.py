@@ -12,8 +12,10 @@ Every offloaded product takes one path.  A call sends all its requests
 first: a freshly blinded pair as a StorePair or, in the reuse backward
 mode, the blinded delta as a MultBwd.  Then one collector receives the
 replies in send order, verifies every product each carries and
-unblinds it into its block of the result.  The reuse and the reference
-backward modes differ only in the requests they queue.
+unblinds it into its block of the result; the probe sides of the
+checks are computed before the first collect, while the workers
+multiply.  The reuse and the reference backward modes differ only in
+the requests they queue.
 
 The network is the partition plan: the executor reads each layer's
 policy from the network it serves.  "tensor" splits the weight by
@@ -46,6 +48,7 @@ from .obfuscate import (
     key_shift,
     kgen,
     min_rounds,
+    probe_sides,
 )
 from .protocol import Config, Hello, MultBwd, Result, StorePair
 from .tensor import ShapeError, make_rng, shard_slices
@@ -97,6 +100,13 @@ def shard_layout(policy: str, shards: int, m: int, n: int, p: int) -> list[Shard
                 for r in shard_slices(m, min(shards, m))]
     return [Shard(slice(0, m), c, (m, n, c.stop - c.start))
             for c in shard_slices(p, min(shards, p))]
+
+
+def _operands(policy: str, sh: Shard, w: np.ndarray, x: np.ndarray) -> tuple:
+    """The shard's slices of W and X.  The operand every shard shares
+    (W under "data", X under "tensor") is passed whole, as the same
+    object, so probe_sides sees that it is shared."""
+    return (w, x[:, sh.cols]) if policy == "data" else (w[sh.rows], x)
 
 
 def _derive_seed(master_seed: int, epoch: int, layer_id: int, shard_id: int,
@@ -391,7 +401,14 @@ class EncryptedExecutor(nn.MatMulExecutor):
         and unblind each (key, a, b, block, add) product a reply carries:
         into its block, or added to it where add is set.  Each is done
         before the next collect receives over it in the wire buffer, and
-        a request leaves the queue once its reply is read."""
+        a request leaves the queue once its reply is read.
+
+        Before the first collect, while the workers multiply, the probe
+        side of every queued product is computed in one probe_sides call,
+        so an operand the call's products share is probed once; each
+        product's dec then only checks its reply."""
+        sides = iter(probe_sides([(a, b) for _, _, products in pending
+                                  for _, a, b, _, _ in products], self.rounds, self._rng))
         while pending:
             j, tag, products = pending[0]
             shapes = tuple((a.shape[0], b.shape[1]) for _, a, b, _, _ in products)
@@ -401,7 +418,8 @@ class EncryptedExecutor(nn.MatMulExecutor):
                 self.stats.matrices_decrypted += 1
                 self.stats.verification_rounds += self.rounds
                 try:
-                    c = dec(sk, c_enc, a, b, self.rounds, self._rng, out=None if add else block)
+                    c = dec(sk, c_enc, a, b, self.rounds, self._rng,
+                            out=None if add else block, probe=next(sides))
                 except IntegrityFailure:
                     self.stats.failures += 1
                     raise
@@ -435,7 +453,7 @@ class EncryptedExecutor(nn.MatMulExecutor):
         keys = []
         with self._requests() as pending:
             for j, sh in enumerate(shard_layout(policy, self.pool.size, *w.shape, p)):
-                wj, xj = w[sh.rows], x[:, sh.cols]
+                wj, xj = _operands(policy, sh, w, x)
                 sk = self.keys.get(lid, j, *sh.dims)
                 pre = self._pre_enc.pop((lid, j), None)
                 w_enc = pre[2] if pre and pre[0] is sk and pre[1] is w else None
@@ -464,7 +482,7 @@ class EncryptedExecutor(nn.MatMulExecutor):
         t1, t2 = np.empty((n, m)), np.empty((p, n))
         with self._requests() as pending:
             for j, (sh, sk) in enumerate(zip(shard_layout(policy, self.pool.size, m, n, p), keys)):
-                wj, xj = w[sh.rows], x[:, sh.cols]
+                wj, xj = _operands(policy, sh, w, x)
                 d_t = np.ascontiguousarray(delta[sh.rows, sh.cols].T)
                 # All shards write one block whole: T2 under "tensor", T1 under "data".
                 # Shard 0 unblinds into it; later shards add theirs in shard order.

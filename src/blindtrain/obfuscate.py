@@ -16,9 +16,16 @@ Decryption can additionally verify the returned product with k rounds
 of randomized binary probes before releasing it; a single corrupted
 entry survives one round with probability 1/2, so k rounds leave a
 2**-k escape probability.  The k probes are the rows of one k x m
-matrix L, and (LA)B is compared against LC in one pass.
-min_rounds() turns a whole-run error budget into the per-product k, and
-brute_force_bound() gives the log2 cost of enumerating keys.
+matrix L, and (LA)B is compared against LC.  The check has two sides.
+The probe side (probe_sides) needs only the plaintext operands: it
+draws L and computes (LA)B and the threshold, so a caller can do it
+while the product is still being computed remotely.  The check (dec)
+needs the reply: it computes LC and compares.  probe_sides does the
+work on an operand that several products share once, by stacking their
+probes; every product still draws its own L and keeps its own
+threshold.  min_rounds() turns a whole-run error budget into the
+per-product k, and brute_force_bound() gives the log2 cost of
+enumerating keys.
 """
 from __future__ import annotations
 
@@ -32,6 +39,7 @@ from .tensor import ShapeError, max_abs
 __all__ = [
     "KeySlot",
     "SecretKey",
+    "ProbeSide",
     "KeySpaceConfig",
     "IntegrityConfig",
     "IntegrityFailure",
@@ -40,6 +48,7 @@ __all__ = [
     "enc_pair",
     "enc_left",
     "enc_right",
+    "probe_sides",
     "dec",
     "dec_only",
     "encryption_matrix",
@@ -113,10 +122,10 @@ class SecretKey:
     """Three slots sized (m, n, p) for one product shape."""
 
     slots: tuple[KeySlot, KeySlot, KeySlot]
+    dims: tuple[int, int, int] = field(init=False)  # derived from the slots
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return tuple(s.size for s in self.slots)  # type: ignore[return-value]
+    def __post_init__(self):
+        object.__setattr__(self, "dims", tuple(s.size for s in self.slots))
 
 
 class IntegrityFailure(Exception):
@@ -161,25 +170,28 @@ _BLOCK_BYTES = 1 << 18  # output bytes filled per row block: cache-sized
 
 
 def _gather_scale(a, rows: np.ndarray, cols: np.ndarray,
-                  num: np.ndarray, recip: np.ndarray, out=None) -> np.ndarray:
-    """out(i, j) = a(rows(i), cols(j)) * (num * recip)(i, j), as float64.
+                  row_f: np.ndarray, col_f: np.ndarray, out=None) -> np.ndarray:
+    """out(i, j) = a(rows(i), cols(j)) * (row_f(i) * col_f(j)), as float64.
 
-    num and recip (a coefficient vector and the reciprocals of another,
-    see KeySlot) are a column (m x 1) and a row (1 x n), either way
-    round.  The output is filled in cache-sized blocks of rows: gather
-    the block's rows, gather their columns straight into the block, then
-    scale it in place by the block's rows of the ratio num * recip.
+    row_f and col_f are 1-D factors, one per output row and one per
+    output column: a coefficient vector and the reciprocals of another
+    (see KeySlot), either way round.  The output is filled in
+    cache-sized blocks of rows: gather the block's rows, gather their
+    columns straight into the block, then scale it in place by the
+    block's coefficient ratios, their outer product built by einsum.
     Each entry is rounded as in (num * recip) * a[np.ix_(rows, cols)],
-    and IEEE multiplication commutes, so the bytes are the same; only
-    block-sized temporaries are made.  The operand is multiplied by the
-    ratio once, as in the division form (num / den) * a[...].  Where the
-    ratio is a normal float (kgen's integer coefficients always give
-    one) and the entry does not overflow, the entry lies within 5 ulps
-    of that form: the reciprocal, the ratio and the product are each
-    rounded by at most 2**-53 relative, the division form twice.  rows
-    and cols are key permutations, already validated, so take() may
-    skip its bounds check.  `out`, if given, must not overlap `a`; it
-    may be a strided view.
+    and IEEE multiplication commutes, so the bytes are the same whichever
+    factor holds the coefficients; only block-sized temporaries are
+    made.  (einsum writes a zero ratio as +0.0; no kgen key has one.)
+    The operand is multiplied by the ratio once, as in the division form
+    (num / den) * a[...].  Where the ratio is a normal float (kgen's
+    integer coefficients always give one) and the entry does not
+    overflow, the entry lies within 5 ulps of that form: the reciprocal,
+    the ratio and the product are each rounded by at most 2**-53
+    relative, the division form twice.  rows and cols are key
+    permutations, already validated, so take() may skip its bounds
+    check.  `out`, if given, must not overlap `a`; it may be a strided
+    view.
     """
     a = np.asarray(a, dtype=np.float64)
     m, n = rows.size, cols.size
@@ -194,7 +206,7 @@ def _gather_scale(a, rows: np.ndarray, cols: np.ndarray,
         hi = lo + step
         block = out[lo:hi]
         a.take(rows[lo:hi], axis=0).take(cols, axis=1, out=block, mode="clip")
-        block *= num[lo:hi] * recip if len(recip) == 1 else num * recip[lo:hi]
+        block *= np.einsum("i,j->ij", row_f[lo:hi], col_f)
     return out
 
 
@@ -207,8 +219,7 @@ def _enc(row_slot: KeySlot, col_slot: KeySlot, a: np.ndarray, out=None) -> np.nd
     real input comes back as float64, in `out` when one is given and in
     a new array otherwise; the input is never written.
     """
-    return _gather_scale(a, row_slot.perm, col_slot.perm,
-                         row_slot.coeffs[:, None], col_slot.recip[None, :], out)
+    return _gather_scale(a, row_slot.perm, col_slot.perm, row_slot.coeffs, col_slot.recip, out)
 
 
 def enc_left(sk: SecretKey, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -249,36 +260,80 @@ def dec_only(sk: SecretKey, c_enc: np.ndarray, out: np.ndarray | None = None) ->
         raise ShapeError(f"dec_only: product {c_enc.shape} does not match key dims ({m}, {p})")
     row, col = sk.slots[0], sk.slots[2]
     im, ip = row.inv_perm, col.inv_perm
-    return _gather_scale(c_enc, im, ip, col.coeffs[ip][None, :], row.recip[im][:, None], out)
+    return _gather_scale(c_enc, im, ip, row.recip[im], col.coeffs[ip], out)
 
 
-def _verify(
-    a_plain: np.ndarray,
-    b_plain: np.ndarray,
-    c_dec: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-) -> None:
-    """k rounds of binary probing of c_dec against a_plain @ b_plain.
+@dataclass(frozen=True)
+class ProbeSide:
+    """The half of one product's check that needs only its plaintext
+    operands A (m x n) and B (n x p): k binary probes L, (LA)B and the
+    residual threshold."""
 
-    The k probes are the rows of one L in {0,1}^(k x m), compared as
-    (LA)B against LC; the bracketing keeps every step a product with a
-    k-row matrix, k(mn + np + mp) flops in all.  Freivalds' check works
-    alike from either side, and the rows are independent, so each still
-    lets a corrupted product through with probability 1/2; BLAS runs
-    the k-row products faster than k-column ones.  The threshold scales
-    with the operand magnitudes so honest float64 rounding never trips
-    it; a NaN residual fails it too.  A NaN or Inf anywhere in C fails
-    every row, as 0 * NaN and 0 * Inf are NaN.
+    probes: np.ndarray  # L, k x m float64 in {0, 1}
+    expected: np.ndarray  # (LA)B, k x p
+    threshold: float
+
+
+def _products(lefts: list, rights: list) -> list:
+    """lefts[i] @ rights[i] for every i, the lefts all k-row matrices.
+    Where several entries share a right operand (the same array object),
+    their lefts are stacked and multiplied by it once, and each gets its
+    own k rows of the result."""
+    out = [None] * len(lefts)
+    groups: dict[int, list[int]] = {}
+    for i, r in enumerate(rights):
+        groups.setdefault(id(r), []).append(i)
+    for idx in groups.values():
+        r = rights[idx[0]]
+        if len(idx) == 1:
+            out[idx[0]] = lefts[idx[0]] @ r
+            continue
+        stacked = np.concatenate([lefts[i] for i in idx]) @ r
+        k = len(stacked) // len(idx)
+        for g, i in enumerate(idx):
+            out[i] = stacked[g * k:(g + 1) * k]
+    return out
+
+
+def probe_sides(pairs: list, k: int, rng: np.random.Generator) -> list[ProbeSide]:
+    """The probe side of each (A, B) product in `pairs`, in order.
+
+    Each product draws its own L = rng.integers(0, 2, size=(k, m)), in
+    the order of `pairs`, and keeps its own threshold
+    1e-8 * max(1, max|A| * max|B| * n), which scales with the operand
+    magnitudes so honest float64 rounding never trips it.  The bracketing
+    (LA)B keeps every step a product with a k-row matrix; BLAS runs
+    those faster than k-column ones, so no probe comes from the right.
+    Work on an operand that several products share (the same array
+    object) is done once: one product of their stacked probes with a
+    shared A, one of their stacked LA with a shared B, and one max|.|
+    scan per distinct operand.  Stacking only batches the arithmetic: no
+    probe is shared, so each product's escapes stay independent.
     """
-    m, n = a_plain.shape
-    threshold = _TOLERANCE * max(1.0, max_abs(a_plain) * max_abs(b_plain) * n)
-    probes = rng.integers(0, 2, size=(k, m)).astype(np.float64)
-    residuals = np.max(np.abs((probes @ a_plain) @ b_plain - probes @ c_dec), axis=1)
-    failed = np.flatnonzero(~(residuals <= threshold))
+    peaks: dict[int, float] = {}
+    for x in (x for pair in pairs for x in pair):
+        if id(x) not in peaks:
+            peaks[id(x)] = max_abs(x)
+    probes = [rng.integers(0, 2, size=(k, a.shape[0])).astype(np.float64) for a, _ in pairs]
+    la = _products(probes, [a for a, _ in pairs])
+    expected = _products(la, [b for _, b in pairs])
+    return [ProbeSide(l, e, _TOLERANCE * max(1.0, peaks[id(a)] * peaks[id(b)] * a.shape[1]))
+            for l, e, (a, b) in zip(probes, expected, pairs)]
+
+
+def _check(side: ProbeSide, c_dec: np.ndarray) -> None:
+    """Compare LC against the probe side's (LA)B, row by row.
+
+    Freivalds' check: each probe row lets a corrupted product through
+    with probability 1/2, independently of the others.  A NaN residual
+    fails too, and a NaN or Inf anywhere in C fails every row, as
+    0 * NaN and 0 * Inf are NaN.
+    """
+    residuals = np.max(np.abs(side.expected - side.probes @ c_dec), axis=1)
+    failed = np.flatnonzero(~(residuals <= side.threshold))
     if failed.size:
         i = int(failed[0])
-        raise IntegrityFailure(i, float(residuals[i]), threshold)
+        raise IntegrityFailure(i, float(residuals[i]), side.threshold)
 
 
 def dec(
@@ -289,14 +344,18 @@ def dec(
     k: int,
     rng: np.random.Generator,
     out: np.ndarray | None = None,
+    probe: ProbeSide | None = None,
 ) -> np.ndarray:
     """Unblind a returned product and verify it against the retained operands.
 
-    Raises IntegrityFailure (carrying the first failing round and its
-    residual) if any of the k probe rounds exceeds tolerance or is not a
-    number; otherwise returns the decrypted product, written into `out`
-    when one is given (see dec_only).  After a failure `out` holds the
-    unverified product.
+    `probe` is the product's probe side (see probe_sides) when the caller
+    computed it ahead of the reply; otherwise dec builds it the same way,
+    drawing its k probes from rng after unblinding.  Raises
+    IntegrityFailure (carrying the first failing round and its residual)
+    if any of the k probe rounds exceeds tolerance or is not a number;
+    otherwise returns the decrypted product, written into `out` when one
+    is given (see dec_only).  After a failure `out` holds the unverified
+    product.
     """
     m, n, p = sk.dims
     if a_plain.shape != (m, n) or b_plain.shape != (n, p):
@@ -305,7 +364,9 @@ def dec(
             f"do not match key dims {sk.dims}"
         )
     c_dec = dec_only(sk, c_enc, out)
-    _verify(a_plain, b_plain, c_dec, k, rng)
+    if probe is None:
+        probe = probe_sides([(a_plain, b_plain)], k, rng)[0]
+    _check(probe, c_dec)
     return c_dec
 
 
@@ -373,12 +434,17 @@ def min_rounds(cfg: IntegrityConfig) -> int:
 
     Each verified product escapes with probability 2**-k; the run
     performs alpha * N * L verifications, so k must strictly exceed
-    log2(1 / (1 - (1 - t)**(1 / (alpha * N * L)))).
+    log2(1 / (1 - (1 - t)**(1 / (alpha * N * L)))).  The per-product
+    budget is computed as -expm1(log1p(-t) / total), which neither
+    cancels nor rounds to 0 for large counts.  A count too large for
+    that (beyond float range, or a budget below the smallest float)
+    raises OverflowError.
     """
     total = cfg.products_per_worker_layer * cfg.n_workers * cfg.n_layers
-    per_product = 1.0 - (1.0 - cfg.t) ** (1.0 / total)
-    bound = math.log2(1.0 / per_product)
-    return math.floor(bound) + 1
+    per_product = -math.expm1(math.log1p(-cfg.t) / total)
+    if per_product == 0.0:
+        raise OverflowError("the per-product escape budget is below the smallest float")
+    return math.floor(math.log2(1.0 / per_product)) + 1
 
 
 def brute_force_bound(m: int, n: int, keyspace_size: int) -> float:

@@ -186,6 +186,25 @@ def test_min_k_training_case(capsys):
     assert k > 10  # more products at stake than the single-pass case
 
 
+@pytest.mark.parametrize("argv, k", [
+    ("min-k --t 0.01 --N 1000000000000000 --L 3", 59),
+    ("min-k --t 0.01 --N 2 --L 3 --epochs 1 --dataset-size 99999999999999999999999 "
+     "--batch-size 1", 88),
+], ids=["workers", "dataset-size"])
+def test_min_k_on_counts_past_1e14_prints_a_k(capsys, argv, k):
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out.strip() == str(k)
+
+
+def test_min_k_on_a_count_beyond_float_range_exits_2(capsys):
+    argv = ["min-k", "--t", "0.01", "--N", "2", "--L", "3", "--epochs", "1",
+            "--dataset-size", "1" + "0" * 400, "--batch-size", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "too large" in captured.err
+
+
 def test_verify_experiment_table(capsys):
     code = main(["verify-experiment", "--k", "1,4", "--trials", "120", "--seed", "2"])
     assert code == 0

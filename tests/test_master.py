@@ -19,7 +19,15 @@ from blindtrain.master import (
     shard_layout,
 )
 from blindtrain.nn import LocalExecutor, Network, TrainConfig, train
-from blindtrain.obfuscate import IntegrityFailure, KeySpaceConfig, dec, dec_only, enc_left, enc_right
+from blindtrain.obfuscate import (
+    IntegrityFailure,
+    KeySpaceConfig,
+    dec,
+    dec_only,
+    enc_left,
+    enc_right,
+    probe_sides,
+)
 from blindtrain.protocol import (
     HEADER,
     MAGIC,
@@ -287,6 +295,113 @@ def test_backward_sends_every_request_before_the_first_collect(reuse, monkeypatc
                           "kgen", "request 1", "kgen", "request 1",
                           "collect 0", "dec", "collect 0", "dec",
                           "collect 1", "dec", "collect 1", "dec"]
+
+
+@pytest.mark.parametrize("policy", ["tensor", "data"])
+def test_the_operand_every_shard_shares_reaches_probe_sides_as_one_object(policy, monkeypatch):
+    """Each call hands all its products to one probe_sides call, after
+    its last request and before its first collect.  The operand every
+    shard shares is the caller's own array, not a view per shard, so
+    probe_sides can see that it is shared: W under "data" forward and
+    T2, X under "tensor" forward and T1."""
+    net = make_net((6, 7, 2), policies=[policy, policy])
+    w = net.linears[0].W
+    rng = make_rng(23)
+    x, delta = rng.standard_normal((6, 9)), rng.standard_normal((7, 9))
+    events, calls = [], []
+
+    def record_sides(pairs, k, rng):
+        events.append("probe_sides")
+        calls.append(pairs)
+        return probe_sides(pairs, k, rng)
+
+    def record(attr):
+        call = getattr(WorkerConnection, attr)
+
+        def wrapper(*args, **kw):
+            events.append(attr)
+            return call(*args, **kw)
+        monkeypatch.setattr(WorkerConnection, attr, wrapper)
+
+    monkeypatch.setattr(master, "probe_sides", record_sides)
+    record("request")
+    record("collect")
+    with spawn_local_workers(3) as addresses:
+        with pool_for(addresses, net) as pool:
+            for reuse in (True, False):
+                ex = offload_executor(pool, net, seed=4, reuse_backward=reuse)
+                events.clear()
+                calls.clear()
+                ex.multiply_forward(0, w, x)
+                ex.multiply_backward(0, delta)
+                fwd, bwd = calls
+                assert len(fwd) == 3 and len(bwd) == 6
+                t1s, t2s = bwd[0::2], bwd[1::2]
+                if policy == "tensor":
+                    assert all(b is x for _, b in fwd) and all(a is x for a, _ in t1s)
+                else:
+                    assert all(a is w for a, _ in fwd) and all(b is w for _, b in t2s)
+                requests = 3 if reuse else 6
+                assert events == (["request"] * 3 + ["probe_sides"] + ["collect"] * 3
+                                  + ["request"] * requests + ["probe_sides"]
+                                  + ["collect"] * requests)
+
+
+@pytest.mark.parametrize("product", ["forward", "T1", "T2"])
+@pytest.mark.parametrize("reuse", [True, False])
+@pytest.mark.parametrize("n_workers", [2, 3])
+@pytest.mark.parametrize("policy", ["tensor", "data"])
+def test_one_bad_entry_in_one_shards_product_fails_the_step(policy, n_workers, reuse, product,
+                                                           monkeypatch):
+    """Every shard product keeps its own probes, however its operands are
+    shared: one corrupted entry in the last shard's forward, T1 or T2
+    product of the middle layer fails the training step, and no weight
+    or bias changes."""
+    ds = gen_blobs(4, 2, 3, separation=8.0, seed=9)  # 8 samples
+    net = make_net((3, 5, 4, 2), policies=[policy] * 3, seed=9)
+    before = [(lin.W.copy(), lin.b.copy()) for lin in net.linears]
+    direction = "forward" if product == "forward" else "backward"
+    index = 1 if product == "T2" else 0  # among the shard's products in that call
+    phase, seen = [], []  # the executor call under way; the shard's products in it
+
+    def in_phase(name):
+        call = getattr(EncryptedExecutor, name)
+
+        def wrapper(self, lid, *args):
+            phase.append((name, lid))
+            try:
+                return call(self, lid, *args)
+            finally:
+                phase.pop()
+        monkeypatch.setattr(EncryptedExecutor, name, wrapper)
+
+    collect = WorkerConnection.collect
+
+    def corrupting_collect(conn, tag, shapes):
+        reply = collect(conn, tag, shapes)
+        if phase != [(f"multiply_{direction}", 1)] or conn is not pool.conn(n_workers - 1):
+            return reply
+        matrices = []
+        for m in reply.matrices:
+            if len(seen) == index:
+                m = m.copy()
+                m[0, 0] += 1.0
+            seen.append(m.shape)
+            matrices.append(m)
+        return Result(reply.request_tag, tuple(matrices))
+
+    in_phase("multiply_forward")
+    in_phase("multiply_backward")
+    monkeypatch.setattr(WorkerConnection, "collect", corrupting_collect)
+    with spawn_local_workers(n_workers) as addresses:
+        with pool_for(addresses, net) as pool:
+            ex = offload_executor(pool, net, rounds=30, seed=9, reuse_backward=reuse)
+            with pytest.raises(IntegrityFailure):
+                train(net, ds, TrainConfig(0.1, 8, 1, seed=9), ex)
+    assert len(seen) > index  # the corrupted product was received
+    assert ex.stats.failures == 1
+    for lin, (w, b) in zip(net.linears, before):
+        assert lin.W.tobytes() == w.tobytes() and lin.b.tobytes() == b.tobytes()
 
 
 # -- counters --------------------------------------------------------------

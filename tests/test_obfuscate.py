@@ -22,6 +22,7 @@ from blindtrain.obfuscate import (
     key_shift,
     kgen,
     min_rounds,
+    probe_sides,
 )
 from blindtrain.tensor import ShapeError, make_rng
 
@@ -296,6 +297,21 @@ def test_kernels_match_ix_form_at_block_edges():
             assert got.tobytes() == want.tobytes()
 
 
+def test_gather_scale_takes_one_factor_per_row_and_one_per_column():
+    # 1-D factors leave no orientation to guess, dims of 1 included:
+    # out(i, j) = a(rows(i), cols(j)) * (row_f(i) * col_f(j)), byte for
+    # byte the broadcast form
+    rng = make_rng(59)
+    for m, n in [(1, 1), (1, 6), (6, 1), (3, 4), (4, 3)]:
+        a = rng.standard_normal((m + 2, n + 3))
+        rows, cols = rng.permutation(m + 2)[:m], rng.permutation(n + 3)[:n]
+        row_f, col_f = rng.uniform(0.5, 2.0, m), rng.uniform(0.5, 2.0, n)
+        got = obfuscate._gather_scale(a, rows, cols, row_f, col_f)
+        want = (row_f[:, None] * col_f[None, :]) * a[np.ix_(rows, cols)]
+        assert got.shape == (m, n)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_kernels_stay_within_five_ulps_of_the_division_form():
     # Against the exact x = (num / den) * a, the kernels' ratio
     # num * fl(1 / den) is rounded twice and the product once, each time
@@ -534,6 +550,87 @@ def test_probe_matrix_matches_row_by_row_reference():
     assert len(first_failures) > 1  # later rows were reached too
 
 
+class QueuedProbes:
+    """Stands in for the generator: hands out preset probe matrices in turn."""
+
+    def __init__(self, probes):
+        self.probes = list(probes)
+
+    def integers(self, low, high, size):
+        assert (low, high, size) == (0, 2, self.probes[0].shape)
+        return self.probes.pop(0)
+
+
+def verdict(*args, **kw):
+    try:
+        dec(*args, **kw)
+    except IntegrityFailure as exc:
+        return exc.round_index, exc.residual
+    return None
+
+
+def test_precomputed_probe_side_gives_the_same_verdict():
+    # dec handed a probe side gives the round index and residual that
+    # dec drawing the same probes itself gives, bit for bit
+    rng = make_rng(35)
+    verdicts = set()
+    for _ in range(200):
+        k = int(rng.integers(1, 6))
+        sk, a, b = random_case(rng)
+        m, _, p = sk.dims
+        c_enc = enc_left(sk, a) @ enc_right(sk, b)
+        c_enc[int(rng.integers(m)), int(rng.integers(p))] += 1.0
+        probes = rng.integers(0, 2, size=(k, m))
+        side, = probe_sides([(a, b)], k, FixedProbes(probes))
+        got = verdict(sk, c_enc, a, b, k, None, probe=side)
+        assert got == verdict(sk, c_enc, a, b, k, FixedProbes(probes))
+        verdicts.add(got is None)
+    assert verdicts == {True, False}  # both outcomes were reached
+
+
+def test_probe_sides_of_shared_operands_keep_each_products_probes_and_threshold(monkeypatch):
+    # products sharing A (then B) are probed from one stacked product,
+    # but each keeps the probes it drew, in order, its own threshold,
+    # and its verdict; each distinct operand is scanned once
+    rng = make_rng(36)
+    k = 4
+    scans = []
+    max_abs = obfuscate.max_abs
+
+    def counting_max_abs(x):
+        scans.append(x)
+        return max_abs(x)
+
+    monkeypatch.setattr(obfuscate, "max_abs", counting_max_abs)
+    for shared in ("a", "b"):
+        for _ in range(20):
+            m, n, p = (int(v) for v in rng.integers(2, 9, size=3))
+            common = rng.standard_normal((m, n) if shared == "a" else (n, p))
+            cases = []
+            for scale in (1.0, 3.0, 0.5):
+                other = scale * rng.standard_normal((n, p) if shared == "a" else (m, n))
+                a, b = (common, other) if shared == "a" else (other, common)
+                sk = kgen(m, n, p, KS, rng)
+                c_enc = enc_left(sk, a) @ enc_right(sk, b)
+                c_enc[int(rng.integers(m)), int(rng.integers(p))] += float(rng.integers(0, 2))
+                cases.append((sk, a, b, c_enc, rng.integers(0, 2, size=(k, m))))
+            scans.clear()
+            sides = probe_sides([(a, b) for _, a, b, _, _ in cases], k,
+                                QueuedProbes(case[4] for case in cases))
+            assert len(scans) == 4 and len({id(x) for x in scans}) == 4
+            for side, (sk, a, b, c_enc, probes) in zip(sides, cases):
+                alone, = probe_sides([(a, b)], k, FixedProbes(probes))
+                assert side.probes.tobytes() == alone.probes.tobytes()
+                assert side.threshold == alone.threshold
+                np.testing.assert_allclose(side.expected, alone.expected, rtol=1e-12, atol=1e-12)
+                got = verdict(sk, c_enc, a, b, k, None, probe=side)
+                want = verdict(sk, c_enc, a, b, k, FixedProbes(probes))
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got[0] == want[0]
+                    assert got[1] == pytest.approx(want[1], rel=1e-9)
+
+
 def test_dec_validates_plaintext_shapes():
     rng = make_rng(31)
     sk, a, b = random_case(rng)
@@ -580,6 +677,37 @@ def test_min_rounds_is_strict_and_monotone():
     ks = [min_rounds(IntegrityConfig(t=0.01, n_workers=1, n_layers=layers))
           for layers in (1, 2, 4, 8, 16)]
     assert ks == sorted(ks)
+
+
+def test_min_rounds_matches_the_direct_formula_where_it_holds():
+    # -expm1(log1p(-t) / total) is 1 - (1 - t)**(1 / total) without the
+    # cancellation; the k agree over the range the direct form handles
+    rng = make_rng(38)
+    for _ in range(2000):
+        t = float(np.exp(rng.uniform(np.log(1e-4), np.log(0.5))))
+        total = int(np.exp(rng.uniform(0.0, np.log(1e7))))
+        per = 1.0 - (1.0 - t) ** (1.0 / total)
+        k = min_rounds(IntegrityConfig(t=t, n_workers=total))
+        assert k == math.floor(math.log2(1.0 / per)) + 1
+
+
+def test_min_rounds_holds_past_the_count_where_the_direct_form_rounds_to_zero():
+    # at t = 0.01 the direct form's budget is exactly 0 beyond ~1e14
+    # verifications, and log2(1 / 0) raised ZeroDivisionError
+    assert 1.0 - (1.0 - 0.01) ** (1.0 / 3e15) == 0.0
+    k = min_rounds(IntegrityConfig(t=0.01, n_workers=10**15, n_layers=3))
+    budget = -math.log1p(-0.01) / 3e15  # the per-product budget, to first order
+    assert k == math.floor(math.log2(1.0 / budget)) + 1 == 59
+    huge = IntegrityConfig(t=0.01, task="training", dataset_size=99999999999999999999999,
+                           n_workers=2, n_layers=3)
+    assert min_rounds(huge) == 88
+
+
+def test_min_rounds_beyond_float_range_is_an_overflow():
+    for cfg in (IntegrityConfig(t=0.01, task="training", dataset_size=10**400),
+                IntegrityConfig(t=1e-300, n_workers=10**300)):
+        with pytest.raises(OverflowError):
+            min_rounds(cfg)
 
 
 def test_min_rounds_config_validation():
