@@ -30,9 +30,11 @@ from __future__ import annotations
 import hashlib
 import socket
 import struct
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,7 +72,26 @@ __all__ = [
 
 class WorkerFault(RuntimeError):
     """A worker answered with an error frame, broke the protocol, hung
-    up or stalled past the socket timeout."""
+    up or stalled past the socket timeout.  One raised inside an
+    executor call names where (see _attribute); otherwise its layer,
+    shard and address are None."""
+
+    layer: int | None = None
+    shard: int | None = None
+    address: str | None = None
+
+
+def _attribute(exc: Exception, lid: int, j: int, conn: WorkerConnection,
+               direction: str | None = None) -> None:
+    """Record on exc the layer, shard and worker address of the request
+    it was raised for, and the product's direction if given (an
+    IntegrityFailure's), and append them to its message."""
+    exc.layer, exc.shard, exc.address = lid, j, conn.address
+    where = f"layer {lid}, shard {j}, "
+    if direction is not None:
+        exc.direction = direction
+        where += f"{direction}, "
+    exc.args = (f"{exc} ({where}worker {conn.address})",)
 
 
 _ERROR_PAYLOAD_CAP = 1 << 16  # largest ERROR payload a coordinator reads
@@ -192,10 +213,13 @@ class WorkerConnection:
     send returns the tag its reply must carry.  Replies are received
     into `wire`, which a pool replaces with the one its connections
     share.  `failure` names what closed the connection with replies
-    unread, if anything did."""
+    unread, if anything did; `address` is the worker's host:port as the
+    socket reports its peer."""
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
+        peer = sock.getpeername()
+        self.address = f"{peer[0]}:{peer[1]}" if isinstance(peer, tuple) else repr(peer)
         self._next_tag = 0
         self.wire = WireBuffer()
         self.failure: str | None = None
@@ -261,7 +285,13 @@ class WorkerPool:
     """Connections to all workers, greeted and configured, sharing one
     wire buffer.  Sharing it is safe because a request is fully handed
     to the kernel before `request` returns, and the executor unblinds
-    every reply before it collects the next."""
+    every reply before it collects the next.
+
+    The pool also keeps the last forward output it handed out for each
+    layer id (layer_output), so that a layer whose previous output is
+    dead writes its next one into pages already mapped: on a run of
+    inference calls that is every call after the first.  It keeps at
+    most one array per layer."""
 
     def __init__(self, connections: list[WorkerConnection]):
         if not connections:
@@ -270,6 +300,26 @@ class WorkerPool:
         self.wire = WireBuffer()
         for conn in connections:
             conn.wire = self.wire
+        self._outputs: dict[int, np.ndarray] = {}
+
+    def layer_output(self, lid: int, shape: tuple[int, int]) -> np.ndarray:
+        """An uninitialized C-contiguous float64 array of `shape` that owns
+        its data and that nothing outside the pool refers to.
+
+        That is layer lid's last output again if its shape matches and
+        nothing refers to it but the pool's own entry: no caller, no view
+        (a view refers to the array that owns its memory) and no
+        executor holding it as an operand.  CPython's reference count
+        tells, as for ndarray.resize(refcheck=True); it is taken on the
+        dict lookup, not on a local name, so it counts exactly the
+        entry and the call's argument.  Otherwise a new array is
+        allocated, and kept in place of the old one."""
+        outputs = self._outputs
+        if lid in outputs and outputs[lid].shape == shape \
+                and sys.getrefcount(outputs[lid]) == 2:
+            return outputs[lid]
+        z = outputs[lid] = np.empty(shape)
+        return z
 
     @classmethod
     def connect(cls, addresses: list[tuple[str, int]], n_layers: int,
@@ -314,16 +364,36 @@ class WorkerPool:
         return False
 
 
+class _Product(NamedTuple):
+    """One product a queued request's reply carries: its key and plaintext
+    operands, the block of the result it is unblinded into (added to it
+    where add is set), and the layer and direction ("forward",
+    "backward T1" or "backward T2") a failure names."""
+
+    sk: SecretKey
+    a: np.ndarray
+    b: np.ndarray
+    block: np.ndarray
+    add: bool
+    layer: int
+    direction: str
+
+
 class EncryptedExecutor(nn.MatMulExecutor):
     """Offloading backend for the training loop over `net`, whose
     layer `lid` is split by the policy of net.linears[lid] into
     pool.size shards; "master" layers go to an nn.LocalExecutor.
 
-    A sent request is queued as (shard, tag, products), one (key, a, b,
-    block, add) per product its reply carries, and _finish collects,
-    verifies and unblinds the queue in send order.  A failure that leaves
-    a queued reply unread closes the pool, whose later requests then
-    raise a WorkerFault naming that failure.
+    A sent request is queued as (shard, tag, products), one _Product per
+    product its reply carries, and _finish collects, verifies and
+    unblinds the queue in send order.  A WorkerFault or IntegrityFailure
+    raised for a request names its layer, shard and worker address (and
+    the product's direction).  A failure that leaves a queued reply
+    unread closes the pool, whose later requests then raise a
+    WorkerFault naming that failure.
+
+    A forward output is the pool's layer_output for its layer, so a
+    layer's previous output is written over once nothing refers to it.
 
     rounds is the per-product probe count (see min_rounds).  With
     pipelined=True the executor blinds the next layer's weight shards
@@ -367,21 +437,30 @@ class EncryptedExecutor(nn.MatMulExecutor):
         self.keys.refresh(epoch)
         self._pre_enc.clear()
 
-    def _store(self, lid: int, j: int, sk: SecretKey, a: np.ndarray, b: np.ndarray,
-               block: np.ndarray, add: bool, a_enc: np.ndarray | None = None) -> tuple:
-        """Blind (a, b) under sk into the pool's wire buffer, send them to
-        shard j as one StorePair, answered by their blinded product, and
-        return the request for _finish.  a_enc, if given, is a already
-        blinded under sk."""
+    def _send(self, lid: int, j: int, msg) -> int:
+        """Send msg to shard j; a WorkerFault names the layer and shard."""
+        conn = self.pool.conn(j)
+        try:
+            return conn.request(msg)
+        except WorkerFault as exc:
+            _attribute(exc, lid, j, conn)
+            raise
+
+    def _store(self, j: int, product: _Product, a_enc: np.ndarray | None = None) -> tuple:
+        """Blind the product's (a, b) under its key into the pool's wire
+        buffer, send them to shard j as one StorePair, answered by their
+        blinded product, and return the request for _finish.  a_enc, if
+        given, is a already blinded under the key."""
+        sk, a, b, lid = product.sk, product.a, product.b, product.layer
         a_out, b_out = self.pool.wire.matrices(a.shape, b.shape)
         if a_enc is None:
             a_enc = enc_left(sk, a, out=a_out)
             self.stats.matrices_encrypted += 1
         b_enc = enc_right(sk, b, out=b_out)
         self.stats.matrices_encrypted += 1
-        tag = self.pool.conn(j).request(StorePair(lid, j, a_enc, b_enc))
+        tag = self._send(lid, j, StorePair(lid, j, a_enc, b_enc))
         self.stats.products_offloaded += 1
-        return j, tag, [(sk, a, b, block, add)]
+        return j, tag, [product]
 
     @contextmanager
     def _requests(self):
@@ -398,30 +477,37 @@ class EncryptedExecutor(nn.MatMulExecutor):
 
     def _finish(self, pending: list) -> None:
         """Collect every queued request's reply in send order, and verify
-        and unblind each (key, a, b, block, add) product a reply carries:
-        into its block, or added to it where add is set.  Each is done
-        before the next collect receives over it in the wire buffer, and
-        a request leaves the queue once its reply is read.
+        and unblind each product a reply carries: into its block, or
+        added to it where add is set.  Each is done before the next
+        collect receives over it in the wire buffer, and a request leaves
+        the queue once its reply is read.  A failed collect or check
+        names the request's layer, shard and worker (see _attribute).
 
         Before the first collect, while the workers multiply, the probe
         side of every queued product is computed in one probe_sides call,
         so an operand the call's products share is probed once; each
         product's dec then only checks its reply."""
-        sides = iter(probe_sides([(a, b) for _, _, products in pending
-                                  for _, a, b, _, _ in products], self.rounds, self._rng))
+        sides = iter(probe_sides([(pr.a, pr.b) for _, _, products in pending
+                                  for pr in products], self.rounds, self._rng))
         while pending:
             j, tag, products = pending[0]
-            shapes = tuple((a.shape[0], b.shape[1]) for _, a, b, _, _ in products)
-            reply = self.pool.conn(j).collect(tag, shapes)
+            conn = self.pool.conn(j)
+            try:
+                reply = conn.collect(tag, tuple((pr.a.shape[0], pr.b.shape[1])
+                                                for pr in products))
+            except WorkerFault as exc:
+                _attribute(exc, products[0].layer, j, conn)
+                raise
             del pending[0]
-            for c_enc, (sk, a, b, block, add) in zip(reply.matrices, products):
+            for c_enc, (sk, a, b, block, add, lid, direction) in zip(reply.matrices, products):
                 self.stats.matrices_decrypted += 1
                 self.stats.verification_rounds += self.rounds
                 try:
                     c = dec(sk, c_enc, a, b, self.rounds, self._rng,
                             out=None if add else block, probe=next(sides))
-                except IntegrityFailure:
+                except IntegrityFailure as exc:
                     self.stats.failures += 1
+                    _attribute(exc, lid, j, conn, direction)
                     raise
                 if add:
                     block += c
@@ -449,7 +535,7 @@ class EncryptedExecutor(nn.MatMulExecutor):
             return self._local.multiply_forward(lid, w, x)
 
         p = x.shape[1]
-        z = np.empty((w.shape[0], p))  # each shard unblinds into its block
+        z = self.pool.layer_output(lid, (w.shape[0], p))  # each shard unblinds into its block
         keys = []
         with self._requests() as pending:
             for j, sh in enumerate(shard_layout(policy, self.pool.size, *w.shape, p)):
@@ -457,7 +543,8 @@ class EncryptedExecutor(nn.MatMulExecutor):
                 sk = self.keys.get(lid, j, *sh.dims)
                 pre = self._pre_enc.pop((lid, j), None)
                 w_enc = pre[2] if pre and pre[0] is sk and pre[1] is w else None
-                pending.append(self._store(lid, j, sk, wj, xj, z[sh.rows, sh.cols], False, w_enc))
+                product = _Product(sk, wj, xj, z[sh.rows, sh.cols], False, lid, "forward")
+                pending.append(self._store(j, product, w_enc))
                 keys.append(sk)
             if self.pipelined:
                 self._pre_encrypt_next(lid, p)
@@ -486,24 +573,27 @@ class EncryptedExecutor(nn.MatMulExecutor):
                 d_t = np.ascontiguousarray(delta[sh.rows, sh.cols].T)
                 # All shards write one block whole: T2 under "tensor", T1 under "data".
                 # Shard 0 unblinds into it; later shards add theirs in shard order.
-                t1_part = (xj, d_t, t1[:, sh.rows], j > 0 and policy == "data")
-                t2_part = (d_t, wj, t2[sh.cols], j > 0 and policy == "tensor")
+                t1_part = (xj, d_t, t1[:, sh.rows], j > 0 and policy == "data",
+                           lid, "backward T1")
+                t2_part = (d_t, wj, t2[sh.cols], j > 0 and policy == "tensor",
+                           lid, "backward T2")
                 if self.reuse_backward:
                     # the transposed delta under the key rotated by two; the
                     # worker multiplies it against the pair it still holds
                     k2 = key_shift(sk, 2)
                     d_enc = enc_left(k2, d_t, out=self.pool.wire.matrices(d_t.shape)[0])
                     self.stats.matrices_encrypted += 1
-                    tag = self.pool.conn(j).request(MultBwd(lid, j, d_enc))
+                    tag = self._send(lid, j, MultBwd(lid, j, d_enc))
                     self.stats.products_offloaded += 2
-                    pending.append((j, tag, [(key_shift(sk, 1), *t1_part), (k2, *t2_part)]))
+                    pending.append((j, tag, [_Product(key_shift(sk, 1), *t1_part),
+                                             _Product(k2, *t2_part)]))
                 else:
                     # reference mode: two independently keyed, freshly blinded pairs
                     mj, _, pj = sh.dims
                     k1 = kgen(n, pj, mj, self.keys.keyspace, self._rng)
-                    pending.append(self._store(lid, j, k1, *t1_part))
+                    pending.append(self._store(j, _Product(k1, *t1_part)))
                     k2 = kgen(pj, mj, n, self.keys.keyspace, self._rng)
-                    pending.append(self._store(lid, j, k2, *t2_part))
+                    pending.append(self._store(j, _Product(k2, *t2_part)))
             self._finish(pending)
         return t1, t2
 

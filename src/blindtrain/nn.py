@@ -47,9 +47,13 @@ __all__ = [
 class MatMulExecutor:
     """Seam for the two products of each linear layer.
 
-    multiply_forward returns a fresh array that the caller owns and may
-    write in place: nn.forward adds the bias to it, applies the ReLU to
-    it in place and passes that same array as the next layer's x.  An
+    multiply_forward returns a C-contiguous array that owns its data and
+    that nothing else refers to, which the caller owns while it holds it
+    and may write in place: nn.forward adds the bias to it, applies the
+    ReLU to it in place and passes that same array as the next layer's
+    x.  Once the caller, its views and any executor holding it as an
+    operand have all let it go, a later call may return the same array
+    again (EncryptedExecutor does, through WorkerPool.layer_output).  An
     executor may retain x until the matching multiply_backward, so the
     caller must not write x after passing it.  multiply_backward may
     reuse operands retained from the matching multiply_forward call of

@@ -129,7 +129,16 @@ class SecretKey:
 
 
 class IntegrityFailure(Exception):
-    """A verification probe exceeded tolerance: the returned product is bad."""
+    """A verification probe exceeded tolerance: the returned product is bad.
+
+    One raised inside an executor call also names the product's layer,
+    shard, direction ("forward", "backward T1" or "backward T2") and
+    worker address; raised elsewhere, those are None."""
+
+    layer: int | None = None
+    shard: int | None = None
+    direction: str | None = None
+    address: str | None = None
 
     def __init__(self, round_index: int, residual: float, threshold: float):
         self.round_index = round_index

@@ -565,6 +565,55 @@ def test_worker_dropping_mid_run_exits_4(tmp_path, capsys):
     assert "worker fault: no reply to request" in capsys.readouterr().err
 
 
+def test_tampering_worker_on_shard_1_is_named_on_exit_3(tmp_path, capsys):
+    from blindtrain.worker import WorkerMode, spawn_local_workers
+
+    cfg = write_config(tmp_path)
+    with spawn_local_workers(1) as honest, \
+            spawn_local_workers(1, WorkerMode("tamper", 1.0, magnitude=1.0)) as tampering:
+        (host, port), = tampering
+        workers = ",".join(f"{h}:{p}" for h, p in (*honest, *tampering))
+        assert main(["train", "--config", cfg, "--workers", workers]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("integrity failure, aborting: verification")
+    assert err.rstrip().endswith(f"(layer 0, shard 1, forward, worker {host}:{port})")
+
+
+def test_worker_hanging_up_on_shard_1_is_named_on_exit_4(tmp_path, capsys):
+    import struct
+    import threading
+    from blindtrain.protocol import HEADER, MAGIC, VERSION, MsgType
+    from blindtrain.worker import spawn_local_workers
+
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def ack_setup_then_hang_up():
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(5)
+            for tag in range(2):  # Hello and Config, each acked by an empty RESULT
+                *_, length = HEADER.unpack(conn.recv(HEADER.size, socket.MSG_WAITALL))
+                if length:
+                    conn.recv(length, socket.MSG_WAITALL)
+                conn.sendall(HEADER.pack(MAGIC, VERSION, MsgType.RESULT, 9)
+                             + struct.pack("<QB", tag, 0))
+
+    peer = threading.Thread(target=ack_setup_then_hang_up, daemon=True)
+    peer.start()
+    try:
+        host, port = listener.getsockname()
+        cfg = write_config(tmp_path)
+        with spawn_local_workers(1) as honest:
+            workers = ",".join(f"{h}:{p}" for h, p in (*honest, (host, port)))
+            assert main(["train", "--config", cfg, "--workers", workers]) == 4
+        peer.join(timeout=10)
+    finally:
+        listener.close()
+    err = capsys.readouterr().err
+    assert err.startswith("worker fault: ")
+    assert err.rstrip().endswith(f"(layer 0, shard 1, worker {host}:{port})")
+
+
 def test_version_one_worker_exits_4(tmp_path, capsys):
     import struct
     import threading

@@ -1,7 +1,9 @@
+import hashlib
 import socket
 import struct
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -841,6 +843,109 @@ def test_later_calls_reuse_the_pools_wire_buffer():
             assert pool.wire.data is warm
 
 
+# -- layer outputs -----------------------------------------------------------
+
+def raw_pool():
+    """A one-connection pool over a raw peer, and that peer."""
+    conn, peer = raw_peer()
+    return WorkerPool([conn]), peer
+
+
+def test_a_held_layer_output_or_a_view_of_it_is_not_handed_out_again():
+    pool, peer = raw_pool()
+    try:
+        held = pool.layer_output(0, (3, 4))
+        assert held.dtype == np.float64 and held.shape == (3, 4)
+        assert held.flags["C_CONTIGUOUS"] and held.flags["OWNDATA"]
+        second = pool.layer_output(0, (3, 4))
+        assert second is not held  # the caller still holds the first
+        view = second[:, :1]
+        del second
+        third = pool.layer_output(0, (3, 4))
+        assert third is not view.base  # a live slice holds the array it views
+        assert not np.shares_memory(third, view) and not np.shares_memory(third, held)
+    finally:
+        pool.close()
+        peer.close()
+
+
+def test_a_layer_output_nothing_refers_to_comes_back():
+    pool, peer = raw_pool()
+    try:
+        kept = weakref.ref(pool.layer_output(0, (3, 4)))
+        assert pool.layer_output(0, (3, 4)) is kept()
+        view = pool.layer_output(0, (3, 4))[1:, :]
+        del view
+        again = pool.layer_output(0, (3, 4))
+        assert again is kept()
+        other = pool.layer_output(1, (3, 4))  # each layer keeps its own
+        assert other is not again
+    finally:
+        pool.close()
+        peer.close()
+
+
+def test_a_changed_shape_gets_a_new_array_and_the_old_one_is_let_go():
+    pool, peer = raw_pool()
+    try:
+        old = weakref.ref(pool.layer_output(0, (3, 4)))
+        assert old() is not None  # the pool keeps it
+        new = weakref.ref(pool.layer_output(0, (4, 3)))
+        assert old() is None  # one array per layer: the old one is freed
+        assert new() is not None and new().shape == (4, 3)
+        assert pool.layer_output(0, (4, 3)) is new()
+    finally:
+        pool.close()
+        peer.close()
+
+
+def test_a_second_inference_call_writes_into_the_first_calls_layer_outputs(monkeypatch):
+    """run_inference drops its executor and outputs when it returns, so
+    the next call on the pool gets every layer's output back: no new
+    array, and the same predictions."""
+    from blindtrain.nn import predict
+    net = make_net((3, 6, 5, 2), policies=["tensor", "data", "tensor"], seed=31)
+    x = make_rng(31).standard_normal((3, 7))
+    handed: list[list] = []
+    layer_output = WorkerPool.layer_output
+
+    def record(pool, lid, shape):
+        z = layer_output(pool, lid, shape)
+        handed[-1].append(weakref.ref(z))
+        return z
+
+    monkeypatch.setattr(WorkerPool, "layer_output", record)
+    with spawn_local_workers(2) as addresses:
+        with pool_for(addresses, net) as pool:
+            for seed in (1, 2):
+                handed.append([])
+                assert np.array_equal(run_inference(net, x, pool, seed=seed),
+                                      predict(net, x))
+    first, second = handed
+    assert len(first) == len(second) == 3
+    for a, b in zip(first, second):
+        assert a() is not None and a() is b()
+
+
+def test_training_over_the_executor_keeps_its_pinned_bytes():
+    """Two training runs on one pool, the second starting on layer
+    outputs the first left free: the weights and biases hash as they did
+    before layer outputs were kept."""
+    ds = gen_blobs(12, 3, 4, separation=3.0, seed=21)
+    net = make_net((4, 7, 5, 3), policies=["tensor", "data", "tensor"], seed=21)
+    with spawn_local_workers(2) as addresses:
+        with pool_for(addresses, net) as pool:
+            for reuse in (True, False):
+                ex = offload_executor(pool, net, seed=21, pipelined=True, reuse_backward=reuse)
+                train(net, ds, TrainConfig(0.1, 8, 2, seed=21), ex)
+    digest = hashlib.sha256()
+    for lin in net.linears:
+        digest.update(lin.W.tobytes())
+        digest.update(lin.b.tobytes())
+    assert digest.hexdigest() == \
+        "e19e07414defee14526236880541007c1c8be6c02a1bc0e242ea7e5a1d21aa2f"
+
+
 def test_raw_peer_wrong_shape_and_error_frames():
     conn, peer = raw_peer()
     try:
@@ -1009,6 +1114,95 @@ def test_worker_dropping_mid_run_is_a_worker_fault_weights_unchanged():
         server.stop()
     for lin, (w, b) in zip(net.linears, before):
         assert np.array_equal(lin.W, w) and np.array_equal(lin.b, b)
+
+
+class LayerOneTamperSession(WorkerSession):
+    """Adds 1 to one entry of one of the layer-1 products it computes:
+    `target` counts them in the order the worker computes them, so 0 is
+    the forward product, 1 the backward T1 and 2 the backward T2."""
+
+    target = 0
+    seen = 0
+
+    def handle(self, msg):
+        reply = super().handle(msg)
+        if getattr(msg, "layer_id", None) != 1:
+            return reply
+        matrices = list(reply.matrices)
+        for i, m in enumerate(matrices):
+            if self.seen == self.target:
+                matrices[i] = m.copy()
+                matrices[i][0, 0] += 1.0
+            self.seen += 1
+        return Result(reply.request_tag, tuple(matrices))
+
+
+@pytest.mark.parametrize("reuse", [True, False])
+@pytest.mark.parametrize("target,direction",
+                         [(0, "forward"), (1, "backward T1"), (2, "backward T2")])
+def test_an_integrity_failure_names_its_layer_shard_direction_and_worker(target, direction,
+                                                                         reuse):
+    ds = gen_blobs(5, 2, 3, separation=8.0, seed=4)
+    net = make_net((3, 4, 2), seed=4)
+    session = type("Session", (LayerOneTamperSession,), {"target": target})
+    server = serving(session)
+    host, port = server.address
+    try:
+        with spawn_local_workers(1) as honest:
+            with pool_for([*honest, server.address], net) as pool:
+                ex = offload_executor(pool, net, rounds=30, seed=4, reuse_backward=reuse)
+                with pytest.raises(IntegrityFailure) as info:
+                    train(net, ds, TrainConfig(0.1, 10, 1, seed=4), ex)
+    finally:
+        server.stop()
+    exc = info.value
+    assert (exc.layer, exc.shard, exc.direction, exc.address) == \
+        (1, 1, direction, f"{host}:{port}")
+    message = str(exc)
+    assert message.startswith(f"verification round {exc.round_index}: residual ")
+    assert message.endswith(f" (layer 1, shard 1, {direction}, worker {host}:{port})")
+
+
+def test_a_worker_fault_on_collect_names_its_layer_shard_and_worker():
+    net = make_net((3, 4, 2))
+
+    class HangUpOnStore(WorkerSession):
+        def handle(self, msg):
+            if isinstance(msg, StorePair):
+                raise ConnectionResetError("worker went away")
+            return super().handle(msg)
+
+    server = serving(HangUpOnStore)
+    host, port = server.address
+    try:
+        with spawn_local_workers(1) as honest:
+            with pool_for([*honest, server.address], net) as pool:
+                with pytest.raises(WorkerFault) as info:
+                    run_inference(net, np.ones((3, 2)), pool)
+    finally:
+        server.stop()
+    exc = info.value
+    assert (exc.layer, exc.shard, exc.address) == (0, 1, f"{host}:{port}")
+    assert str(exc).endswith(f" (layer 0, shard 1, worker {host}:{port})")
+
+
+def test_a_worker_fault_on_request_names_its_layer_shard_and_worker():
+    net = make_net((3, 4, 2))
+    left, peer = socket.socketpair()
+    peer.close()
+    with spawn_local_workers(1) as honest:
+        with pool_for(honest, net) as first:
+            dead = WorkerConnection(left)
+            pool = WorkerPool([first.conn(0), dead])
+            try:
+                with pytest.raises(WorkerFault, match="cannot send request") as info:
+                    offload_executor(pool, net).multiply_forward(0, net.linears[0].W,
+                                                                 np.ones((3, 2)))
+            finally:
+                pool.close()
+    exc = info.value
+    assert (exc.layer, exc.shard, exc.address) == (0, 1, dead.address)
+    assert str(exc).endswith(f" (layer 0, shard 1, worker {dead.address})")
 
 
 def test_unreachable_worker_names_address():
