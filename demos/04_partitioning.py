@@ -5,10 +5,10 @@ and the whole batch; partial outputs stack by rows.  Batch split
 ("data"): each worker gets the whole weight and a slice of the batch;
 partial outputs stack by columns.  Either way each shard is blinded
 under its own key, so no worker can combine what it sees with another's
-share.  A layer can also opt out entirely ("master") and multiply at
-the coordinator.  The executor reads each layer's policy from the
-network and cuts an offloaded layer into one shard per worker, clipped
-to the dim it cuts.
+share.  A layer can also opt out entirely ("master"): its layout has
+no shards, and the executor multiplies it at the coordinator.  The
+executor reads each layer's policy from the network and cuts an
+offloaded layer into one shard per worker, clipped to the dim it cuts.
 """
 import numpy as np
 
@@ -28,8 +28,6 @@ N_WORKERS, BATCH = 4, 10
 def shard_count(lin):
     """How many shards the executor cuts this layer into for one batch;
     none for a layer kept local."""
-    if lin.policy == "master":
-        return 0
     return len(shard_layout(lin.policy, N_WORKERS, lin.out_dim, lin.in_dim, BATCH))
 
 

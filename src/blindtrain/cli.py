@@ -310,15 +310,14 @@ def cmd_train(args) -> int:
 def cmd_baseline(args) -> int:
     cfg = RunConfig.load(args.config)
     net, dataset = cfg.build_network(), cfg.load_dataset()
-    losses: list[dict] = []
-    nn.train(net, dataset,
-             nn.TrainConfig(cfg.learning_rate, cfg.batch_size, cfg.epochs, cfg.seed),
-             nn.LocalExecutor(), lambda epoch, loss: losses.append({"epoch": epoch, "loss": loss}))
+    epoch_log = nn.train(net, dataset,
+                         nn.TrainConfig(cfg.learning_rate, cfg.batch_size, cfg.epochs, cfg.seed),
+                         nn.LocalExecutor())
     return _finish(net, {
-        "final_loss": losses[-1]["loss"] if losses else None,
+        "final_loss": epoch_log[-1]["loss"] if epoch_log else None,
         "accuracy": nn.accuracy(net, dataset),
         "executor": "baseline",
-        "epochs": losses,
+        "epochs": epoch_log,
     }, args)
 
 

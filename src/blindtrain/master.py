@@ -18,12 +18,12 @@ multiply.  The reuse and the reference backward modes differ only in
 the requests they queue.
 
 The network is the partition plan: the executor reads each layer's
-policy from the network it serves.  "tensor" splits the weight by
-output rows, "data" splits the batch by columns, "master" keeps the
-product local.  An offloaded layer is cut into one shard per worker,
-clipped to the dim it cuts (shard_layout).  Each shard gets an
-independent key, so workers cannot pool what they see, and keys are
-refreshed every epoch.
+policy from the network it serves and cuts the layer by shard_layout.
+"tensor" splits the weight by output rows and "data" the batch by
+columns, one shard per worker, clipped to the dim it cuts; "master" is
+a layout with no shards, whose products the executor computes itself.
+Each shard gets an independent key, so workers cannot pool what they
+see, and keys are refreshed every epoch.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ import hashlib
 import socket
 import struct
 import sys
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -109,13 +108,16 @@ class Shard:
 
 
 def shard_layout(policy: str, shards: int, m: int, n: int, p: int) -> list[Shard]:
-    """The shards of one offloaded product under its layer's policy.
+    """The shards of one layer product under its layer's policy.
 
     "tensor" cuts W's m rows and ships all of X to each shard; "data"
     cuts X's p columns and ships all of W.  Either is clipped to the dim
     it cuts and sized by shard_slices, so the forward product, the
     pipelined pre-blinding and the backward delta all split alike.
+    "master" has no shards: nothing of the layer leaves the coordinator.
     """
+    if policy == "master":
+        return []
     if policy == "tensor":
         return [Shard(r, slice(0, p), (r.stop - r.start, n, p))
                 for r in shard_slices(m, min(shards, m))]
@@ -381,8 +383,10 @@ class _Product(NamedTuple):
 
 class EncryptedExecutor(nn.MatMulExecutor):
     """Offloading backend for the training loop over `net`, whose
-    layer `lid` is split by the policy of net.linears[lid] into
-    pool.size shards; "master" layers go to an nn.LocalExecutor.
+    layer `lid` is split by the policy of net.linears[lid] into at most
+    pool.size shards (shard_layout).  A layer with no shards ("master")
+    it multiplies itself, in plaintext: w @ x forward, x @ delta.T and
+    delta.T @ w backward, with the same pairing and shape checks.
 
     A sent request is queued as (shard, tag, products), one _Product per
     product its reply carries, and _finish collects, verifies and
@@ -427,8 +431,7 @@ class EncryptedExecutor(nn.MatMulExecutor):
         self.keys = EpochKeys(seed, keyspace or KeySpaceConfig())
         self.stats = OffloadStats()
         self._rng = make_rng(_derive_seed(seed, -1, -1, -1, 0, 0, 0))  # probes, one-off keys
-        self._local = nn.LocalExecutor()
-        # per offloaded layer awaiting its backward: w, x and each shard's key
+        # per layer awaiting its backward: w, x and each shard's key
         self._held: dict[int, tuple[np.ndarray, np.ndarray, list[SecretKey]]] = {}
         # (layer, shard) -> the key and weight a pre-blinded weight shard serves
         self._pre_enc: dict[tuple[int, int], tuple[SecretKey, np.ndarray, np.ndarray]] = {}
@@ -516,8 +519,6 @@ class EncryptedExecutor(nn.MatMulExecutor):
         if lid + 1 == len(self.net.linears):
             return
         nxt = self.net.linears[lid + 1]
-        if nxt.policy == "master":
-            return
         for j, sh in enumerate(shard_layout(nxt.policy, self.pool.size, *nxt.W.shape,
                                             batch_width)):
             sk = self.keys.get(lid + 1, j, *sh.dims)
@@ -531,14 +532,15 @@ class EncryptedExecutor(nn.MatMulExecutor):
         if w.shape[1] != x.shape[0]:
             raise ShapeError(f"forward product: {w.shape} x {x.shape}")
         policy = self.net.linears[lid].policy
-        if policy == "master":
-            return self._local.multiply_forward(lid, w, x)
-
         p = x.shape[1]
+        layout = shard_layout(policy, self.pool.size, *w.shape, p)
+        if not layout:
+            self._held[lid] = (w, x, [])
+            return w @ x
         z = self.pool.layer_output(lid, (w.shape[0], p))  # each shard unblinds into its block
         keys = []
         with self._requests() as pending:
-            for j, sh in enumerate(shard_layout(policy, self.pool.size, *w.shape, p)):
+            for j, sh in enumerate(layout):
                 wj, xj = _operands(policy, sh, w, x)
                 sk = self.keys.get(lid, j, *sh.dims)
                 pre = self._pre_enc.pop((lid, j), None)
@@ -556,8 +558,6 @@ class EncryptedExecutor(nn.MatMulExecutor):
 
     def multiply_backward(self, lid: int, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         policy = self.net.linears[lid].policy
-        if policy == "master":
-            return self._local.multiply_backward(lid, delta)
         held = self._held.pop(lid, None)
         if held is None:
             raise RuntimeError(f"backward for layer {lid} without a matching forward")
@@ -566,9 +566,12 @@ class EncryptedExecutor(nn.MatMulExecutor):
         if delta.shape != (m, p):
             raise ShapeError(
                 f"backward delta {delta.shape} does not match product shape ({m}, {p})")
+        layout = shard_layout(policy, self.pool.size, m, n, p)
+        if not layout:
+            return x @ delta.T, delta.T @ w
         t1, t2 = np.empty((n, m)), np.empty((p, n))
         with self._requests() as pending:
-            for j, (sh, sk) in enumerate(zip(shard_layout(policy, self.pool.size, m, n, p), keys)):
+            for j, (sh, sk) in enumerate(zip(layout, keys)):
                 wj, xj = _operands(policy, sh, w, x)
                 d_t = np.ascontiguousarray(delta[sh.rows, sh.cols].T)
                 # All shards write one block whole: T2 under "tensor", T1 under "data".
@@ -632,19 +635,8 @@ def run_training(
                                epochs=epochs, dataset_size=n_samples, batch_size=batch_size)
     executor = EncryptedExecutor(pool, net, rounds=rounds, keyspace=KeySpaceConfig(keyspace),
                                  seed=seed, pipelined=pipelined)
-
-    epoch_log: list[dict] = []
-    last_mark = time.perf_counter()
-
-    def on_epoch(epoch: int, mean_loss: float):
-        nonlocal last_mark
-        now = time.perf_counter()
-        epoch_log.append({"epoch": epoch, "loss": mean_loss, "seconds": now - last_mark})
-        last_mark = now
-
-    nn.train(net, dataset, nn.TrainConfig(learning_rate, batch_size, epochs, seed),
-             executor, on_epoch)
-
+    epoch_log = nn.train(net, dataset, nn.TrainConfig(learning_rate, batch_size, epochs, seed),
+                         executor)
     report = {
         "final_loss": epoch_log[-1]["loss"] if epoch_log else None,
         "accuracy": nn.accuracy(net, dataset),  # local pass, keeps offload counters exact

@@ -21,6 +21,7 @@ aborted step leaves the network untouched.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,10 +260,14 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def train(net, dataset, cfg: TrainConfig, executor: MatMulExecutor, epoch_callback=None):
+def train(net, dataset, cfg: TrainConfig, executor: MatMulExecutor) -> list[dict]:
     """Mini-batch SGD over the whole dataset, epochs * ceil(n / batch)
     steps.  Batch order is shuffled per epoch from cfg.seed, so two runs
     with the same seed (whatever the executor) visit identical batches.
+
+    Returns the run's epoch log: one {"epoch", "loss", "seconds"} entry
+    per epoch, in order, with the mean of its batches' losses and its
+    wall time; [] for 0 epochs.
     """
     features, labels = dataset.features, dataset.labels
     n = features.shape[1]
@@ -270,7 +275,9 @@ def train(net, dataset, cfg: TrainConfig, executor: MatMulExecutor, epoch_callba
         raise ShapeError(f"dataset has {n} samples, smaller than batch size {cfg.batch_size}")
     order_rng = make_rng(cfg.seed)
     n_batches = math.ceil(n / cfg.batch_size)
+    log = []
     for epoch in range(cfg.epochs):
+        start = time.perf_counter()
         executor.start_epoch(epoch)
         order = order_rng.permutation(n)
         losses = []
@@ -280,9 +287,9 @@ def train(net, dataset, cfg: TrainConfig, executor: MatMulExecutor, epoch_callba
             yb = labels[idx]
             _, fcache = forward(net, xb, executor)
             losses.append(backward(net, fcache, yb, executor, cfg.learning_rate, idx.size))
-        if epoch_callback is not None:
-            epoch_callback(epoch, float(np.mean(losses)))
-    return net
+        log.append({"epoch": epoch, "loss": float(np.mean(losses)),
+                    "seconds": time.perf_counter() - start})
+    return log
 
 
 def predict(net: Network, x: np.ndarray, executor: MatMulExecutor | None = None) -> np.ndarray:

@@ -219,20 +219,12 @@ def _gather_scale(a, rows: np.ndarray, cols: np.ndarray,
     return out
 
 
-def _enc(row_slot: KeySlot, col_slot: KeySlot, a: np.ndarray, out=None) -> np.ndarray:
-    """out(i, j) = (c_row(i) * (1 / c_col(j))) * a(perm_row(i), perm_col(j)).
-
-    This is E_row A E_col^-1 (see encryption_matrix) up to rounding,
-    computed block by block as a row gather, a column gather and an
-    in-place scaling by the coefficient ratios (see _gather_scale).  Any
-    real input comes back as float64, in `out` when one is given and in
-    a new array otherwise; the input is never written.
-    """
-    return _gather_scale(a, row_slot.perm, col_slot.perm, row_slot.coeffs, col_slot.recip, out)
-
-
 def enc_left(sk: SecretKey, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Blind the first operand (shape m x n) of the keyed product.
+    """Blind the first operand (shape m x n) of the keyed product:
+    E1 A E2^-1 (see encryption_matrix) up to rounding, computed by
+    _gather_scale as out(i, j) = (c1(i) * (1 / c2(j))) * a(perm1(i),
+    perm2(j)) over the key's first two slots.  Any real input comes back
+    as float64, and is never written.
 
     The blinded operand is written into `out` when one is given (an
     m x n float64 array or view that does not overlap `a`, such as a
@@ -241,16 +233,19 @@ def enc_left(sk: SecretKey, a: np.ndarray, out: np.ndarray | None = None) -> np.
     m, n, _ = sk.dims
     if a.shape != (m, n):
         raise ShapeError(f"enc_left: operand {a.shape} does not match key dims ({m}, {n})")
-    return _enc(sk.slots[0], sk.slots[1], a, out)
+    row, col = sk.slots[0], sk.slots[1]
+    return _gather_scale(a, row.perm, col.perm, row.coeffs, col.recip, out)
 
 
 def enc_right(sk: SecretKey, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Blind the second operand (shape n x p) of the keyed product,
-    into `out` when one is given (see enc_left)."""
+    E2 B E3^-1 over the key's last two slots, into `out` when one is
+    given (see enc_left)."""
     _, n, p = sk.dims
     if b.shape != (n, p):
         raise ShapeError(f"enc_right: operand {b.shape} does not match key dims ({n}, {p})")
-    return _enc(sk.slots[1], sk.slots[2], b, out)
+    row, col = sk.slots[1], sk.slots[2]
+    return _gather_scale(b, row.perm, col.perm, row.coeffs, col.recip, out)
 
 
 def enc_pair(sk: SecretKey, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

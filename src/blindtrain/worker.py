@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import socket
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,6 +214,12 @@ class WorkerServer:
     def stop(self):
         self._stopping = True
         try:
+            # wakes an accept() blocked on the listener, which close()
+            # alone does not on Linux: the socket would stay open
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already closed
+        try:
             self._listener.close()
         except OSError:
             pass
@@ -221,25 +228,19 @@ class WorkerServer:
                 t.join(timeout=1.0)
 
 
-class spawn_local_workers:
-    """Context manager starting n loopback workers for tests and the
-    --local-workers CLI flag; yields their addresses."""
-
-    def __init__(self, n: int, mode: WorkerMode | None = None, seed: int = 0):
-        self.servers = [
-            WorkerServer(mode=mode, seed=seed + i).start() for i in range(n)
-        ]
-        self.addresses = [s.address for s in self.servers]
-
-    def __enter__(self) -> list[tuple[str, int]]:
-        return self.addresses
-
-    def __exit__(self, *exc):
-        self.stop()
-        return False
-
-    def stop(self):
-        for s in self.servers:
+@contextmanager
+def spawn_local_workers(n: int, mode: WorkerMode | None = None, seed: int = 0):
+    """Start n loopback workers for tests and the --local-workers CLI
+    flag, and yield their addresses.  Every server started is stopped on
+    exit, also when a later one fails to start."""
+    servers = []
+    try:
+        for i in range(n):
+            servers.append(WorkerServer(mode=mode, seed=seed + i))
+            servers[-1].start()
+        yield [s.address for s in servers]
+    finally:
+        for s in servers:
             s.stop()
 
 

@@ -247,6 +247,7 @@ def test_baseline_writes_model_and_report(tmp_path, capsys):
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["executor"] == "baseline"
     assert len(doc["epochs"]) == 2
+    assert all(sorted(e) == ["epoch", "loss", "seconds"] for e in doc["epochs"])
     load_model(model)  # parses back
 
 

@@ -250,6 +250,43 @@ def test_master_policy_stays_local():
             assert all(v == 0 for v in empty.values())
 
 
+def test_a_master_layer_has_no_shards():
+    for shards, dims in [(1, (7, 6, 9)), (3, (7, 6, 9)), (4, (1, 1, 1))]:
+        assert shard_layout("master", shards, *dims) == []
+
+
+@pytest.mark.parametrize("pipelined", [False, True])
+def test_a_master_layer_between_offloaded_ones_sends_nothing_and_multiplies_as_local(
+        pipelined, monkeypatch):
+    """A layer with no shards between two offloaded layers sends no
+    request, pipelined or not, and its forward and backward products
+    are LocalExecutor's, byte for byte."""
+    net = make_net((3, 5, 4, 2), policies=["tensor", "master", "data"])
+    sent = []
+    request = WorkerConnection.request
+
+    def record(conn, msg):
+        sent.append(msg.layer_id)
+        return request(conn, msg)
+
+    rng = make_rng(31)
+    inputs = [rng.standard_normal((lin.in_dim, 6)) for lin in net.linears]
+    deltas = [rng.standard_normal((lin.out_dim, 6)) for lin in net.linears]
+    local = LocalExecutor()
+    w, x, delta = net.linears[1].W, inputs[1], deltas[1]
+    want = [local.multiply_forward(1, w, x), *local.multiply_backward(1, delta)]
+    with spawn_local_workers(2) as addresses:
+        with pool_for(addresses, net) as pool:
+            monkeypatch.setattr(WorkerConnection, "request", record)
+            ex = offload_executor(pool, net, seed=3, pipelined=pipelined)
+            z = [ex.multiply_forward(lin.layer_id, lin.W, inp)
+                 for lin, inp in zip(net.linears, inputs)]
+            t = {lid: ex.multiply_backward(lid, deltas[lid]) for lid in (2, 1, 0)}
+    assert set(sent) == {0, 2}  # layer 1 sends nothing
+    for got, expected in zip([z[1], *t[1]], want):
+        assert got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("policy", ["tensor", "data", "master"])
 def test_backward_without_forward_raises(policy):
     net = make_net(policies=[policy] * 3)

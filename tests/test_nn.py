@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from blindtrain import nn
 from blindtrain.data import gen_blobs
 from blindtrain.nn import (
     LocalExecutor,
@@ -298,15 +299,36 @@ def test_training_reaches_accuracy_and_loss_drops():
     ds = gen_blobs(100, 2, 2, separation=10.0, seed=3)
     net = Network.from_dims([2, 16, 2])
     net.init_weights(7)
-    losses = []
-    train(net, ds, TrainConfig(0.05, 25, 12, seed=7), LocalExecutor(),
-          lambda e, l: losses.append(l))
+    losses = [e["loss"] for e in train(net, ds, TrainConfig(0.05, 25, 12, seed=7),
+                                       LocalExecutor())]
     assert len(losses) == 12
     assert losses[-1] < losses[0]
     assert accuracy(net, ds) >= 0.95
     for lin in net.linears:
         assert lin.W.shape == (lin.out_dim, lin.in_dim)
         assert np.all(np.isfinite(lin.W)) and np.all(np.isfinite(lin.b))
+
+
+def test_train_returns_one_log_entry_per_epoch(monkeypatch):
+    """Each entry is its epoch's number, the mean of its batches' losses
+    and its wall time."""
+    ds = gen_blobs(13, 2, 2, separation=8.0, seed=2)  # 26 samples, batch 8 -> 4 batches
+    net = Network.from_dims([2, 4, 2])
+    net.init_weights(2)
+    batch_losses = []
+    step = nn.backward
+
+    def record(*args):
+        batch_losses.append(step(*args))
+        return batch_losses[-1]
+
+    monkeypatch.setattr(nn, "backward", record)
+    log = train(net, ds, TrainConfig(0.1, 8, 3, seed=2), LocalExecutor())
+    assert [sorted(e) for e in log] == [["epoch", "loss", "seconds"]] * 3
+    assert [e["epoch"] for e in log] == [0, 1, 2]
+    assert [e["loss"] for e in log] == [float(np.mean(batch_losses[i:i + 4]))
+                                        for i in (0, 4, 8)]
+    assert all(e["seconds"] >= 0.0 for e in log)
 
 
 def test_training_is_deterministic_under_seed():
@@ -327,9 +349,7 @@ def test_training_handles_partial_final_batch():
     ds = gen_blobs(13, 2, 2, separation=8.0, seed=2)  # 26 samples, batch 8 -> 3+1 batches
     net = Network.from_dims([2, 4, 2])
     net.init_weights(2)
-    seen = []
-    train(net, ds, TrainConfig(0.1, 8, 1, seed=2), LocalExecutor(),
-          lambda e, l: seen.append(l))
+    seen = [e["loss"] for e in train(net, ds, TrainConfig(0.1, 8, 1, seed=2), LocalExecutor())]
     assert len(seen) == 1 and np.isfinite(seen[0])
 
 
@@ -338,7 +358,7 @@ def test_zero_epochs_changes_nothing():
     net = Network.from_dims([2, 4, 2])
     net.init_weights(1)
     before = [lin.W.copy() for lin in net.linears]
-    train(net, ds, TrainConfig(0.1, 5, 0, seed=1), LocalExecutor())
+    assert train(net, ds, TrainConfig(0.1, 5, 0, seed=1), LocalExecutor()) == []
     for lin, w in zip(net.linears, before):
         assert np.array_equal(lin.W, w)
 

@@ -1,6 +1,7 @@
 import queue
 import socket
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -317,3 +318,37 @@ def test_finished_connections_are_not_kept_listed():
 def test_spawn_local_workers_distinct_addresses():
     with spawn_local_workers(3) as addresses:
         assert len(set(addresses)) == 3
+
+
+def test_stop_ends_an_accept_already_waiting_and_refuses_new_connections():
+    server = WorkerServer().start()
+    with socket.create_connection(server.address, timeout=5) as sock:
+        send_message(sock, Hello())
+        assert isinstance(read_message(sock), Result)  # the accept loop has run
+    time.sleep(0.1)  # and waits in accept() again
+    server.stop()
+    server._accept_thread.join(timeout=2)
+    assert not server._accept_thread.is_alive()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(server.address, timeout=2).close()
+
+
+def test_spawn_local_workers_stops_the_servers_it_started_when_a_later_one_fails(monkeypatch):
+    started = []
+    start = WorkerServer.start
+
+    def start_once(server):
+        if started:
+            raise OSError("second worker cannot start")
+        started.append(server)
+        return start(server)
+
+    monkeypatch.setattr(WorkerServer, "start", start_once)
+    with pytest.raises(OSError, match="second worker cannot start"):
+        with spawn_local_workers(3):
+            pass
+    [first] = started
+    first._accept_thread.join(timeout=2)
+    assert not first._accept_thread.is_alive()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(first.address, timeout=2).close()
