@@ -4,8 +4,9 @@ product shipped blinded to loopback workers and verified on return.
 The offloading executor slots into the training loop behind the same
 interface as the local one, so the two runs visit identical batches and
 must land on the same weights.  The stats afterwards show what the
-blinding cost: every product offloaded, each weight blinded once per
-batch, and the backward pass reusing the stored pair instead of
+blinding cost: every product offloaded, each weight shard blinded once
+per batch, the batch both row-split shards share blinded once for the
+two of them, and the backward pass reusing the stored pair instead of
 re-shipping operands.
 """
 import numpy as np
@@ -44,5 +45,5 @@ for key, value in stats.as_dict().items():
 print(f"  probe rounds per product     {report['verification_rounds_per_product']}")
 
 batches = len(report["epochs"]) * 10  # 10 batches per epoch at 300/32
-print(f"\nblinded matrices per layer-shard per batch: "
-      f"{stats.matrices_encrypted / (3 * 2 * batches):.1f} (2 forward + 1 backward)")
+print(f"\nblinded matrices per layer per batch: {stats.matrices_encrypted / (3 * batches):.1f} "
+      f"(forward: 2 weight shards + 1 batch they share; backward: 2 deltas)")

@@ -3,9 +3,12 @@
 Row split ("tensor"): each worker gets a horizontal slice of the weight
 and the whole batch; partial outputs stack by rows.  Batch split
 ("data"): each worker gets the whole weight and a slice of the batch;
-partial outputs stack by columns.  Either way each shard is blinded
-under its own key, so no worker can combine what it sees with another's
-share.  A layer can also opt out entirely ("master"): its layout has
+partial outputs stack by columns.  Either way the shards' keys share the
+slots of the operand every shard gets whole (the batch under a row
+split, the weight under a batch split), so it is blinded once and every
+worker is sent the same bytes; the slot of the dim the split cuts is
+each shard's own.  Two workers who pool what they see thus hold the
+shared operand under one key.  A layer can also opt out entirely ("master"): its layout has
 no shards, and the executor multiplies it at the coordinator.  The
 executor reads each layer's policy from the network and cuts an
 offloaded layer into one shard per worker, clipped to the dim it cuts.

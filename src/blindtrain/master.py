@@ -22,8 +22,12 @@ policy from the network it serves and cuts the layer by shard_layout.
 "tensor" splits the weight by output rows and "data" the batch by
 columns, one shard per worker, clipped to the dim it cuts; "master" is
 a layout with no shards, whose products the executor computes itself.
-Each shard gets an independent key, so workers cannot pool what they
-see, and keys are refreshed every epoch.
+The shards of a layer share the key slots of the operand each gets
+whole (X under "tensor", W under "data"), so that operand is blinded
+once and every shard is sent the same bytes; the slot of the dim the
+layout cuts is each shard's own.  Two workers of one layer thus hold
+the shared operand under one key, not two.  Keys are refreshed every
+epoch.
 """
 from __future__ import annotations
 
@@ -41,6 +45,7 @@ from . import nn, protocol
 from .obfuscate import (
     IntegrityConfig,
     IntegrityFailure,
+    KeySlot,
     KeySpaceConfig,
     SecretKey,
     dec,
@@ -48,6 +53,7 @@ from .obfuscate import (
     enc_right,
     key_shift,
     kgen,
+    kslot,
     min_rounds,
     probe_sides,
 )
@@ -80,13 +86,14 @@ class WorkerFault(RuntimeError):
     address: str | None = None
 
 
-def _attribute(exc: Exception, lid: int, j: int, conn: WorkerConnection,
+def _attribute(exc: Exception, lid: int | None, j: int | None, conn: WorkerConnection,
                direction: str | None = None) -> None:
     """Record on exc the layer, shard and worker address of the request
-    it was raised for, and the product's direction if given (an
-    IntegrityFailure's), and append them to its message."""
+    it was raised for (layer and shard None outside an executor call),
+    and the product's direction if given (an IntegrityFailure's), and
+    append them to its message."""
     exc.layer, exc.shard, exc.address = lid, j, conn.address
-    where = f"layer {lid}, shard {j}, "
+    where = "" if lid is None else f"layer {lid}, shard {j}, "
     if direction is not None:
         exc.direction = direction
         where += f"{direction}, "
@@ -125,6 +132,10 @@ def shard_layout(policy: str, shards: int, m: int, n: int, p: int) -> list[Shard
             for c in shard_slices(p, min(shards, p))]
 
 
+# the key slot each offloaded policy's layout cuts: W's rows or X's columns
+_CUT = {"tensor": 0, "data": 2}
+
+
 def _operands(policy: str, sh: Shard, w: np.ndarray, x: np.ndarray) -> tuple:
     """The shard's slices of W and X.  The operand every shard shares
     (W under "data", X under "tensor") is passed whole, as the same
@@ -132,18 +143,27 @@ def _operands(policy: str, sh: Shard, w: np.ndarray, x: np.ndarray) -> tuple:
     return (w, x[:, sh.cols]) if policy == "data" else (w[sh.rows], x)
 
 
-def _derive_seed(master_seed: int, epoch: int, layer_id: int, shard_id: int,
-                 m: int, n: int, p: int) -> int:
-    """Stable per-key seed, independent of the order keys are first used
-    (pipelined and unpipelined runs must agree bitwise)."""
-    packed = struct.pack("<7q", master_seed, epoch, layer_id, shard_id, m, n, p)
+def _derive_seed(master_seed: int, *fields: int) -> int:
+    """Stable seed for what the fields name, independent of the order
+    seeds are first asked for (pipelined and unpipelined runs must agree
+    bitwise)."""
+    packed = struct.pack(f"<{1 + len(fields)}q", master_seed, *fields)
     return int.from_bytes(hashlib.blake2b(packed, digest_size=8).digest(), "little")
 
 
 class EpochKeys:
-    """Per-epoch key store.  Keys never leave this process; the map is
+    """Per-epoch key store.  Keys never leave this process; the maps are
     dropped wholesale on refresh so nothing outlives its epoch.  The
-    master seed must fit the signed 64-bit integer _derive_seed packs."""
+    master seed must fit the signed 64-bit integer _derive_seed packs.
+
+    The shards of a layer share key slots.  A shard's key for an (m, n,
+    p) product takes the slot of the dim its layout cuts (`cut`: 0, W's
+    rows, under "tensor"; 2, X's columns, under "data") as its own, and
+    the other two from the layer, so every shard's key holds the same
+    KeySlot objects for them.  Each slot is drawn by kslot from its own
+    seed (master seed, epoch, layer, axis, owner, size), the owner being
+    the shard for the cut axis and -1 (the layer) for the others: no key
+    depends on the order keys are asked for."""
 
     def __init__(self, master_seed: int, keyspace: KeySpaceConfig):
         if not 0 <= master_seed <= 2**63 - 1:
@@ -151,20 +171,31 @@ class EpochKeys:
         self.master_seed = master_seed
         self.keyspace = keyspace
         self.epoch = 0
-        self._cache: dict[tuple, SecretKey] = {}
+        self._keys: dict[tuple, SecretKey] = {}
+        self._slots: dict[tuple, KeySlot] = {}
 
     def refresh(self, epoch: int) -> None:
         self.epoch = epoch
-        self._cache.clear()
+        self._keys.clear()
+        self._slots.clear()
 
-    def get(self, layer_id: int, shard_id: int, m: int, n: int, p: int) -> SecretKey:
-        slot = (layer_id, shard_id, m, n, p)
-        sk = self._cache.get(slot)
+    def get(self, layer_id: int, shard_id: int, m: int, n: int, p: int,
+            cut: int = 0) -> SecretKey:
+        key = (layer_id, shard_id, m, n, p, cut)
+        sk = self._keys.get(key)
         if sk is None:
-            seed = _derive_seed(self.master_seed, self.epoch, layer_id, shard_id, m, n, p)
-            sk = kgen(m, n, p, self.keyspace, make_rng(seed))
-            self._cache[slot] = sk
+            sk = self._keys[key] = SecretKey(tuple(
+                self._slot(layer_id, axis, shard_id if axis == cut else -1, size)
+                for axis, size in enumerate((m, n, p))))
         return sk
+
+    def _slot(self, layer_id: int, axis: int, owner: int, size: int) -> KeySlot:
+        slot = (layer_id, axis, owner, size)
+        ks = self._slots.get(slot)
+        if ks is None:
+            rng = make_rng(_derive_seed(self.master_seed, self.epoch, *slot))
+            ks = self._slots[slot] = kslot(size, self.keyspace, rng)
+        return ks
 
 
 @dataclass
@@ -337,8 +368,12 @@ class WorkerPool:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 conn = WorkerConnection(sock)
                 conns.append(conn)
-                conn.call(Hello(), ())
-                conn.call(Config(n_layers), ())
+                try:
+                    conn.call(Hello(), ())
+                    conn.call(Config(n_layers), ())
+                except WorkerFault as exc:
+                    _attribute(exc, None, None, conn)
+                    raise
         except BaseException:
             for conn in conns:
                 conn.close()
@@ -399,14 +434,21 @@ class EncryptedExecutor(nn.MatMulExecutor):
     A forward output is the pool's layer_output for its layer, so a
     layer's previous output is written over once nothing refers to it.
 
+    The shard keys of a layer share the slots of the operand every shard
+    gets whole (see EpochKeys), so a forward call blinds that operand
+    once, at the head of the pool's wire buffer, and every shard's
+    StorePair sends those bytes; each shard's own operand is blinded
+    after it, in a region reused shard by shard.
+
     rounds is the per-product probe count (see min_rounds).  With
-    pipelined=True the executor blinds the next layer's weight shards
-    while the current layer's requests are in flight, as nn.forward
-    calls them: with the network's weights and one batch width for all
-    layers.  A pre-blinded weight is sent only under the key and from
+    pipelined=True the executor blinds the next layer's weight while
+    the current layer's requests are in flight, as nn.forward calls
+    them: with the network's weights and one batch width for all
+    layers; once per shard under "tensor", once for all shards under
+    "data".  A pre-blinded weight is sent only under the key and from
     the weight it was blinded for; otherwise it is blinded afresh.
     Results are bitwise identical either way because keys derive from
-    (epoch, layer, shard, dims), not from call order.
+    (epoch, layer, slot axis, owner, size), not from call order.
     reuse_backward=False is the reference accounting mode: the backward
     products are shipped as two freshly blinded pairs (four matrices)
     instead of one.
@@ -433,7 +475,7 @@ class EncryptedExecutor(nn.MatMulExecutor):
         self._rng = make_rng(_derive_seed(seed, -1, -1, -1, 0, 0, 0))  # probes, one-off keys
         # per layer awaiting its backward: w, x and each shard's key
         self._held: dict[int, tuple[np.ndarray, np.ndarray, list[SecretKey]]] = {}
-        # (layer, shard) -> the key and weight a pre-blinded weight shard serves
+        # (layer, shard) -> the key and weight a pre-blinded weight serves
         self._pre_enc: dict[tuple[int, int], tuple[SecretKey, np.ndarray, np.ndarray]] = {}
 
     def start_epoch(self, epoch: int) -> None:
@@ -449,19 +491,22 @@ class EncryptedExecutor(nn.MatMulExecutor):
             _attribute(exc, lid, j, conn)
             raise
 
-    def _store(self, j: int, product: _Product, a_enc: np.ndarray | None = None) -> tuple:
-        """Blind the product's (a, b) under its key into the pool's wire
-        buffer, send them to shard j as one StorePair, answered by their
-        blinded product, and return the request for _finish.  a_enc, if
-        given, is a already blinded under the key."""
-        sk, a, b, lid = product.sk, product.a, product.b, product.layer
-        a_out, b_out = self.pool.wire.matrices(a.shape, b.shape)
-        if a_enc is None:
-            a_enc = enc_left(sk, a, out=a_out)
-            self.stats.matrices_encrypted += 1
-        b_enc = enc_right(sk, b, out=b_out)
+    def _blind(self, enc, sk: SecretKey, a: np.ndarray, out: np.ndarray | None = None):
+        """enc (enc_left or enc_right) of a under sk, counted."""
         self.stats.matrices_encrypted += 1
-        tag = self._send(lid, j, StorePair(lid, j, a_enc, b_enc))
+        return enc(sk, a, out=out)
+
+    def _store(self, j: int, product: _Product, encs: tuple | None = None) -> tuple:
+        """Send the product's (a, b), blinded under its key, to shard j as
+        one StorePair, answered by their blinded product, and return the
+        request for _finish.  encs is the blinded pair if the caller made
+        it; otherwise (a pair keyed for this product alone) both are
+        blinded here, into the pool's wire buffer."""
+        sk, a, b, lid = product.sk, product.a, product.b, product.layer
+        if encs is None:
+            a_out, b_out = self.pool.wire.matrices(a.shape, b.shape)
+            encs = self._blind(enc_left, sk, a, a_out), self._blind(enc_right, sk, b, b_out)
+        tag = self._send(lid, j, StorePair(lid, j, *encs))
         self.stats.products_offloaded += 1
         return j, tag, [product]
 
@@ -519,12 +564,14 @@ class EncryptedExecutor(nn.MatMulExecutor):
         if lid + 1 == len(self.net.linears):
             return
         nxt = self.net.linears[lid + 1]
+        w_enc = None
         for j, sh in enumerate(shard_layout(nxt.policy, self.pool.size, *nxt.W.shape,
                                             batch_width)):
-            sk = self.keys.get(lid + 1, j, *sh.dims)
-            # a new array: it must outlive the collects before its send
-            self._pre_enc[(lid + 1, j)] = (sk, nxt.W, enc_left(sk, nxt.W[sh.rows]))
-            self.stats.matrices_encrypted += 1
+            sk = self.keys.get(lid + 1, j, *sh.dims, _CUT[nxt.policy])
+            if w_enc is None or nxt.policy == "tensor":  # "data" shards share W's slots
+                # a new array: it must outlive the collects before its send
+                w_enc = self._blind(enc_left, sk, nxt.W[sh.rows])
+            self._pre_enc[(lid + 1, j)] = (sk, nxt.W, w_enc)
 
     # -- forward -------------------------------------------------------
 
@@ -538,16 +585,30 @@ class EncryptedExecutor(nn.MatMulExecutor):
             self._held[lid] = (w, x, [])
             return w @ x
         z = self.pool.layer_output(lid, (w.shape[0], p))  # each shard unblinds into its block
-        keys = []
+        keys = [self.keys.get(lid, j, *sh.dims, _CUT[policy]) for j, sh in enumerate(layout)]
+        wire, shared = self.pool.wire, None
         with self._requests() as pending:
-            for j, sh in enumerate(layout):
+            for j, (sh, sk) in enumerate(zip(layout, keys)):
                 wj, xj = _operands(policy, sh, w, x)
-                sk = self.keys.get(lid, j, *sh.dims)
                 pre = self._pre_enc.pop((lid, j), None)
                 w_enc = pre[2] if pre and pre[0] is sk and pre[1] is w else None
+                # The shared operand is blinded for shard 0, at the head of the
+                # wire buffer, and sent to every shard; each shard's own follows
+                # it.  Shard 0's own operand is the largest, so none grows it.
+                if policy == "data":
+                    w_out, x_out = wire.matrices(w.shape, xj.shape)
+                    if shared is None:
+                        shared = self._blind(enc_left, sk, w, w_out) if w_enc is None else w_enc
+                    w_enc, x_enc = shared, self._blind(enc_right, sk, xj, x_out)
+                else:
+                    x_out, w_out = wire.matrices(x.shape, wj.shape)
+                    if shared is None:
+                        shared = self._blind(enc_right, sk, x, x_out)
+                    if w_enc is None:
+                        w_enc = self._blind(enc_left, sk, wj, w_out)
+                    x_enc = shared
                 product = _Product(sk, wj, xj, z[sh.rows, sh.cols], False, lid, "forward")
-                pending.append(self._store(j, product, w_enc))
-                keys.append(sk)
+                pending.append(self._store(j, product, (w_enc, x_enc)))
             if self.pipelined:
                 self._pre_encrypt_next(lid, p)
             self._finish(pending)
@@ -584,8 +645,7 @@ class EncryptedExecutor(nn.MatMulExecutor):
                     # the transposed delta under the key rotated by two; the
                     # worker multiplies it against the pair it still holds
                     k2 = key_shift(sk, 2)
-                    d_enc = enc_left(k2, d_t, out=self.pool.wire.matrices(d_t.shape)[0])
-                    self.stats.matrices_encrypted += 1
+                    d_enc = self._blind(enc_left, k2, d_t, self.pool.wire.matrices(d_t.shape)[0])
                     tag = self._send(lid, j, MultBwd(lid, j, d_enc))
                     self.stats.products_offloaded += 2
                     pending.append((j, tag, [_Product(key_shift(sk, 1), *t1_part),

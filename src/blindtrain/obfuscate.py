@@ -44,6 +44,7 @@ __all__ = [
     "IntegrityConfig",
     "IntegrityFailure",
     "kgen",
+    "kslot",
     "key_shift",
     "enc_pair",
     "enc_left",
@@ -162,6 +163,16 @@ def kgen(m: int, n: int, p: int, keyspace: KeySpaceConfig, rng: np.random.Genera
     coeffs = [rng.integers(1, keyspace.size + 1, size=d).astype(np.float64) for d in dims]
     perms = [rng.permutation(d) for d in dims]
     return SecretKey(tuple(KeySlot(c, q) for c, q in zip(coeffs, perms)))
+
+
+def kslot(size: int, keyspace: KeySpaceConfig, rng: np.random.Generator) -> KeySlot:
+    """Sample one fresh slot of `size`: its coefficients, then its
+    permutation.  Keys whose slots are drawn apart, some of them shared
+    by several keys (see master.EpochKeys), are built from these."""
+    if size < 1:
+        raise ValueError(f"slot size must be positive, got {size}")
+    coeffs = rng.integers(1, keyspace.size + 1, size=size).astype(np.float64)
+    return KeySlot(coeffs, rng.permutation(size))
 
 
 def key_shift(sk: SecretKey, phi: int) -> SecretKey:

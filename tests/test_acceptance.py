@@ -293,10 +293,11 @@ def test_criterion_07_encryption_accounting():
             _, stats, _ = run_training(net, ds, pool, learning_rate=0.1,
                                        batch_size=16, epochs=2, seed=5)
     batches = 2 * math.ceil(ds.n_samples / 16)
-    expected = 3 * n_layers * shards_per_layer * batches
+    # forward: each shard's weight rows plus the batch all shards share, once
+    expected = (2 * shards_per_layer + 1) * n_layers * batches
     assert stats.matrices_encrypted == expected
     print(f"criterion 7: PASS (backward blinds {optimized} vs {naive} naive, "
-          f"training total {stats.matrices_encrypted} == 3*L*shards*batches)")
+          f"training total {stats.matrices_encrypted} == (2*shards+1)*L*batches)")
 
 
 def test_criterion_08_privacy_ordering():

@@ -135,6 +135,118 @@ def test_epoch_keys_reproducible_regardless_of_request_order():
     )
 
 
+@pytest.mark.parametrize("policy,cut", [("tensor", 0), ("data", 2)])
+def test_shard_keys_share_every_slot_but_the_one_their_layout_cuts(policy, cut):
+    """Under "tensor" the keys of a layer's shards hold the same slot
+    objects for n and p, and each its own slot m; under "data" the same
+    for m and n, and each its own p.  Another layer shares none."""
+    keys = EpochKeys(5, KeySpaceConfig())
+    layout = shard_layout(policy, 3, 7, 4, 7)
+    sks = [keys.get(1, j, *sh.dims, cut) for j, sh in enumerate(layout)]
+    shared = [axis for axis in range(3) if axis != cut]
+    for sk in sks[1:]:
+        assert all(sk.slots[axis] is sks[0].slots[axis] for axis in shared)
+        assert sk.slots[cut] is not sks[0].slots[cut]
+    own = [sk.slots[cut] for sk in sks[1:]]  # shards 1 and 2 cut equal sizes
+    assert own[0].size == own[1].size
+    assert own[0].coeffs.tobytes() != own[1].coeffs.tobytes() or \
+        not np.array_equal(own[0].perm, own[1].perm)
+    other = keys.get(2, 0, *layout[0].dims, cut)
+    assert not any(a is b for a, b in zip(other.slots, sks[0].slots))
+
+
+def test_shared_slots_do_not_depend_on_the_order_keys_are_asked_for():
+    """Each slot derives from (seed, epoch, layer, axis, owner, size):
+    asking for the shards in another order, or for another layer first,
+    gives the same keys."""
+    def keys(order):
+        store = EpochKeys(9, KeySpaceConfig())
+        got = {}
+        for lid, j, cut in order:
+            got[lid, j] = store.get(lid, j, *[(5, 4, 6), (4, 4, 6)][j], cut)
+        return {k: [(s.coeffs.tobytes(), s.perm.tobytes()) for s in sk.slots]
+                for k, sk in got.items()}
+
+    forward = [(0, 0, 0), (0, 1, 0), (1, 0, 2), (1, 1, 2)]
+    assert keys(forward) == keys(forward[::-1]) == keys(forward[2:] + forward[:2])
+
+
+def _store_pairs_sent(monkeypatch):
+    """The (shard, a bytes, b bytes) of every StorePair sent from now on,
+    copied at the send: the wire buffer they lie in is reused."""
+    sent = []
+    send = protocol.send_message
+
+    def record(sock, msg):
+        if isinstance(msg, StorePair):
+            sent.append((msg.shard_id, msg.a_enc.tobytes(), msg.b_enc.tobytes()))
+        return send(sock, msg)
+    monkeypatch.setattr(protocol, "send_message", record)
+    return sent
+
+
+@pytest.mark.parametrize("pipelined", [False, True])
+@pytest.mark.parametrize("policy", ["tensor", "data"])
+def test_every_shard_is_sent_the_same_bytes_of_the_operand_they_share(policy, pipelined,
+                                                                      monkeypatch):
+    """The blinded X under "tensor" and the blinded W under "data" are
+    the same bytes in every shard's StorePair, pre-blinded or not; each
+    shard's own operand is blinded under its own slot.  The wire buffer
+    grows no larger than the largest shard's pair."""
+    net = make_net((4, 5, 7, 3), policies=[policy] * 3)
+    x = make_rng(30).standard_normal((4, 7))
+    with spawn_local_workers(3) as addresses:
+        with pool_for(addresses, net) as pool:
+            sent = _store_pairs_sent(monkeypatch)
+            ex = offload_executor(pool, net, seed=4, pipelined=pipelined)
+            cur, largest = x, 0
+            for lin in net.linears:
+                layout = shard_layout(policy, 3, *lin.W.shape, cur.shape[1])
+                sent.clear()
+                z = ex.multiply_forward(lin.layer_id, lin.W, cur)
+                assert np.max(np.abs(z - lin.W @ cur)) < 1e-9
+                assert [j for j, _, _ in sent] == list(range(len(layout)))
+                shared, own = (1, 2) if policy == "data" else (2, 1)
+                assert len({frame[shared] for frame in sent}) == 1
+                assert len({frame[own] for frame in sent}) == len(layout)
+                largest = max(largest, *(sh.dims[1] * (sh.dims[0] + sh.dims[2])
+                                         for sh in layout))
+                assert pool.wire.data.size <= 8 * largest
+                cur = np.maximum(z, 0.0)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+def test_shared_slots_keep_outputs_and_gradients_those_of_local(n_workers):
+    """Forward outputs and both backward products agree with the local
+    executor's within criterion 5's tolerance, under each policy set,
+    pipelined or not, in either backward mode."""
+    rng = make_rng(31)
+    x = rng.standard_normal((5, 7))
+    deltas = [rng.standard_normal((d, 7)) for d in (6, 4, 3)]
+
+    def products(net, ex):
+        out, cur = [], x
+        for lin in net.linears:
+            cur = ex.multiply_forward(lin.layer_id, lin.W, cur).copy()
+            out.append(cur)
+            cur = np.maximum(cur, 0.0)
+        for lin in reversed(net.linears):
+            out.extend(ex.multiply_backward(lin.layer_id, deltas[lin.layer_id]))
+        return out
+
+    with spawn_local_workers(n_workers) as addresses:
+        for policies in (["tensor"] * 3, ["data"] * 3, ["tensor", "data", "master"]):
+            net = make_net((5, 6, 4, 3), policies)
+            local = products(net, LocalExecutor())
+            with pool_for(addresses, net) as pool:
+                for pipelined in (False, True):
+                    for reuse in (True, False):
+                        ex = offload_executor(pool, net, seed=6, pipelined=pipelined,
+                                              reuse_backward=reuse)
+                        for got, want in zip(products(net, ex), local, strict=True):
+                            assert np.max(np.abs(got - want)) <= 1e-6
+
+
 @pytest.mark.parametrize("policy", ["tensor", "data"])
 def test_shard_layout_follows_array_split_and_clips(policy):
     for (m, n, p), shards in [((7, 3, 5), 3), ((5, 2, 7), 4), ((2, 4, 1), 3),
@@ -453,14 +565,14 @@ def test_forward_and_reuse_backward_counter_deltas():
             ex = offload_executor(pool, net, rounds=4, seed=5)
             ex.multiply_forward(0, net.linears[0].W, x)
             s = ex.stats
-            # 2 shards: weight + batch blinded per shard, one product each
-            assert s.matrices_encrypted == 4
+            # 2 shards: a weight shard each, the batch they share once; one product each
+            assert s.matrices_encrypted == 2 + 1
             assert s.products_offloaded == 2
             assert s.matrices_decrypted == 2
             assert s.verification_rounds == 2 * 4
             ex.multiply_backward(0, np.ones((4, 6)))
             # reuse: one fresh blind per shard, two products, two decrypts
-            assert s.matrices_encrypted == 4 + 2
+            assert s.matrices_encrypted == 3 + 2
             assert s.products_offloaded == 2 + 4
             assert s.matrices_decrypted == 2 + 4
             assert s.verification_rounds == (2 + 4) * 4
@@ -478,7 +590,7 @@ def test_naive_backward_counts_four_encryptions_per_shard():
             t1, t2 = ex.multiply_backward(0, delta)
             assert np.max(np.abs(t1 - x @ delta.T)) < 1e-9
             assert np.max(np.abs(t2 - delta.T @ net.linears[0].W)) < 1e-9
-            assert ex.stats.matrices_encrypted == 4 + 8  # 4 per shard backward
+            assert ex.stats.matrices_encrypted == 3 + 8  # 4 per shard backward
             assert ex.stats.products_offloaded == 2 + 4
 
 
@@ -491,7 +603,8 @@ def test_training_counter_totals():
                 net, ds, pool, learning_rate=0.1, batch_size=16, epochs=2, seed=6)
     batches = 3  # ceil(40 / 16)
     shard_tasks = sum(min(2, lin.out_dim) for lin in net.linears)  # per batch
-    assert stats.matrices_encrypted == 3 * shard_tasks * batches * 2
+    # forward: each shard's own operand plus the shared one per layer; backward: one per shard
+    assert stats.matrices_encrypted == (2 * shard_tasks + len(net.linears)) * batches * 2
     assert stats.products_offloaded == 3 * shard_tasks * batches * 2
     assert stats.matrices_decrypted == 3 * shard_tasks * batches * 2
     assert stats.failures == 0
@@ -966,8 +1079,9 @@ def test_a_second_inference_call_writes_into_the_first_calls_layer_outputs(monke
 
 def test_training_over_the_executor_keeps_its_pinned_bytes():
     """Two training runs on one pool, the second starting on layer
-    outputs the first left free: the weights and biases hash as they did
-    before layer outputs were kept."""
+    outputs the first left free: the weights and biases hash to their
+    pinned value (re-pinned when a layer's shard keys came to share key
+    slots, which changed the rounding)."""
     ds = gen_blobs(12, 3, 4, separation=3.0, seed=21)
     net = make_net((4, 7, 5, 3), policies=["tensor", "data", "tensor"], seed=21)
     with spawn_local_workers(2) as addresses:
@@ -980,7 +1094,7 @@ def test_training_over_the_executor_keeps_its_pinned_bytes():
         digest.update(lin.W.tobytes())
         digest.update(lin.b.tobytes())
     assert digest.hexdigest() == \
-        "e19e07414defee14526236880541007c1c8be6c02a1bc0e242ea7e5a1d21aa2f"
+        "ce3d0124e2fe9ce6313693f9e6f365f316c3601de1a70cf90f631cd5f87d9029"
 
 
 def test_raw_peer_wrong_shape_and_error_frames():
@@ -1272,6 +1386,35 @@ def test_failed_connect_closes_earlier_connections():
         assert not any(t.is_alive() for t in server._threads)
     finally:
         server.stop()
+
+
+def test_a_fault_while_connecting_names_the_worker():
+    """A worker that answers HELLO with an ERROR frame is a WorkerFault
+    that carries its address and names it, as a fault in a call does."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def answer_hello_with_an_error():
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(5)
+            conn.recv(HEADER.size)
+            send_message(conn, Error(7, "not serving"))
+            while conn.recv(1):
+                pass
+
+    peer = threading.Thread(target=answer_hello_with_an_error, daemon=True)
+    peer.start()
+    host, port = listener.getsockname()
+    try:
+        with pytest.raises(WorkerFault) as info:
+            WorkerPool.connect([(host, port)], n_layers=1, timeout=5)
+        peer.join(timeout=10)
+        assert not peer.is_alive(), "the coordinator never hung up"
+    finally:
+        listener.close()
+    assert info.value.address == f"{host}:{port}"
+    assert (info.value.layer, info.value.shard) == (None, None)
+    assert str(info.value) == f"worker error 7: not serving (worker {host}:{port})"
 
 
 class VersionOnePeer:
