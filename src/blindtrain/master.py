@@ -122,8 +122,9 @@ def shard_layout(policy: str, shards: int, m: int, n: int, p: int) -> list[Shard
     it cuts and sized by shard_slices, so the forward product, the
     pipelined pre-blinding and the backward delta all split alike.
     "master" has no shards: nothing of the layer leaves the coordinator.
+    Nor has an empty batch (p = 0), whose product is empty.
     """
-    if policy == "master":
+    if policy == "master" or p == 0:
         return []
     if policy == "tensor":
         return [Shard(r, slice(0, p), (r.stop - r.start, n, p))
@@ -443,12 +444,14 @@ class EncryptedExecutor(nn.MatMulExecutor):
     rounds is the per-product probe count (see min_rounds).  With
     pipelined=True the executor blinds the next layer's weight while
     the current layer's requests are in flight, as nn.forward calls
-    them: with the network's weights and one batch width for all
-    layers; once per shard under "tensor", once for all shards under
-    "data".  A pre-blinded weight is sent only under the key and from
-    the weight it was blinded for; otherwise it is blinded afresh.
-    Results are bitwise identical either way because keys derive from
-    (epoch, layer, slot axis, owner, size), not from call order.
+    them, with the network's weights: once per shard under "tensor",
+    once for all shards under "data".  A weight is blinded under the
+    slots of its own two dims alone, which no batch width changes, so a
+    pre-blinded weight is sent for any width, but only when the layer
+    is called with the very weight array it was blinded from; another
+    weight is blinded afresh.  Results are bitwise identical either way
+    because keys derive from (epoch, layer, slot axis, owner, size),
+    not from call order.
     reuse_backward=False is the reference accounting mode: the backward
     products are shipped as two freshly blinded pairs (four matrices)
     instead of one.
@@ -475,8 +478,8 @@ class EncryptedExecutor(nn.MatMulExecutor):
         self._rng = make_rng(_derive_seed(seed, -1, -1, -1, 0, 0, 0))  # probes, one-off keys
         # per layer awaiting its backward: w, x and each shard's key
         self._held: dict[int, tuple[np.ndarray, np.ndarray, list[SecretKey]]] = {}
-        # (layer, shard) -> the key and weight a pre-blinded weight serves
-        self._pre_enc: dict[tuple[int, int], tuple[SecretKey, np.ndarray, np.ndarray]] = {}
+        # layer -> the weight pre-blinded for it and its blinded shards ("data": one)
+        self._pre_enc: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
 
     def start_epoch(self, epoch: int) -> None:
         self.keys.refresh(epoch)
@@ -561,17 +564,20 @@ class EncryptedExecutor(nn.MatMulExecutor):
                     block += c
 
     def _pre_encrypt_next(self, lid: int, batch_width: int) -> None:
+        """Blind layer lid + 1's weight ahead, for the shards of a call
+        batch_width wide: each shard's rows under "tensor", the whole
+        weight once under "data", whose shards share its slots.  Each is
+        a new array: it must outlive the collects before its send."""
         if lid + 1 == len(self.net.linears):
             return
         nxt = self.net.linears[lid + 1]
-        w_enc = None
-        for j, sh in enumerate(shard_layout(nxt.policy, self.pool.size, *nxt.W.shape,
-                                            batch_width)):
-            sk = self.keys.get(lid + 1, j, *sh.dims, _CUT[nxt.policy])
-            if w_enc is None or nxt.policy == "tensor":  # "data" shards share W's slots
-                # a new array: it must outlive the collects before its send
-                w_enc = self._blind(enc_left, sk, nxt.W[sh.rows])
-            self._pre_enc[(lid + 1, j)] = (sk, nxt.W, w_enc)
+        layout = shard_layout(nxt.policy, self.pool.size, *nxt.W.shape, batch_width)
+        if nxt.policy == "data":
+            layout = layout[:1]
+        self._pre_enc[lid + 1] = (nxt.W, [
+            self._blind(enc_left, self.keys.get(lid + 1, j, *sh.dims, _CUT[nxt.policy]),
+                        nxt.W[sh.rows])
+            for j, sh in enumerate(layout)])
 
     # -- forward -------------------------------------------------------
 
@@ -581,6 +587,8 @@ class EncryptedExecutor(nn.MatMulExecutor):
         policy = self.net.linears[lid].policy
         p = x.shape[1]
         layout = shard_layout(policy, self.pool.size, *w.shape, p)
+        pre = self._pre_enc.pop(lid, None)
+        pre = pre[1] if pre and pre[0] is w else None
         if not layout:
             self._held[lid] = (w, x, [])
             return w @ x
@@ -590,22 +598,19 @@ class EncryptedExecutor(nn.MatMulExecutor):
         with self._requests() as pending:
             for j, (sh, sk) in enumerate(zip(layout, keys)):
                 wj, xj = _operands(policy, sh, w, x)
-                pre = self._pre_enc.pop((lid, j), None)
-                w_enc = pre[2] if pre and pre[0] is sk and pre[1] is w else None
                 # The shared operand is blinded for shard 0, at the head of the
                 # wire buffer, and sent to every shard; each shard's own follows
                 # it.  Shard 0's own operand is the largest, so none grows it.
                 if policy == "data":
                     w_out, x_out = wire.matrices(w.shape, xj.shape)
                     if shared is None:
-                        shared = self._blind(enc_left, sk, w, w_out) if w_enc is None else w_enc
+                        shared = self._blind(enc_left, sk, w, w_out) if pre is None else pre[0]
                     w_enc, x_enc = shared, self._blind(enc_right, sk, xj, x_out)
                 else:
                     x_out, w_out = wire.matrices(x.shape, wj.shape)
                     if shared is None:
                         shared = self._blind(enc_right, sk, x, x_out)
-                    if w_enc is None:
-                        w_enc = self._blind(enc_left, sk, wj, w_out)
+                    w_enc = self._blind(enc_left, sk, wj, w_out) if pre is None else pre[j]
                     x_enc = shared
                 product = _Product(sk, wj, xj, z[sh.rows, sh.cols], False, lid, "forward")
                 pending.append(self._store(j, product, (w_enc, x_enc)))
@@ -661,19 +666,6 @@ class EncryptedExecutor(nn.MatMulExecutor):
         return t1, t2
 
 
-def _integrity_rounds(t: float, task: str, pool_size: int, net: nn.Network,
-                      epochs: int = 1, dataset_size: int = 1, batch_size: int = 1) -> int:
-    return min_rounds(IntegrityConfig(
-        t=t,
-        task=task,
-        n_epochs=max(epochs, 1),
-        dataset_size=dataset_size,
-        batch_size=batch_size,
-        n_workers=pool_size,
-        n_layers=len(net.linears),
-    ))
-
-
 def run_training(
     net: nn.Network,
     dataset,
@@ -690,9 +682,9 @@ def run_training(
     """Train over the pool and report.  Verification failures abort the
     run (the failing step commits nothing); honest workers never trip a
     probe, so completion means every product checked out."""
-    n_samples = dataset.features.shape[1]
-    rounds = _integrity_rounds(t, "training", pool.size, net,
-                               epochs=epochs, dataset_size=n_samples, batch_size=batch_size)
+    rounds = min_rounds(IntegrityConfig(
+        t=t, task="training", n_epochs=max(epochs, 1), dataset_size=dataset.features.shape[1],
+        batch_size=batch_size, n_workers=pool.size, n_layers=len(net.linears)))
     executor = EncryptedExecutor(pool, net, rounds=rounds, keyspace=KeySpaceConfig(keyspace),
                                  seed=seed, pipelined=pipelined)
     epoch_log = nn.train(net, dataset, nn.TrainConfig(learning_rate, batch_size, epochs, seed),
@@ -718,7 +710,7 @@ def run_inference(
 ) -> np.ndarray:
     """Class predictions for a batch of column samples, every product
     offloaded and verified."""
-    rounds = _integrity_rounds(t, "inference", pool.size, net)
+    rounds = min_rounds(IntegrityConfig(t=t, n_workers=pool.size, n_layers=len(net.linears)))
     executor = EncryptedExecutor(pool, net, rounds=rounds,
                                  keyspace=KeySpaceConfig(keyspace), seed=seed)
     return nn.predict(net, x, executor)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,11 +31,9 @@ from .tensor import ShapeError, make_rng
 __all__ = [
     "Linear",
     "Network",
-    "ForwardCache",
     "TrainConfig",
     "MatMulExecutor",
     "LocalExecutor",
-    "softmax_cols",
     "cross_entropy_softmax",
     "forward",
     "backward",
@@ -159,27 +157,6 @@ class Network:
     def in_dim(self) -> int:
         return self.linears[0].in_dim
 
-    @property
-    def out_dim(self) -> int:
-        return self.linears[-1].out_dim
-
-
-@dataclass
-class ForwardCache:
-    """Per-layer outputs retained for one backward pass: the last
-    layer's pre-softmax logits, and each hidden layer's ReLU output
-    (the ReLU is applied in place, and its output is the next layer's
-    input).  The backward pass reads only a hidden entry's sign, and
-    relu(z) > 0 exactly where z > 0."""
-
-    preacts: dict[int, np.ndarray] = field(default_factory=dict)
-
-
-def softmax_cols(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
-
 
 def cross_entropy_softmax(z: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean cross-entropy of softmax(z) against integer labels, plus the
@@ -201,23 +178,28 @@ def cross_entropy_softmax(z: np.ndarray, labels: np.ndarray) -> tuple[float, np.
     return loss, delta
 
 
-def forward(net: Network, x: np.ndarray, executor: MatMulExecutor) -> tuple[np.ndarray, ForwardCache]:
+def forward(net: Network, x: np.ndarray, executor: MatMulExecutor) -> list[np.ndarray]:
+    """The output of every layer, in order: the last is the logits (the
+    softmax is left to the loss), and each hidden one has had its ReLU
+    applied in place, as the next layer's input.  The backward pass
+    reads only a hidden output's sign, and relu(z) > 0 exactly where
+    z > 0."""
     if x.shape[0] != net.in_dim:
         raise ShapeError(f"input {x.shape} does not match network in_dim {net.in_dim}")
-    cache = ForwardCache()
+    outs = []
     cur = x
     for lin in net.linears:
         if lin.layer_id:  # the ReLU between this layer and the one before, in place
             np.maximum(cur, 0.0, out=cur)
         cur = executor.multiply_forward(lin.layer_id, lin.W, cur)
         cur += lin.b[:, None]
-        cache.preacts[lin.layer_id] = cur
-    return softmax_cols(cur), cache
+        outs.append(cur)
+    return outs
 
 
 def backward(
     net: Network,
-    cache: ForwardCache,
+    outs: list[np.ndarray],
     labels: np.ndarray,
     executor: MatMulExecutor,
     learning_rate: float,
@@ -226,8 +208,7 @@ def backward(
     """One SGD step; returns the batch's loss before the step.  All
     products are fetched and verified before any weight changes, so a
     verification failure leaves the network as it was."""
-    last = net.linears[-1].layer_id
-    loss, delta = cross_entropy_softmax(cache.preacts[last], labels)
+    loss, delta = cross_entropy_softmax(outs[-1], labels)
     scale = learning_rate / batch_size
     updates = []
     for i in range(len(net.linears) - 1, -1, -1):
@@ -237,7 +218,7 @@ def backward(
         new_b = lin.b - scale * delta.sum(axis=1)
         updates.append((lin, new_w, new_b))
         if i > 0:
-            delta = np.ascontiguousarray(t2.T) * (cache.preacts[i - 1] > 0.0)
+            delta = np.ascontiguousarray(t2.T) * (outs[i - 1] > 0.0)
     for lin, new_w, new_b in updates:
         lin.W = new_w
         lin.b = new_b
@@ -285,16 +266,16 @@ def train(net, dataset, cfg: TrainConfig, executor: MatMulExecutor) -> list[dict
             idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             xb = np.ascontiguousarray(features[:, idx])
             yb = labels[idx]
-            _, fcache = forward(net, xb, executor)
-            losses.append(backward(net, fcache, yb, executor, cfg.learning_rate, idx.size))
+            outs = forward(net, xb, executor)
+            losses.append(backward(net, outs, yb, executor, cfg.learning_rate, idx.size))
         log.append({"epoch": epoch, "loss": float(np.mean(losses)),
                     "seconds": time.perf_counter() - start})
     return log
 
 
 def predict(net: Network, x: np.ndarray, executor: MatMulExecutor | None = None) -> np.ndarray:
-    probs, _ = forward(net, x, executor if executor is not None else LocalExecutor())
-    return np.argmax(probs, axis=0)
+    logits = forward(net, x, executor if executor is not None else LocalExecutor())[-1]
+    return np.argmax(logits, axis=0)
 
 
 def accuracy(net: Network, dataset) -> float:

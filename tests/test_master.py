@@ -20,7 +20,7 @@ from blindtrain.master import (
     run_training,
     shard_layout,
 )
-from blindtrain.nn import LocalExecutor, Network, TrainConfig, train
+from blindtrain.nn import LocalExecutor, Network, TrainConfig, predict, train
 from blindtrain.obfuscate import (
     IntegrityFailure,
     KeySpaceConfig,
@@ -690,23 +690,46 @@ def test_directly_built_pipelined_executor_blinds_the_next_layer_before_collecti
 
 @pytest.mark.parametrize("case", ["narrower-batch", "other-weight"])
 def test_pre_blinded_weight_is_sent_only_under_its_own_key(case):
-    """A pipelined executor pre-blinds layer 1's weight shards for the
-    batch width and weight of layer 0's call.  If layer 1 is then called
-    with another width (so another key) or another weight, the shards are
-    blinded afresh and honest workers' products verify."""
-    net = make_net((3, 5, 4, 2))
-    rng = make_rng(29)
+    """A pipelined executor pre-blinds layer 1's weight (per shard under
+    "tensor", once under "data") during layer 0's call.  A weight is
+    blinded under the slots of its own dims, so if layer 1 is called
+    with a narrower batch the pre-blinded weight is sent: the call
+    blinds only X and layer 2's weight, 1 + 2 matrices under "tensor"
+    and 2 + 1 under "data".  Called with another weight, it blinds that
+    weight afresh (5 and 4).  Honest workers' products verify either
+    way."""
+    blinded = {("tensor", "narrower-batch"): 3, ("data", "narrower-batch"): 3,
+               ("tensor", "other-weight"): 5, ("data", "other-weight"): 4}
+    with spawn_local_workers(2) as addresses:
+        for policy in ("tensor", "data"):
+            net = make_net((3, 5, 4, 2), [policy] * 3)
+            rng = make_rng(29)
+            with pool_for(addresses, net) as pool:
+                ex = offload_executor(pool, net, seed=3, pipelined=True)
+                ex.multiply_forward(0, net.linears[0].W, rng.standard_normal((3, 6)))
+                if case == "narrower-batch":
+                    w, x = net.linears[1].W, rng.standard_normal((5, 4))
+                else:
+                    w, x = 2 * net.linears[1].W, rng.standard_normal((5, 6))
+                before = ex.stats.matrices_encrypted
+                z = ex.multiply_forward(1, w, x)
+            assert ex.stats.matrices_encrypted - before == blinded[(policy, case)]
+            assert np.max(np.abs(z - w @ x)) < 1e-9
+            assert ex.stats.failures == 0
+
+
+@pytest.mark.parametrize("policy", ["tensor", "data", "master"])
+def test_inference_on_an_empty_batch_offloads_nothing(policy):
+    """An empty batch has no shards under any policy (there is nothing
+    to blind), so its product is computed locally and run_inference
+    returns what nn.predict does: no labels."""
+    assert shard_layout(policy, 2, 5, 3, 0) == []
+    net = make_net((3, 5, 4, 2), [policy] * 3)
+    x = np.empty((3, 0))
     with spawn_local_workers(2) as addresses:
         with pool_for(addresses, net) as pool:
-            ex = offload_executor(pool, net, seed=3, pipelined=True)
-            ex.multiply_forward(0, net.linears[0].W, rng.standard_normal((3, 6)))
-            if case == "narrower-batch":
-                w, x = net.linears[1].W, rng.standard_normal((5, 4))
-            else:
-                w, x = 2 * net.linears[1].W, rng.standard_normal((5, 6))
-            z = ex.multiply_forward(1, w, x)
-    assert np.max(np.abs(z - w @ x)) < 1e-9
-    assert ex.stats.failures == 0
+            preds = run_inference(net, x, pool)
+    assert preds.tobytes() == predict(net, x).tobytes() and preds.shape == (0,)
 
 
 def test_naive_backward_same_numerics():

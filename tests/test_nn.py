@@ -15,7 +15,6 @@ from blindtrain.nn import (
     cross_entropy_softmax,
     forward,
     predict,
-    softmax_cols,
     train,
 )
 from blindtrain.tensor import ShapeError, make_rng
@@ -54,7 +53,7 @@ def test_from_dims_layout():
     net = Network.from_dims([2, 16, 16, 3])
     assert [(l.out_dim, l.in_dim) for l in net.linears] == [(16, 2), (16, 16), (3, 16)]
     assert [l.layer_id for l in net.linears] == [0, 1, 2]
-    assert net.in_dim == 2 and net.out_dim == 3
+    assert net.in_dim == 2
 
 
 def test_init_weights_bounds_and_determinism():
@@ -74,18 +73,18 @@ def test_init_weights_bounds_and_determinism():
 def test_forward_hand_trace():
     net = tiny_net()
     x = np.array([[1.0], [2.0]])
-    probs, cache = forward(net, x, LocalExecutor())
-    # a hidden layer's entry holds its ReLU output: relu([-0.5, 1.5])
-    assert np.max(np.abs(cache.preacts[0] - [[0.0], [1.5]])) < 1e-12
-    assert np.max(np.abs(cache.preacts[1] - [[1.5], [2.5]])) < 1e-12
-    expected = np.array([math.exp(1.5), math.exp(2.5)])
-    expected /= expected.sum()
-    assert np.max(np.abs(probs[:, 0] - expected)) < 1e-12
+    outs = forward(net, x, LocalExecutor())
+    assert len(outs) == 2
+    # a hidden layer's output has had its ReLU applied: relu([-0.5, 1.5])
+    assert np.max(np.abs(outs[0] - [[0.0], [1.5]])) < 1e-12
+    # the last is the logits, before any softmax
+    assert np.max(np.abs(outs[1] - [[1.5], [2.5]])) < 1e-12
+    assert predict(net, x).tolist() == [1]
 
 
 def test_forward_passes_each_returned_array_on_as_the_next_input():
     """The ReLU runs in place on the array the executor returned: layer
-    i + 1 multiplies that very array, and the cache holds it, so no
+    i + 1 multiplies that very array, and forward returns it, so no
     operand-sized copy is made between layers."""
 
     class Recording(LocalExecutor):
@@ -103,14 +102,14 @@ def test_forward_passes_each_returned_array_on_as_the_next_input():
     x = make_rng(8).standard_normal((3, 6))
     kept = x.copy()
     ex = Recording()
-    probs, cache = forward(net, x, ex)
+    outs = forward(net, x, ex)
     assert ex.inputs[0] is x and x.tobytes() == kept.tobytes()
     for i in range(len(net.linears) - 1):
         assert ex.inputs[i + 1] is ex.outputs[i]
-        assert cache.preacts[i] is ex.outputs[i]
+        assert outs[i] is ex.outputs[i]
         assert ex.outputs[i].min() >= 0.0
-    assert cache.preacts[2] is ex.outputs[2]
-    assert probs.tobytes() == forward(net, x, LocalExecutor())[0].tobytes()
+    assert outs[2] is ex.outputs[2] and len(outs) == 3
+    assert outs[-1].tobytes() == forward(net, x, LocalExecutor())[-1].tobytes()
 
 
 def test_forward_rejects_bad_input_dim():
@@ -118,11 +117,15 @@ def test_forward_rejects_bad_input_dim():
         forward(tiny_net(), np.zeros((3, 1)), LocalExecutor())
 
 
-def test_softmax_columns_sum_to_one_and_survive_huge_logits():
-    z = np.array([[1000.0, -1000.0], [1000.5, -999.0]])
-    p = softmax_cols(z)
-    assert np.allclose(p.sum(axis=0), 1.0)
-    assert np.all(np.isfinite(p))
+def test_predict_survives_huge_logits():
+    """predict takes the argmax of the logits themselves: no exp to
+    overflow (a warning is an error here), and a half-unit lead among
+    logits of 1e3 or a 1e299 lead among logits of 1e300 still wins."""
+    net = Network([Linear(2, 2)])
+    net.linears[0].W = np.eye(2)
+    net.linears[0].b = np.zeros(2)
+    z = np.array([[1000.0, -999.0, 1e300, -1e300], [1000.5, -1000.0, 9e299, -9e299]])
+    assert predict(net, z).tolist() == [1, 0, 0, 1]
 
 
 # -- loss ------------------------------------------------------------------
@@ -137,7 +140,8 @@ def test_cross_entropy_hand_case():
     f = [math.exp(0.0), math.exp(1.0), math.exp(2.0)]
     l1 = -math.log(f[2] / sum(f))
     assert loss == pytest.approx((l0 + l1) / 2.0, rel=1e-12)
-    probs = softmax_cols(z)
+    e = np.exp(z - z.max(axis=0))
+    probs = e / e.sum(axis=0)
     onehot = np.zeros_like(z)
     onehot[0, 0] = onehot[2, 1] = 1.0
     assert np.max(np.abs(delta - (probs - onehot))) < 1e-15
@@ -193,9 +197,9 @@ def test_backward_matches_manual_backprop():
     w1, b1 = net.linears[0].W.copy(), net.linears[0].b.copy()
     w2, b2 = net.linears[1].W.copy(), net.linears[1].b.copy()
     ex = LocalExecutor()
-    _, cache = forward(net, x, ex)
-    expect_loss, _ = cross_entropy_softmax(cache.preacts[net.linears[-1].layer_id], labels)
-    assert backward(net, cache, labels, ex, learning_rate=0.1, batch_size=6) == expect_loss
+    outs = forward(net, x, ex)
+    expect_loss, _ = cross_entropy_softmax(outs[-1], labels)
+    assert backward(net, outs, labels, ex, learning_rate=0.1, batch_size=6) == expect_loss
     e_w1, e_b1, e_w2, e_b2 = manual_two_layer_step(w1, b1, w2, b2, x, labels, 0.1)
     assert np.max(np.abs(net.linears[0].W - e_w1)) < 1e-12
     assert np.max(np.abs(net.linears[0].b - e_b1)) < 1e-12
@@ -207,8 +211,7 @@ def numeric_gradients(net, x, labels, eps=1e-5):
     """Central finite differences of the batch loss for every parameter."""
 
     def loss_now():
-        _, cache = forward(net, x, LocalExecutor())
-        loss, _ = cross_entropy_softmax(cache.preacts[net.linears[-1].layer_id], labels)
+        loss, _ = cross_entropy_softmax(forward(net, x, LocalExecutor())[-1], labels)
         return loss
 
     grads = []
@@ -240,15 +243,15 @@ def analytic_gradients(net, x, labels):
     """Pull gradients out of the executor seam products."""
     batch = x.shape[1]
     ex = LocalExecutor()
-    _, cache = forward(net, x, ex)
-    _, delta = cross_entropy_softmax(cache.preacts[net.linears[-1].layer_id], labels)
+    outs = forward(net, x, ex)
+    _, delta = cross_entropy_softmax(outs[-1], labels)
     grads = [None] * len(net.linears)
     for i in range(len(net.linears) - 1, -1, -1):
         lin = net.linears[i]
         t1, t2 = ex.multiply_backward(lin.layer_id, delta)
         grads[i] = (t1.T / batch, delta.sum(axis=1) / batch)
         if i > 0:
-            delta = t2.T * (cache.preacts[net.linears[i - 1].layer_id] > 0.0)
+            delta = t2.T * (outs[i - 1] > 0.0)
     return grads
 
 
@@ -286,9 +289,9 @@ def test_backward_applies_no_update_on_executor_failure():
     ex = Exploding()
     x = rng.standard_normal((3, 5))
     labels = rng.integers(0, 2, size=5)
-    _, cache = forward(net, x, ex)
+    outs = forward(net, x, ex)
     with pytest.raises(RuntimeError):
-        backward(net, cache, labels, ex, 0.1, 5)
+        backward(net, outs, labels, ex, 0.1, 5)
     for lin, w in zip(net.linears, before):
         assert np.array_equal(lin.W, w)
 
