@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from typing import get_args, get_origin
@@ -97,8 +98,13 @@ def _read(raw, table: dict, where: str) -> dict:
     return out
 
 
-def _no_constant(name: str):
-    raise ValueError(f"{name} is not a JSON number")
+def _finite(text: str) -> float:
+    """A JSON number, or a constant (NaN, Infinity), as a float: refused
+    unless finite, so a literal that reads as infinite (1e999) is too."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a JSON number a float can hold")
+    return value
 
 
 class RunConfig:
@@ -127,10 +133,10 @@ class RunConfig:
     def load(cls, path: str) -> "RunConfig":
         try:
             with open(path) as fh:
-                raw = json.load(fh, parse_constant=_no_constant)
+                raw = json.load(fh, parse_constant=_finite, parse_float=_finite)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
-        except ValueError as exc:  # not JSON, not UTF-8, or NaN or Infinity
+        except ValueError as exc:  # not JSON, not UTF-8, NaN, Infinity or 1e999
             raise ConfigError(f"config file {path} is not valid JSON: {exc}")
         try:
             return cls(raw)
@@ -204,7 +210,7 @@ def load_model(path: str) -> nn.Network:
         return nn.Network([_load_linear(spec) for spec in doc["layers"][::2]])  # the linear layers
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:  # a bad value, shape or layer order
+    except (TypeError, ValueError, OverflowError) as exc:  # a bad value, shape or layer order
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -347,10 +353,7 @@ def cmd_min_k(args) -> int:
     else:
         cfg = _checked(IntegrityConfig, t=args.t, task="inference", n_workers=args.N,
                        n_layers=args.L)
-    try:
-        print(min_rounds(cfg))
-    except OverflowError as exc:
-        raise ConfigError(f"the run's verification count is too large: {exc}") from exc
+    print(min_rounds(cfg))
     return 0
 
 
@@ -458,7 +461,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataError) as exc:
+    except (ConfigError, DataError, OverflowError) as exc:  # overflow: a number past float range
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IntegrityFailure as exc:

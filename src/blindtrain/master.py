@@ -27,7 +27,9 @@ whole (X under "tensor", W under "data"), so that operand is blinded
 once and every shard is sent the same bytes; the slot of the dim the
 layout cuts is each shard's own.  Two workers of one layer thus hold
 the shared operand under one key, not two.  Keys are refreshed every
-epoch.
+epoch.  Both layouts follow one rule: an operand is blinded for shard
+0 and each shard it is cut for, and a backward product is summed
+across shards when it contracts over a cut operand.
 """
 from __future__ import annotations
 
@@ -288,7 +290,7 @@ class WorkerConnection:
         bound = max(protocol.result_size(shapes), _ERROR_PAYLOAD_CAP)
         try:
             reply = protocol.read_message(self._sock, bound, self.wire)
-        except (protocol.ProtocolError, UnicodeDecodeError) as exc:
+        except protocol.ProtocolError as exc:
             raise WorkerFault(f"bad reply to request {tag}: {exc}") from exc
         except OSError as exc:  # reset, closed mid-frame, timed out
             raise WorkerFault(f"no reply to request {tag}: {exc!r}") from exc
@@ -436,10 +438,12 @@ class EncryptedExecutor(nn.MatMulExecutor):
     layer's previous output is written over once nothing refers to it.
 
     The shard keys of a layer share the slots of the operand every shard
-    gets whole (see EpochKeys), so a forward call blinds that operand
-    once, at the head of the pool's wire buffer, and every shard's
-    StorePair sends those bytes; each shard's own operand is blinded
-    after it, in a region reused shard by shard.
+    gets whole (see EpochKeys), so a forward call blinds each operand
+    for shard 0 and for the shards it is cut for, and every shard's
+    StorePair sends shard 0's bytes of the shared one.  In the pool's
+    wire buffer, W's block comes first and X's after shard 0's W block;
+    shard 0's blocks are the largest, so no later shard's overwrites
+    the shared one.
 
     rounds is the per-product probe count (see min_rounds).  With
     pipelined=True the executor blinds the next layer's weight while
@@ -594,24 +598,16 @@ class EncryptedExecutor(nn.MatMulExecutor):
             return w @ x
         z = self.pool.layer_output(lid, (w.shape[0], p))  # each shard unblinds into its block
         keys = [self.keys.get(lid, j, *sh.dims, _CUT[policy]) for j, sh in enumerate(layout)]
-        wire, shared = self.pool.wire, None
         with self._requests() as pending:
             for j, (sh, sk) in enumerate(zip(layout, keys)):
                 wj, xj = _operands(policy, sh, w, x)
-                # The shared operand is blinded for shard 0, at the head of the
-                # wire buffer, and sent to every shard; each shard's own follows
-                # it.  Shard 0's own operand is the largest, so none grows it.
-                if policy == "data":
-                    w_out, x_out = wire.matrices(w.shape, xj.shape)
-                    if shared is None:
-                        shared = self._blind(enc_left, sk, w, w_out) if pre is None else pre[0]
-                    w_enc, x_enc = shared, self._blind(enc_right, sk, xj, x_out)
-                else:
-                    x_out, w_out = wire.matrices(x.shape, wj.shape)
-                    if shared is None:
-                        shared = self._blind(enc_right, sk, x, x_out)
-                    w_enc = self._blind(enc_left, sk, wj, w_out) if pre is None else pre[j]
-                    x_enc = shared
+                # blinded for shard 0 and each shard it is cut for; a shared
+                # operand goes to every shard as shard 0's bytes (see the class)
+                w_head, x_out = self.pool.wire.matrices(layout[0].dims[:2], xj.shape)
+                if j == 0 or wj is not w:
+                    w_enc = pre[j] if pre else self._blind(enc_left, sk, wj, w_head[:len(wj)])
+                if j == 0 or xj is not x:
+                    x_enc = self._blind(enc_right, sk, xj, x_out)
                 product = _Product(sk, wj, xj, z[sh.rows, sh.cols], False, lid, "forward")
                 pending.append(self._store(j, product, (w_enc, x_enc)))
             if self.pipelined:
@@ -640,12 +636,11 @@ class EncryptedExecutor(nn.MatMulExecutor):
             for j, (sh, sk) in enumerate(zip(layout, keys)):
                 wj, xj = _operands(policy, sh, w, x)
                 d_t = np.ascontiguousarray(delta[sh.rows, sh.cols].T)
-                # All shards write one block whole: T2 under "tensor", T1 under "data".
-                # Shard 0 unblinds into it; later shards add theirs in shard order.
-                t1_part = (xj, d_t, t1[:, sh.rows], j > 0 and policy == "data",
-                           lid, "backward T1")
-                t2_part = (d_t, wj, t2[sh.cols], j > 0 and policy == "tensor",
-                           lid, "backward T2")
+                # A product that contracts over a cut operand is summed across
+                # shards, all writing one block whole: T1 when X is cut, T2 when
+                # W is.  Shard 0 unblinds into it; later shards add theirs in order.
+                t1_part = (xj, d_t, t1[:, sh.rows], j > 0 and xj is not x, lid, "backward T1")
+                t2_part = (d_t, wj, t2[sh.cols], j > 0 and wj is not w, lid, "backward T2")
                 if self.reuse_backward:
                     # the transposed delta under the key rotated by two; the
                     # worker multiplies it against the pair it still holds

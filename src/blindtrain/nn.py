@@ -245,6 +245,8 @@ def train(net, dataset, cfg: TrainConfig, executor: MatMulExecutor) -> list[dict
     """Mini-batch SGD over the whole dataset, epochs * ceil(n / batch)
     steps.  Batch order is shuffled per epoch from cfg.seed, so two runs
     with the same seed (whatever the executor) visit identical batches.
+    No step's layer outputs are held into the next step's forward, so an
+    executor may hand each layer the same array every step.
 
     Returns the run's epoch log: one {"epoch", "loss", "seconds"} entry
     per epoch, in order, with the mean of its batches' losses and its
@@ -266,8 +268,8 @@ def train(net, dataset, cfg: TrainConfig, executor: MatMulExecutor) -> list[dict
             idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
             xb = np.ascontiguousarray(features[:, idx])
             yb = labels[idx]
-            outs = forward(net, xb, executor)
-            losses.append(backward(net, outs, yb, executor, cfg.learning_rate, idx.size))
+            losses.append(backward(net, forward(net, xb, executor), yb, executor,
+                                   cfg.learning_rate, idx.size))
         log.append({"epoch": epoch, "loss": float(np.mean(losses)),
                     "seconds": time.perf_counter() - start})
     return log

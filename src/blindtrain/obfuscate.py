@@ -452,14 +452,15 @@ def min_rounds(cfg: IntegrityConfig) -> int:
     log2(1 / (1 - (1 - t)**(1 / (alpha * N * L)))).  The per-product
     budget is computed as -expm1(log1p(-t) / total), which neither
     cancels nor rounds to 0 for large counts.  A count too large for
-    that (beyond float range, or a budget below the smallest float)
-    raises OverflowError.
+    that (beyond float range, or a budget of 0 or one whose reciprocal
+    overflows) raises OverflowError saying so.
     """
-    total = cfg.products_per_worker_layer * cfg.n_workers * cfg.n_layers
-    per_product = -math.expm1(math.log1p(-cfg.t) / total)
-    if per_product == 0.0:
-        raise OverflowError("the per-product escape budget is below the smallest float")
-    return math.floor(math.log2(1.0 / per_product)) + 1
+    try:
+        total = cfg.products_per_worker_layer * cfg.n_workers * cfg.n_layers
+        return math.floor(math.log2(1.0 / -math.expm1(math.log1p(-cfg.t) / total))) + 1
+    except (OverflowError, ZeroDivisionError):
+        raise OverflowError(f"the run's verification count is too large for t={cfg.t}: "
+                            "no per-product escape budget a float holds") from None
 
 
 def brute_force_bound(m: int, n: int, keyspace_size: int) -> float:

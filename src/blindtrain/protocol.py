@@ -13,9 +13,9 @@ table _PAYLOADS describes each type; encode, decode and message equality
 all read it.  ERROR's payload ends in UTF-8 text instead of matrices.
 Matrices travel as u32 rows, u32 cols, then rows*cols float64 values in
 row-major order.  Every message has exactly one byte encoding; decoders
-reject bad magic, unsupported versions, unknown types and short or
-overlong payloads with distinct error classes so the peer's fault is
-diagnosable.
+reject bad magic, unsupported versions, unknown types, short or
+overlong payloads and non-UTF-8 ERROR text, each as a ProtocolError,
+most as a subclass naming the fault so the peer's is diagnosable.
 """
 from __future__ import annotations
 
@@ -91,15 +91,13 @@ class UnknownMessageType(ProtocolError):
 class _WireMessage:
     """Two messages are equal when their frames are: every message has
     exactly one encoding, so this compares each field as it travels,
-    matrices bitwise."""
+    matrices bitwise.  Like any value-equal class over mutable arrays,
+    messages are unhashable."""
 
     def __eq__(self, other):
         if type(self) is not type(other):
             return NotImplemented
         return encode(self) == encode(other)
-
-    def __hash__(self):
-        return id(self)
 
 
 @dataclass(eq=False)
@@ -228,7 +226,10 @@ def _decode_payload(msg_type: int, payload):
     values = fixed.unpack_from(payload, 0)
     offset = fixed.size
     if msg_type == MsgType.ERROR:
-        return Error(*values, bytes(payload[offset:]).decode("utf-8"))
+        try:
+            return Error(*values, bytes(payload[offset:]).decode("utf-8"))
+        except ValueError as exc:  # the text is not UTF-8
+            raise ProtocolError(f"ERROR text is not UTF-8: {exc}") from exc
     matrices = []
     for _ in range(values[-1] if count is None else count):
         mat, offset = _decode_matrix(payload, offset)

@@ -195,15 +195,11 @@ class WorkerServer:
                 while True:
                     try:
                         msg = protocol.read_message(conn)
-                    except (ConnectionError, OSError):
-                        return
-                    except protocol.ProtocolError as exc:
-                        protocol.send_message(
-                            conn, Error(protocol.ERR_UNSUPPORTED, str(exc))
-                        )
+                    except protocol.ProtocolError as exc:  # any frame it cannot decode
+                        protocol.send_message(conn, Error(protocol.ERR_UNSUPPORTED, str(exc)))
                         return
                     protocol.send_message(conn, session.handle(msg))
-        except (ConnectionError, OSError):
+        except OSError:  # the peer hung up, reset or stalled: no one to answer
             return
 
     def serve_forever(self):

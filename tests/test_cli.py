@@ -126,9 +126,12 @@ TWO_LINEAR = "['linear', 'relu', 'linear', 'softmax']"
     (lambda doc: doc["layers"][1].pop("type"), "missing key 'type'"),
     (lambda doc: doc["layers"][1].update(type="softmax"),
      "layer types ['linear', 'softmax', 'linear', 'softmax'], expected " + TWO_LINEAR),
+    (lambda doc: doc["layers"][0]["weights"][0].__setitem__(0, "0x1p+5000"),
+     "hexadecimal value too large"),
 ], ids=["unknown-policy", "not-json", "no-weights", "short-weights", "nan-weight", "no-layers",
         "inner-softmax", "no-relu", "relu-first", "double-relu", "relu-before-softmax",
-        "unknown-type", "softmax-only", "no-type", "softmax-between-linears"])
+        "unknown-type", "softmax-only", "no-type", "softmax-between-linears",
+        "overflowing-weight"])
 def test_malformed_model_exits_2(tmp_path, capsys, breakage, message):
     net = Network.from_dims([2, 3, 2])
     net.init_weights(1)
@@ -200,6 +203,16 @@ def test_min_k_on_a_count_beyond_float_range_exits_2(capsys):
     argv = ["min-k", "--t", "0.01", "--N", "2", "--L", "3", "--epochs", "1",
             "--dataset-size", "1" + "0" * 400, "--batch-size", "1"]
     assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "too large" in captured.err
+
+
+def test_train_with_a_t_too_small_for_its_probe_count_exits_2(tmp_path, capsys):
+    """A t whose per-product budget has no finite reciprocal is a config
+    error, not a traceback (exit 1) nor an honest worker blamed."""
+    cfg = write_config(tmp_path, t=1e-320)
+    assert main(["train", "--config", cfg, "--local-workers", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "too large" in captured.err
@@ -362,6 +375,9 @@ def test_bad_run_config_exits_2_before_any_worker_is_contacted(tmp_path, capsys,
     assert err.startswith("error: ") and message in err  # not "unreachable"
 
 
+OVERFLOWING_LITERAL = {"learning_rate": "1e999"}  # a JSON number that reads as inf
+
+
 @pytest.mark.parametrize("overrides,message", [
     ({"learning_rate": "fast"}, "config key 'learning_rate' must be a number, got 'fast'"),
     ({"batch_size": None}, "config key 'batch_size' must be an integer, got None"),
@@ -385,15 +401,19 @@ def test_bad_run_config_exits_2_before_any_worker_is_contacted(tmp_path, capsys,
     ({"workers": [5]}, "config key 'workers' must be a list of strings, got [5]"),
     ({"learning_rate": float("nan")}, "is not valid JSON: NaN is not a JSON number"),
     (_with_blob(separation=float("inf")), "is not valid JSON: Infinity is not a JSON number"),
+    (OVERFLOWING_LITERAL, "is not valid JSON: 1e999 is not a JSON number a float can hold"),
 ], ids=["learning-rate", "batch-size", "t", "layer-dims", "n-per-class", "not-utf8", "workers",
         "csv", "pipelined-string", "batch-size-float", "epochs-bool",
         "seed-float", "keyspace-float", "n-per-class-float", "workers-string",
-        "policies-string", "layer-dims-bool", "workers-number", "learning-rate-nan", "separation-infinity"])
+        "policies-string", "layer-dims-bool", "workers-number", "learning-rate-nan", "separation-infinity",
+        "learning-rate-1e999"])
 def test_run_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **(overrides or {}))
     if overrides is None:
         with open(cfg, "ab") as fh:
             fh.write(b" \xff\xfe")
+    if overrides is OVERFLOWING_LITERAL:  # unquoted: json.dumps(inf) would write Infinity
+        Path(cfg).write_text(Path(cfg).read_text().replace('"1e999"', "1e999"))
     assert main(["baseline", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and cfg in err

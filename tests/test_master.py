@@ -1100,13 +1100,46 @@ def test_a_second_inference_call_writes_into_the_first_calls_layer_outputs(monke
         assert a() is not None and a() is b()
 
 
-def test_training_over_the_executor_keeps_its_pinned_bytes():
+def test_a_training_run_writes_every_step_into_one_array_per_layer(monkeypatch):
+    """nn.train holds no step's outputs into the next forward, so the
+    pool hands each layer the same array at every step of every epoch,
+    as it does across inference calls."""
+    ds = gen_blobs(8, 2, 3, separation=3.0, seed=32)  # 16 samples: 4 steps an epoch
+    net = make_net((3, 6, 5, 2), policies=["tensor", "data", "tensor"], seed=32)
+    handed: dict[int, list] = {0: [], 1: [], 2: []}
+    layer_output = WorkerPool.layer_output
+
+    def record(pool, lid, shape):
+        z = layer_output(pool, lid, shape)
+        handed[lid].append(weakref.ref(z))
+        return z
+
+    monkeypatch.setattr(WorkerPool, "layer_output", record)
+    with spawn_local_workers(2) as addresses:
+        with pool_for(addresses, net) as pool:
+            train(net, ds, TrainConfig(0.1, 4, 2, seed=32), offload_executor(pool, net))
+            for refs in handed.values():
+                assert len(refs) == 8  # 2 epochs of 4 steps
+                assert all(r() is not None and r() is refs[0]() for r in refs)
+
+
+def test_training_over_the_executor_keeps_its_pinned_bytes(monkeypatch):
     """Two training runs on one pool, the second starting on layer
     outputs the first left free: the weights and biases hash to their
     pinned value (re-pinned when a layer's shard keys came to share key
-    slots, which changed the rounding)."""
+    slots, which changed the rounding), and so does every frame the
+    coordinator's thread sends."""
     ds = gen_blobs(12, 3, 4, separation=3.0, seed=21)
     net = make_net((4, 7, 5, 3), policies=["tensor", "data", "tensor"], seed=21)
+    frames = hashlib.sha256()
+    send = protocol.send_message
+
+    def record(sock, msg):
+        if threading.current_thread() is threading.main_thread():
+            frames.update(encode(msg))
+        send(sock, msg)
+
+    monkeypatch.setattr(protocol, "send_message", record)
     with spawn_local_workers(2) as addresses:
         with pool_for(addresses, net) as pool:
             for reuse in (True, False):
@@ -1118,6 +1151,8 @@ def test_training_over_the_executor_keeps_its_pinned_bytes():
         digest.update(lin.b.tobytes())
     assert digest.hexdigest() == \
         "ce3d0124e2fe9ce6313693f9e6f365f316c3601de1a70cf90f631cd5f87d9029"
+    assert frames.hexdigest() == \
+        "c04793fae1b29a9f78b3a4d5f70e2b10e8df42c024a701ef506c867e3ef9667c"
 
 
 def test_raw_peer_wrong_shape_and_error_frames():

@@ -16,6 +16,7 @@ from blindtrain.protocol import (
     Config,
     Error,
     Hello,
+    MsgType,
     MultBwd,
     Result,
     StorePair,
@@ -255,15 +256,20 @@ def test_server_roundtrip_over_tcp():
 
 
 def test_server_reports_protocol_garbage_then_closes():
+    """Every frame the worker cannot decode gets ERROR 4, then a close.
+    Each garbage is a whole frame or header, so the close is clean."""
+    garbage = [b"GARBAGEGARBAGE",  # header-sized, bad magic
+               HEADER.pack(MAGIC, VERSION, MsgType.ERROR, 4) + b"\x02\x00\xff\xfe"]  # not UTF-8
     with spawn_local_workers(1) as addresses:
-        sock = socket.create_connection(addresses[0], timeout=5)
-        try:
-            sock.sendall(b"GARBAGEGARBAGE")  # header-sized, so the close is clean
-            reply = read_message(sock)
-            assert isinstance(reply, Error) and reply.code == ERR_UNSUPPORTED
-            assert sock.recv(1) == b""  # server hung up
-        finally:
-            sock.close()
+        for frame in garbage:
+            sock = socket.create_connection(addresses[0], timeout=5)
+            try:
+                sock.sendall(frame)
+                reply = read_message(sock)
+                assert isinstance(reply, Error) and reply.code == ERR_UNSUPPORTED
+                assert sock.recv(1) == b""  # server hung up
+            finally:
+                sock.close()
 
 
 def test_accepted_connections_disable_nagle():
