@@ -94,6 +94,8 @@ def _read(raw, table: dict, where: str) -> dict:
             raise ConfigError(f"{where} is missing key {key!r}")
         if not (_is_a(value, kind) or value is default is None):
             raise ConfigError(f"{where} key {key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
+        if kind is float and abs(value) > sys.float_info.max:  # an integer past float range
+            raise ConfigError(f"{where} key {key!r} is a number too large for a float")
         out[key] = value
     return out
 

@@ -60,7 +60,7 @@ from .obfuscate import (
     probe_sides,
 )
 from .protocol import Config, Hello, MultBwd, Result, StorePair
-from .tensor import ShapeError, make_rng, shard_slices
+from .tensor import make_rng, shard_slices
 
 __all__ = [
     "Shard",
@@ -182,8 +182,7 @@ class EpochKeys:
         self._keys.clear()
         self._slots.clear()
 
-    def get(self, layer_id: int, shard_id: int, m: int, n: int, p: int,
-            cut: int = 0) -> SecretKey:
+    def get(self, layer_id: int, shard_id: int, m: int, n: int, p: int, cut: int) -> SecretKey:
         key = (layer_id, shard_id, m, n, p, cut)
         sk = self._keys.get(key)
         if sk is None:
@@ -424,15 +423,16 @@ class EncryptedExecutor(nn.MatMulExecutor):
     layer `lid` is split by the policy of net.linears[lid] into at most
     pool.size shards (shard_layout).  A layer with no shards ("master")
     it multiplies itself, in plaintext: w @ x forward, x @ delta.T and
-    delta.T @ w backward, with the same pairing and shape checks.
+    delta.T @ w backward.  The seam checks the pairing (_hold, _release);
+    the backward asks the key store for the keys the forward used.
 
-    A sent request is queued as (shard, tag, products), one _Product per
-    product its reply carries, and _finish collects, verifies and
-    unblinds the queue in send order.  A WorkerFault or IntegrityFailure
-    raised for a request names its layer, shard and worker address (and
-    the product's direction).  A failure that leaves a queued reply
-    unread closes the pool, whose later requests then raise a
-    WorkerFault naming that failure.
+    Every request is sent by _queue and queued as (shard, tag, products),
+    one _Product per product its reply carries, and _finish collects,
+    verifies and unblinds the queue in send order.  A WorkerFault or
+    IntegrityFailure raised for a request names its layer, shard and
+    worker address (and the product's direction).  A failure that leaves
+    a queued reply unread closes the pool, whose later requests then
+    raise a WorkerFault naming that failure.
 
     A forward output is the pool's layer_output for its layer, so a
     layer's previous output is written over once nothing refers to it.
@@ -472,6 +472,7 @@ class EncryptedExecutor(nn.MatMulExecutor):
         pipelined: bool = False,
         reuse_backward: bool = True,
     ):
+        super().__init__()
         self.pool = pool
         self.net = net
         self.rounds = rounds
@@ -480,8 +481,6 @@ class EncryptedExecutor(nn.MatMulExecutor):
         self.keys = EpochKeys(seed, keyspace or KeySpaceConfig())
         self.stats = OffloadStats()
         self._rng = make_rng(_derive_seed(seed, -1, -1, -1, 0, 0, 0))  # probes, one-off keys
-        # per layer awaiting its backward: w, x and each shard's key
-        self._held: dict[int, tuple[np.ndarray, np.ndarray, list[SecretKey]]] = {}
         # layer -> the weight pre-blinded for it and its blinded shards ("data": one)
         self._pre_enc: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
 
@@ -489,33 +488,23 @@ class EncryptedExecutor(nn.MatMulExecutor):
         self.keys.refresh(epoch)
         self._pre_enc.clear()
 
-    def _send(self, lid: int, j: int, msg) -> int:
-        """Send msg to shard j; a WorkerFault names the layer and shard."""
-        conn = self.pool.conn(j)
-        try:
-            return conn.request(msg)
-        except WorkerFault as exc:
-            _attribute(exc, lid, j, conn)
-            raise
-
     def _blind(self, enc, sk: SecretKey, a: np.ndarray, out: np.ndarray | None = None):
         """enc (enc_left or enc_right) of a under sk, counted."""
         self.stats.matrices_encrypted += 1
         return enc(sk, a, out=out)
 
-    def _store(self, j: int, product: _Product, encs: tuple | None = None) -> tuple:
-        """Send the product's (a, b), blinded under its key, to shard j as
-        one StorePair, answered by their blinded product, and return the
-        request for _finish.  encs is the blinded pair if the caller made
-        it; otherwise (a pair keyed for this product alone) both are
-        blinded here, into the pool's wire buffer."""
-        sk, a, b, lid = product.sk, product.a, product.b, product.layer
-        if encs is None:
-            a_out, b_out = self.pool.wire.matrices(a.shape, b.shape)
-            encs = self._blind(enc_left, sk, a, a_out), self._blind(enc_right, sk, b, b_out)
-        tag = self._send(lid, j, StorePair(lid, j, *encs))
-        self.stats.products_offloaded += 1
-        return j, tag, [product]
+    def _queue(self, pending: list, j: int, msg, products: list[_Product]) -> None:
+        """Send msg to shard j and queue it for _finish with the products
+        its reply carries, counted as offloaded.  A WorkerFault names the
+        layer and shard."""
+        conn = self.pool.conn(j)
+        try:
+            tag = conn.request(msg)
+        except WorkerFault as exc:
+            _attribute(exc, products[0].layer, j, conn)
+            raise
+        self.stats.products_offloaded += len(products)
+        pending.append((j, tag, products))
 
     @contextmanager
     def _requests(self):
@@ -541,9 +530,15 @@ class EncryptedExecutor(nn.MatMulExecutor):
         Before the first collect, while the workers multiply, the probe
         side of every queued product is computed in one probe_sides call,
         so an operand the call's products share is probed once; each
-        product's dec then only checks its reply."""
-        sides = iter(probe_sides([(pr.a, pr.b) for _, _, products in pending
-                                  for pr in products], self.rounds, self._rng))
+        product's dec then only checks its reply.  Operands past what a
+        probe can check are an OverflowError that names no worker."""
+        queued = [(j, pr) for j, _, products in pending for pr in products]
+        try:
+            sides = iter(probe_sides([(pr.a, pr.b) for _, pr in queued], self.rounds, self._rng))
+        except OverflowError as exc:  # plaintext operands alone: no worker is at fault
+            j, pr = queued[exc.index]
+            exc.args = (f"{exc} (layer {pr.layer}, shard {j}, {pr.direction})",)
+            raise
         while pending:
             j, tag, products = pending[0]
             conn = self.pool.conn(j)
@@ -586,20 +581,18 @@ class EncryptedExecutor(nn.MatMulExecutor):
     # -- forward -------------------------------------------------------
 
     def multiply_forward(self, lid: int, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        if w.shape[1] != x.shape[0]:
-            raise ShapeError(f"forward product: {w.shape} x {x.shape}")
+        self._hold(lid, w, x)
         policy = self.net.linears[lid].policy
         p = x.shape[1]
         layout = shard_layout(policy, self.pool.size, *w.shape, p)
         pre = self._pre_enc.pop(lid, None)
         pre = pre[1] if pre and pre[0] is w else None
         if not layout:
-            self._held[lid] = (w, x, [])
             return w @ x
         z = self.pool.layer_output(lid, (w.shape[0], p))  # each shard unblinds into its block
-        keys = [self.keys.get(lid, j, *sh.dims, _CUT[policy]) for j, sh in enumerate(layout)]
         with self._requests() as pending:
-            for j, (sh, sk) in enumerate(zip(layout, keys)):
+            for j, sh in enumerate(layout):
+                sk = self.keys.get(lid, j, *sh.dims, _CUT[policy])
                 wj, xj = _operands(policy, sh, w, x)
                 # blinded for shard 0 and each shard it is cut for; a shared
                 # operand goes to every shard as shard 0's bytes (see the class)
@@ -608,32 +601,25 @@ class EncryptedExecutor(nn.MatMulExecutor):
                     w_enc = pre[j] if pre else self._blind(enc_left, sk, wj, w_head[:len(wj)])
                 if j == 0 or xj is not x:
                     x_enc = self._blind(enc_right, sk, xj, x_out)
-                product = _Product(sk, wj, xj, z[sh.rows, sh.cols], False, lid, "forward")
-                pending.append(self._store(j, product, (w_enc, x_enc)))
+                self._queue(pending, j, StorePair(lid, j, w_enc, x_enc),
+                            [_Product(sk, wj, xj, z[sh.rows, sh.cols], False, lid, "forward")])
             if self.pipelined:
                 self._pre_encrypt_next(lid, p)
             self._finish(pending)
-        self._held[lid] = (w, x, keys)
         return z
 
     # -- backward ------------------------------------------------------
 
     def multiply_backward(self, lid: int, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        w, x = self._release(lid, delta)
         policy = self.net.linears[lid].policy
-        held = self._held.pop(lid, None)
-        if held is None:
-            raise RuntimeError(f"backward for layer {lid} without a matching forward")
-        w, x, keys = held
         (m, n), p = w.shape, x.shape[1]
-        if delta.shape != (m, p):
-            raise ShapeError(
-                f"backward delta {delta.shape} does not match product shape ({m}, {p})")
         layout = shard_layout(policy, self.pool.size, m, n, p)
         if not layout:
             return x @ delta.T, delta.T @ w
         t1, t2 = np.empty((n, m)), np.empty((p, n))
         with self._requests() as pending:
-            for j, (sh, sk) in enumerate(zip(layout, keys)):
+            for j, sh in enumerate(layout):
                 wj, xj = _operands(policy, sh, w, x)
                 d_t = np.ascontiguousarray(delta[sh.rows, sh.cols].T)
                 # A product that contracts over a cut operand is summed across
@@ -642,21 +628,23 @@ class EncryptedExecutor(nn.MatMulExecutor):
                 t1_part = (xj, d_t, t1[:, sh.rows], j > 0 and xj is not x, lid, "backward T1")
                 t2_part = (d_t, wj, t2[sh.cols], j > 0 and wj is not w, lid, "backward T2")
                 if self.reuse_backward:
-                    # the transposed delta under the key rotated by two; the
-                    # worker multiplies it against the pair it still holds
+                    # the transposed delta under the forward's key rotated by
+                    # two; the worker multiplies it against the pair it holds
+                    sk = self.keys.get(lid, j, *sh.dims, _CUT[policy])
                     k2 = key_shift(sk, 2)
                     d_enc = self._blind(enc_left, k2, d_t, self.pool.wire.matrices(d_t.shape)[0])
-                    tag = self._send(lid, j, MultBwd(lid, j, d_enc))
-                    self.stats.products_offloaded += 2
-                    pending.append((j, tag, [_Product(key_shift(sk, 1), *t1_part),
-                                             _Product(k2, *t2_part)]))
+                    self._queue(pending, j, MultBwd(lid, j, d_enc),
+                                [_Product(key_shift(sk, 1), *t1_part), _Product(k2, *t2_part)])
                 else:
-                    # reference mode: two independently keyed, freshly blinded pairs
-                    mj, _, pj = sh.dims
-                    k1 = kgen(n, pj, mj, self.keys.keyspace, self._rng)
-                    pending.append(self._store(j, _Product(k1, *t1_part)))
-                    k2 = kgen(pj, mj, n, self.keys.keyspace, self._rng)
-                    pending.append(self._store(j, _Product(k2, *t2_part)))
+                    # reference mode: each product under its own fresh key, its
+                    # pair blinded into the wire buffer and sent as a StorePair
+                    for a, b, *rest in (t1_part, t2_part):
+                        k = kgen(*a.shape, b.shape[1], self.keys.keyspace, self._rng)
+                        a_enc, b_enc = self.pool.wire.matrices(a.shape, b.shape)
+                        self._blind(enc_left, k, a, a_enc)
+                        self._blind(enc_right, k, b, b_enc)
+                        self._queue(pending, j, StorePair(lid, j, a_enc, b_enc),
+                                    [_Product(k, a, b, *rest)])
             self._finish(pending)
         return t1, t2
 

@@ -52,13 +52,17 @@ class MatMulExecutor:
     ReLU to it in place and passes that same array as the next layer's
     x.  Once the caller, its views and any executor holding it as an
     operand have all let it go, a later call may return the same array
-    again (EncryptedExecutor does, through WorkerPool.layer_output).  An
-    executor may retain x until the matching multiply_backward, so the
-    caller must not write x after passing it.  multiply_backward may
-    reuse operands retained from the matching multiply_forward call of
-    the same batch; callers guarantee the forward/backward pairing per
-    layer.
+    again (EncryptedExecutor does, through WorkerPool.layer_output).
+
+    The seam keeps the pairing: multiply_forward hands its operands to
+    _hold, which checks that they chain and keeps them (so the caller
+    must not write x after passing it), and the layer's multiply_backward
+    takes them back from _release, which checks delta's shape.  A
+    backward with no forward before it raises.
     """
+
+    def __init__(self):
+        self._held: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def start_epoch(self, epoch: int) -> None:
         pass
@@ -66,33 +70,36 @@ class MatMulExecutor:
     def multiply_forward(self, layer_id: int, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def multiply_backward(
-        self, layer_id: int, delta: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def multiply_backward(self, layer_id: int, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
+
+    def _hold(self, layer_id: int, w: np.ndarray, x: np.ndarray) -> None:
+        """Check that w @ x chains and keep the pair for the layer's backward."""
+        if w.shape[1] != x.shape[0]:
+            raise ShapeError(f"forward product: {w.shape} x {x.shape}")
+        self._held[layer_id] = (w, x)
+
+    def _release(self, layer_id: int, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (w, x) the layer's forward kept, no longer kept; delta must
+        have the shape of their product."""
+        if layer_id not in self._held:
+            raise RuntimeError(f"backward for layer {layer_id} without a matching forward")
+        w, x = self._held.pop(layer_id)
+        if delta.shape != (w.shape[0], x.shape[1]):
+            raise ShapeError(f"backward delta {delta.shape} does not match product shape "
+                             f"({w.shape[0]}, {x.shape[1]})")
+        return w, x
 
 
 class LocalExecutor(MatMulExecutor):
     """In-process reference backend: plain numpy products."""
 
-    def __init__(self):
-        self._held: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
     def multiply_forward(self, layer_id, w, x):
-        if w.shape[1] != x.shape[0]:
-            raise ShapeError(f"forward product: {w.shape} x {x.shape}")
-        self._held[layer_id] = (w, x)
+        self._hold(layer_id, w, x)
         return w @ x
 
     def multiply_backward(self, layer_id, delta):
-        if layer_id not in self._held:
-            raise RuntimeError(f"backward for layer {layer_id} without a matching forward")
-        w, x = self._held.pop(layer_id)
-        if delta.shape != (w.shape[0], x.shape[1]):
-            raise ShapeError(
-                f"backward delta {delta.shape} does not match product shape "
-                f"({w.shape[0]}, {x.shape[1]})"
-            )
+        w, x = self._release(layer_id, delta)
         return x @ delta.T, delta.T @ w
 
 

@@ -324,11 +324,23 @@ def probe_sides(pairs: list, k: int, rng: np.random.Generator) -> list[ProbeSide
     shared A, one of their stacked LA with a shared B, and one max|.|
     scan per distinct operand.  Stacking only batches the arithmetic: no
     probe is shared, so each product's escapes stay independent.
+
+    Before any probe is drawn, each product's bound m n max|A| max|B| on
+    an entry of (LA)B is taken in Python floats: if it is not finite, the
+    plaintext operands are past what a probe can check, and an
+    OverflowError is raised whose `index` is that product's in `pairs`.
     """
     peaks: dict[int, float] = {}
     for x in (x for pair in pairs for x in pair):
         if id(x) not in peaks:
             peaks[id(x)] = max_abs(x)
+    for i, (a, b) in enumerate(pairs):
+        bound = a.shape[0] * a.shape[1] * peaks[id(a)] * peaks[id(b)]
+        if not math.isfinite(bound):
+            exc = OverflowError(f"operands of peaks {peaks[id(a)]:.3g} and {peaks[id(b)]:.3g} "
+                                f"are past the range a probe can check")
+            exc.index = i
+            raise exc
     probes = [rng.integers(0, 2, size=(k, a.shape[0])).astype(np.float64) for a, _ in pairs]
     la = _products(probes, [a for a, _ in pairs])
     expected = _products(la, [b for _, b in pairs])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import socket
 import subprocess
@@ -402,11 +403,13 @@ OVERFLOWING_LITERAL = {"learning_rate": "1e999"}  # a JSON number that reads as 
     ({"learning_rate": float("nan")}, "is not valid JSON: NaN is not a JSON number"),
     (_with_blob(separation=float("inf")), "is not valid JSON: Infinity is not a JSON number"),
     (OVERFLOWING_LITERAL, "is not valid JSON: 1e999 is not a JSON number a float can hold"),
+    ({"learning_rate": 10**400}, "config key 'learning_rate' is a number too large for a float"),
+    (_with_blob(separation=10**400), "blobs key 'separation' is a number too large for a float"),
 ], ids=["learning-rate", "batch-size", "t", "layer-dims", "n-per-class", "not-utf8", "workers",
         "csv", "pipelined-string", "batch-size-float", "epochs-bool",
         "seed-float", "keyspace-float", "n-per-class-float", "workers-string",
         "policies-string", "layer-dims-bool", "workers-number", "learning-rate-nan", "separation-infinity",
-        "learning-rate-1e999"])
+        "learning-rate-1e999", "learning-rate-huge-integer", "separation-huge-integer"])
 def test_run_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, overrides, message):
     cfg = write_config(tmp_path, **(overrides or {}))
     if overrides is None:
@@ -564,6 +567,23 @@ def test_tampering_worker_exits_3(tmp_path, capsys):
         workers = ",".join(f"{host}:{port}" for host, port in addresses)
         assert main(["train", "--config", cfg, "--workers", workers]) == 3
     assert capsys.readouterr().err.startswith("integrity failure, aborting: verification")
+
+
+def test_a_run_driven_past_float_range_exits_2_and_blames_no_worker(tmp_path):
+    """A learning rate that drives the weights past what a probe can
+    check is the config's fault: train exits 2, naming the layer, shard
+    and direction but no worker.  Run in a subprocess, where the honest
+    worker thread's overflow warning is printed, not raised."""
+    cfg = write_config(tmp_path, learning_rate=1e300)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    run = subprocess.run([sys.executable, "-m", "blindtrain", "train", "--config", cfg,
+                          "--local-workers", "1"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2, run.stderr
+    assert "integrity failure" not in run.stdout + run.stderr
+    last = run.stderr.rstrip().splitlines()[-1]
+    assert re.fullmatch(r"error: .* past the range a probe can check "
+                        r"\(layer \d+, shard 0, (forward|backward T[12])\)", last), last
 
 
 def test_worker_dropping_mid_run_exits_4(tmp_path, capsys):

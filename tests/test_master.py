@@ -1,4 +1,5 @@
 import hashlib
+import re
 import socket
 import struct
 import threading
@@ -43,7 +44,7 @@ from blindtrain.protocol import (
     encode,
     send_message,
 )
-from blindtrain.tensor import make_rng
+from blindtrain.tensor import ShapeError, make_rng
 from blindtrain.worker import WorkerMode, WorkerServer, WorkerSession, spawn_local_workers
 
 
@@ -107,18 +108,18 @@ def test_no_layer_gets_zero_shards_or_an_unknown_policy():
 
 def test_epoch_keys_stable_within_epoch():
     keys = EpochKeys(5, KeySpaceConfig())
-    assert keys.get(0, 0, 4, 3, 2) is keys.get(0, 0, 4, 3, 2)
+    assert keys.get(0, 0, 4, 3, 2, 0) is keys.get(0, 0, 4, 3, 2, 0)
 
 
 def test_epoch_keys_differ_across_shards_layers_epochs():
     keys = EpochKeys(5, KeySpaceConfig())
-    base = keys.get(0, 0, 4, 3, 2)
-    assert keys.get(0, 1, 4, 3, 2).slots[0].coeffs.tobytes() != base.slots[0].coeffs.tobytes() or \
-        not np.array_equal(keys.get(0, 1, 4, 3, 2).slots[0].perm, base.slots[0].perm)
-    assert keys.get(1, 0, 4, 3, 2) is not base
+    base = keys.get(0, 0, 4, 3, 2, 0)
+    assert keys.get(0, 1, 4, 3, 2, 0).slots[0].coeffs.tobytes() != base.slots[0].coeffs.tobytes() or \
+        not np.array_equal(keys.get(0, 1, 4, 3, 2, 0).slots[0].perm, base.slots[0].perm)
+    assert keys.get(1, 0, 4, 3, 2, 0) is not base
     before = base.slots[0].coeffs.copy()
     keys.refresh(1)
-    after = keys.get(0, 0, 4, 3, 2)
+    after = keys.get(0, 0, 4, 3, 2, 0)
     assert after.slots[0].coeffs.tobytes() != before.tobytes() or \
         not np.array_equal(after.slots[0].perm, base.slots[0].perm)
 
@@ -126,9 +127,9 @@ def test_epoch_keys_differ_across_shards_layers_epochs():
 def test_epoch_keys_reproducible_regardless_of_request_order():
     a = EpochKeys(9, KeySpaceConfig())
     b = EpochKeys(9, KeySpaceConfig())
-    a.get(0, 0, 4, 3, 2)
-    ka = a.get(1, 1, 5, 4, 3)
-    kb = b.get(1, 1, 5, 4, 3)  # first request on this store
+    a.get(0, 0, 4, 3, 2, 0)
+    ka = a.get(1, 1, 5, 4, 3, 0)
+    kb = b.get(1, 1, 5, 4, 3, 0)  # first request on this store
     assert all(
         sa.coeffs.tobytes() == sb.coeffs.tobytes() and np.array_equal(sa.perm, sb.perm)
         for sa, sb in zip(ka.slots, kb.slots)
@@ -399,14 +400,30 @@ def test_a_master_layer_between_offloaded_ones_sends_nothing_and_multiplies_as_l
         assert got.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("policy", ["tensor", "data", "master"])
+@pytest.mark.parametrize("policy", ["tensor", "data", "master", "local"])
 def test_backward_without_forward_raises(policy):
-    net = make_net(policies=[policy] * 3)
+    """The seam checks the pairing and shapes for both executors, on
+    every layout: a forward whose operands do not chain, a backward with
+    no forward before it, one whose delta does not match the product,
+    and a second backward for one forward."""
+    net = make_net(policies=None if policy == "local" else [policy] * 3)
+    w = net.linears[0].W  # (5, 3)
     with spawn_local_workers(1) as addresses:
         with pool_for(addresses, net) as pool:
-            ex = offload_executor(pool, net)
+            ex = LocalExecutor() if policy == "local" else offload_executor(pool, net)
+            with pytest.raises(ShapeError, match=re.escape("forward product: (5, 3) x (4, 2)")):
+                ex.multiply_forward(0, w, np.ones((4, 2)))
+            with pytest.raises(RuntimeError, match="backward for layer 0 without a matching forward"):
+                ex.multiply_backward(0, np.ones((5, 2)))
+            ex.multiply_forward(0, w, np.ones((3, 2)))
+            with pytest.raises(ShapeError, match=re.escape(
+                    "backward delta (5, 3) does not match product shape (5, 2)")):
+                ex.multiply_backward(0, np.ones((5, 3)))
             with pytest.raises(RuntimeError, match="without a matching forward"):
                 ex.multiply_backward(0, np.ones((5, 2)))
+            ex.multiply_forward(0, w, np.ones((3, 2)))
+            t1, t2 = ex.multiply_backward(0, np.ones((5, 2)))
+            assert t1.shape == (3, 5) and t2.shape == (2, 3)
 
 
 @pytest.mark.parametrize("reuse", [True, False])
@@ -567,14 +584,12 @@ def test_forward_and_reuse_backward_counter_deltas():
             s = ex.stats
             # 2 shards: a weight shard each, the batch they share once; one product each
             assert s.matrices_encrypted == 2 + 1
-            assert s.products_offloaded == 2
-            assert s.matrices_decrypted == 2
+            assert s.products_offloaded == s.matrices_decrypted == 2
             assert s.verification_rounds == 2 * 4
             ex.multiply_backward(0, np.ones((4, 6)))
             # reuse: one fresh blind per shard, two products, two decrypts
             assert s.matrices_encrypted == 3 + 2
-            assert s.products_offloaded == 2 + 4
-            assert s.matrices_decrypted == 2 + 4
+            assert s.products_offloaded == s.matrices_decrypted == 2 + 4
             assert s.verification_rounds == (2 + 4) * 4
             assert s.failures == 0
 
@@ -587,11 +602,12 @@ def test_naive_backward_counts_four_encryptions_per_shard():
         with pool_for(addresses, net) as pool:
             ex = offload_executor(pool, net, rounds=4, seed=5, reuse_backward=False)
             ex.multiply_forward(0, net.linears[0].W, x)
+            assert ex.stats.products_offloaded == ex.stats.matrices_decrypted == 2
             t1, t2 = ex.multiply_backward(0, delta)
             assert np.max(np.abs(t1 - x @ delta.T)) < 1e-9
             assert np.max(np.abs(t2 - delta.T @ net.linears[0].W)) < 1e-9
             assert ex.stats.matrices_encrypted == 3 + 8  # 4 per shard backward
-            assert ex.stats.products_offloaded == 2 + 4
+            assert ex.stats.products_offloaded == ex.stats.matrices_decrypted == 2 + 4
 
 
 def test_training_counter_totals():
@@ -985,7 +1001,7 @@ def test_a_smaller_request_after_a_larger_one_carries_no_stale_bytes():
         peer.close()
     assert len(frames) == 2
     for lid, ((w, x), z, frame) in enumerate(zip(operands, products, frames)):
-        sk = ex.keys.get(lid, 0, *w.shape, x.shape[1])
+        sk = ex.keys.get(lid, 0, *w.shape, x.shape[1], 0)
         assert frame == bytes(encode(StorePair(lid, 0, enc_left(sk, w), enc_right(sk, x))))
         assert np.max(np.abs(z - w @ x)) < 1e-9
 

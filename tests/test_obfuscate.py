@@ -631,6 +631,23 @@ def test_probe_sides_of_shared_operands_keep_each_products_probes_and_threshold(
                     assert got[1] == pytest.approx(want[1], rel=1e-9)
 
 
+@pytest.mark.parametrize("peak", [1e160, np.inf, np.nan])
+def test_probe_sides_refuse_operands_past_float_range_before_drawing_a_probe(peak):
+    """A product whose bound m n max|A| max|B| is not finite raises an
+    OverflowError carrying its index, before any probe is drawn; one
+    whose bound is finite, however large, is probed."""
+    rng = make_rng(37)
+    state = rng.bit_generator.state
+    fits = (np.full((2, 3), 1e150), np.full((3, 4), -1e150))  # bound 6e300
+    past = (np.full((2, 3), 1e160), np.full((3, 4), peak))
+    with pytest.raises(OverflowError, match="past the range a probe can check") as info:
+        probe_sides([fits, past, fits], 4, rng)
+    assert info.value.index == 1
+    assert rng.bit_generator.state == state
+    side, = probe_sides([fits], 4, rng)
+    assert np.isfinite(side.expected).all() and math.isfinite(side.threshold)
+
+
 def test_dec_validates_plaintext_shapes():
     rng = make_rng(31)
     sk, a, b = random_case(rng)
