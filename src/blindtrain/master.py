@@ -18,18 +18,19 @@ multiply.  The reuse and the reference backward modes differ only in
 the requests they queue.
 
 The network is the partition plan: the executor reads each layer's
-policy from the network it serves and cuts the layer by shard_layout.
-"tensor" splits the weight by output rows and "data" the batch by
-columns, one shard per worker, clipped to the dim it cuts; "master" is
-a layout with no shards, whose products the executor computes itself.
-The shards of a layer share the key slots of the operand each gets
-whole (X under "tensor", W under "data"), so that operand is blinded
-once and every shard is sent the same bytes; the slot of the dim the
-layout cuts is each shard's own.  Two workers of one layer thus hold
-the shared operand under one key, not two.  Keys are refreshed every
-epoch.  Both layouts follow one rule: an operand is blinded for shard
-0 and each shard it is cut for, and a backward product is summed
-across shards when it contracts over a cut operand.
+policy from the network it serves and cuts the layer by shard_layout,
+the only code that tells policies apart.  "tensor" splits the weight
+by output rows and "data" the batch by columns, one shard per worker,
+clipped to the dim it cuts; "master" is a layout with no shards, whose
+products the executor computes itself.  Each shard carries its cut,
+the key slot it owns: 0 (W's rows) or 2 (X's columns).  The slots of
+the operand a shard gets whole (X under "tensor", W under "data") are
+the layer's, so that operand is blinded once and every shard is sent
+the same bytes: two workers of one layer hold it under one key, not
+two.  Keys are refreshed every epoch.  The cut decides the rest: an
+operand is blinded for shard 0 and each shard that cuts it, forward
+and pipelined alike, and a backward product is summed across shards
+when it contracts over the cut operand.
 """
 from __future__ import annotations
 
@@ -88,18 +89,18 @@ class WorkerFault(RuntimeError):
     address: str | None = None
 
 
-def _attribute(exc: Exception, lid: int | None, j: int | None, conn: WorkerConnection,
-               direction: str | None = None) -> None:
+def _attribute(exc: Exception, lid: int | None, j: int | None,
+               conn: WorkerConnection | None = None, direction: str | None = None) -> None:
     """Record on exc the layer, shard and worker address of the request
-    it was raised for (layer and shard None outside an executor call),
-    and the product's direction if given (an IntegrityFailure's), and
-    append them to its message."""
-    exc.layer, exc.shard, exc.address = lid, j, conn.address
-    where = "" if lid is None else f"layer {lid}, shard {j}, "
+    it was raised for (layer and shard None outside an executor call,
+    address None where no worker is at fault), and the product's
+    direction if given, and append those known to its message."""
+    exc.layer, exc.shard, exc.address = lid, j, conn and conn.address
     if direction is not None:
         exc.direction = direction
-        where += f"{direction}, "
-    exc.args = (f"{exc} ({where}worker {conn.address})",)
+    where = [] if lid is None else [f"layer {lid}", f"shard {j}"]
+    where += [s for s in (direction, conn and f"worker {conn.address}") if s]
+    exc.args = (f"{exc} ({', '.join(where)})",)
 
 
 _ERROR_PAYLOAD_CAP = 1 << 16  # largest ERROR payload a coordinator reads
@@ -109,11 +110,20 @@ _ERROR_PAYLOAD_CAP = 1 << 16  # largest ERROR payload a coordinator reads
 class Shard:
     """One shard of a layer product W (m x n) @ X (n x p): the rows of W
     and the columns of X it multiplies, which also index its block of
-    the product, and the (m, n, p) dims of its own product."""
+    the product, the (m, n, p) dims of its own product, and `cut`, the
+    key slot its layout cuts and the shard owns: 0 (W's rows) under
+    "tensor", 2 (X's columns) under "data"."""
 
     rows: slice
     cols: slice
     dims: tuple[int, int, int]
+    cut: int
+
+    def operands(self, w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The shard's slices of W and X.  The operand every shard shares
+        is passed whole, as the same object, so probe_sides sees that it
+        is shared."""
+        return (w[self.rows], x) if self.cut == 0 else (w, x[:, self.cols])
 
 
 def shard_layout(policy: str, shards: int, m: int, n: int, p: int) -> list[Shard]:
@@ -129,21 +139,10 @@ def shard_layout(policy: str, shards: int, m: int, n: int, p: int) -> list[Shard
     if policy == "master" or p == 0:
         return []
     if policy == "tensor":
-        return [Shard(r, slice(0, p), (r.stop - r.start, n, p))
+        return [Shard(r, slice(0, p), (r.stop - r.start, n, p), 0)
                 for r in shard_slices(m, min(shards, m))]
-    return [Shard(slice(0, m), c, (m, n, c.stop - c.start))
+    return [Shard(slice(0, m), c, (m, n, c.stop - c.start), 2)
             for c in shard_slices(p, min(shards, p))]
-
-
-# the key slot each offloaded policy's layout cuts: W's rows or X's columns
-_CUT = {"tensor": 0, "data": 2}
-
-
-def _operands(policy: str, sh: Shard, w: np.ndarray, x: np.ndarray) -> tuple:
-    """The shard's slices of W and X.  The operand every shard shares
-    (W under "data", X under "tensor") is passed whole, as the same
-    object, so probe_sides sees that it is shared."""
-    return (w, x[:, sh.cols]) if policy == "data" else (w[sh.rows], x)
 
 
 def _derive_seed(master_seed: int, *fields: int) -> int:
@@ -437,25 +436,27 @@ class EncryptedExecutor(nn.MatMulExecutor):
     A forward output is the pool's layer_output for its layer, so a
     layer's previous output is written over once nothing refers to it.
 
-    The shard keys of a layer share the slots of the operand every shard
-    gets whole (see EpochKeys), so a forward call blinds each operand
-    for shard 0 and for the shards it is cut for, and every shard's
-    StorePair sends shard 0's bytes of the shared one.  In the pool's
-    wire buffer, W's block comes first and X's after shard 0's W block;
-    shard 0's blocks are the largest, so no later shard's overwrites
-    the shared one.
+    Each shard's cut (see Shard) decides what a call blinds for it.  The
+    shard keys of a layer share the slots of the operand every shard
+    gets whole (see EpochKeys), so a forward call blinds W for shard 0
+    and each shard whose cut is 0, X for shard 0 and each shard whose
+    cut is 2, and every shard's StorePair sends shard 0's bytes of the
+    shared one.  In the pool's wire buffer, W's block comes first and
+    X's after shard 0's W block; shard 0's blocks are the largest, so no
+    later shard's overwrites the shared one.  The backward sums T1
+    across shards when X is cut, and T2 when W is.
 
     rounds is the per-product probe count (see min_rounds).  With
     pipelined=True the executor blinds the next layer's weight while
     the current layer's requests are in flight, as nn.forward calls
-    them, with the network's weights: once per shard under "tensor",
-    once for all shards under "data".  A weight is blinded under the
-    slots of its own two dims alone, which no batch width changes, so a
-    pre-blinded weight is sent for any width, but only when the layer
-    is called with the very weight array it was blinded from; another
-    weight is blinded afresh.  Results are bitwise identical either way
-    because keys derive from (epoch, layer, slot axis, owner, size),
-    not from call order.
+    them, with the network's weights, by the forward's rule: once per
+    shard under "tensor", once for all shards under "data".  A weight
+    is blinded under the slots of its own two dims alone, which no
+    batch width changes, so a pre-blinded weight is sent for any width,
+    but only when the layer is called with the very weight array it was
+    blinded from; another weight is blinded afresh.  Results are bitwise
+    identical either way because keys derive from (epoch, layer, slot
+    axis, owner, size), not from call order.
     reuse_backward=False is the reference accounting mode: the backward
     products are shipped as two freshly blinded pairs (four matrices)
     instead of one.
@@ -531,13 +532,15 @@ class EncryptedExecutor(nn.MatMulExecutor):
         side of every queued product is computed in one probe_sides call,
         so an operand the call's products share is probed once; each
         product's dec then only checks its reply.  Operands past what a
-        probe can check are an OverflowError that names no worker."""
+        probe can check under the key space are an OverflowError that
+        names no worker."""
         queued = [(j, pr) for j, _, products in pending for pr in products]
         try:
-            sides = iter(probe_sides([(pr.a, pr.b) for _, pr in queued], self.rounds, self._rng))
-        except OverflowError as exc:  # plaintext operands alone: no worker is at fault
+            sides = iter(probe_sides([(pr.a, pr.b) for _, pr in queued], self.rounds,
+                                     self._rng, self.keys.keyspace.size))
+        except OverflowError as exc:  # operands and key space alone: no worker is at fault
             j, pr = queued[exc.index]
-            exc.args = (f"{exc} (layer {pr.layer}, shard {j}, {pr.direction})",)
+            _attribute(exc, pr.layer, j, direction=pr.direction)
             raise
         while pending:
             j, tag, products = pending[0]
@@ -563,28 +566,25 @@ class EncryptedExecutor(nn.MatMulExecutor):
                     block += c
 
     def _pre_encrypt_next(self, lid: int, batch_width: int) -> None:
-        """Blind layer lid + 1's weight ahead, for the shards of a call
-        batch_width wide: each shard's rows under "tensor", the whole
-        weight once under "data", whose shards share its slots.  Each is
-        a new array: it must outlive the collects before its send."""
+        """Blind layer lid + 1's weight ahead by the forward's rule, for
+        shard 0 and each shard that cuts W of a call batch_width wide:
+        every shard's rows under "tensor", the whole weight once under
+        "data".  Each is a new array: it must outlive the collects before
+        its send."""
         if lid + 1 == len(self.net.linears):
             return
         nxt = self.net.linears[lid + 1]
         layout = shard_layout(nxt.policy, self.pool.size, *nxt.W.shape, batch_width)
-        if nxt.policy == "data":
-            layout = layout[:1]
         self._pre_enc[lid + 1] = (nxt.W, [
-            self._blind(enc_left, self.keys.get(lid + 1, j, *sh.dims, _CUT[nxt.policy]),
-                        nxt.W[sh.rows])
-            for j, sh in enumerate(layout)])
+            self._blind(enc_left, self.keys.get(lid + 1, j, *sh.dims, sh.cut), nxt.W[sh.rows])
+            for j, sh in enumerate(layout) if j == 0 or sh.cut == 0])
 
     # -- forward -------------------------------------------------------
 
     def multiply_forward(self, lid: int, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         self._hold(lid, w, x)
-        policy = self.net.linears[lid].policy
         p = x.shape[1]
-        layout = shard_layout(policy, self.pool.size, *w.shape, p)
+        layout = shard_layout(self.net.linears[lid].policy, self.pool.size, *w.shape, p)
         pre = self._pre_enc.pop(lid, None)
         pre = pre[1] if pre and pre[0] is w else None
         if not layout:
@@ -592,14 +592,14 @@ class EncryptedExecutor(nn.MatMulExecutor):
         z = self.pool.layer_output(lid, (w.shape[0], p))  # each shard unblinds into its block
         with self._requests() as pending:
             for j, sh in enumerate(layout):
-                sk = self.keys.get(lid, j, *sh.dims, _CUT[policy])
-                wj, xj = _operands(policy, sh, w, x)
+                sk = self.keys.get(lid, j, *sh.dims, sh.cut)
+                wj, xj = sh.operands(w, x)
                 # blinded for shard 0 and each shard it is cut for; a shared
                 # operand goes to every shard as shard 0's bytes (see the class)
                 w_head, x_out = self.pool.wire.matrices(layout[0].dims[:2], xj.shape)
-                if j == 0 or wj is not w:
+                if j == 0 or sh.cut == 0:
                     w_enc = pre[j] if pre else self._blind(enc_left, sk, wj, w_head[:len(wj)])
-                if j == 0 or xj is not x:
+                if j == 0 or sh.cut == 2:
                     x_enc = self._blind(enc_right, sk, xj, x_out)
                 self._queue(pending, j, StorePair(lid, j, w_enc, x_enc),
                             [_Product(sk, wj, xj, z[sh.rows, sh.cols], False, lid, "forward")])
@@ -612,25 +612,24 @@ class EncryptedExecutor(nn.MatMulExecutor):
 
     def multiply_backward(self, lid: int, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w, x = self._release(lid, delta)
-        policy = self.net.linears[lid].policy
         (m, n), p = w.shape, x.shape[1]
-        layout = shard_layout(policy, self.pool.size, m, n, p)
+        layout = shard_layout(self.net.linears[lid].policy, self.pool.size, m, n, p)
         if not layout:
             return x @ delta.T, delta.T @ w
         t1, t2 = np.empty((n, m)), np.empty((p, n))
         with self._requests() as pending:
             for j, sh in enumerate(layout):
-                wj, xj = _operands(policy, sh, w, x)
+                wj, xj = sh.operands(w, x)
                 d_t = np.ascontiguousarray(delta[sh.rows, sh.cols].T)
                 # A product that contracts over a cut operand is summed across
                 # shards, all writing one block whole: T1 when X is cut, T2 when
                 # W is.  Shard 0 unblinds into it; later shards add theirs in order.
-                t1_part = (xj, d_t, t1[:, sh.rows], j > 0 and xj is not x, lid, "backward T1")
-                t2_part = (d_t, wj, t2[sh.cols], j > 0 and wj is not w, lid, "backward T2")
+                t1_part = (xj, d_t, t1[:, sh.rows], j > 0 and sh.cut == 2, lid, "backward T1")
+                t2_part = (d_t, wj, t2[sh.cols], j > 0 and sh.cut == 0, lid, "backward T2")
                 if self.reuse_backward:
                     # the transposed delta under the forward's key rotated by
                     # two; the worker multiplies it against the pair it holds
-                    sk = self.keys.get(lid, j, *sh.dims, _CUT[policy])
+                    sk = self.keys.get(lid, j, *sh.dims, sh.cut)
                     k2 = key_shift(sk, 2)
                     d_enc = self._blind(enc_left, k2, d_t, self.pool.wire.matrices(d_t.shape)[0])
                     self._queue(pending, j, MultBwd(lid, j, d_enc),

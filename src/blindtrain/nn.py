@@ -214,7 +214,9 @@ def backward(
 ) -> float:
     """One SGD step; returns the batch's loss before the step.  All
     products are fetched and verified before any weight changes, so a
-    verification failure leaves the network as it was."""
+    verification failure leaves the network as it was.  So does a step
+    whose loss, new weights or new biases are not all finite: training
+    has diverged, and an OverflowError naming the learning rate says so."""
     loss, delta = cross_entropy_softmax(outs[-1], labels)
     scale = learning_rate / batch_size
     updates = []
@@ -226,6 +228,10 @@ def backward(
         updates.append((lin, new_w, new_b))
         if i > 0:
             delta = np.ascontiguousarray(t2.T) * (outs[i - 1] > 0.0)
+    if not (math.isfinite(loss) and all(np.isfinite(w).all() and np.isfinite(b).all()
+                                        for _, w, b in updates)):
+        raise OverflowError(f"training diverged at learning rate {learning_rate:g}: the "
+                            f"step's loss, weights or biases are past float range")
     for lin, new_w, new_b in updates:
         lin.W = new_w
         lin.b = new_b

@@ -310,7 +310,7 @@ def _products(lefts: list, rights: list) -> list:
     return out
 
 
-def probe_sides(pairs: list, k: int, rng: np.random.Generator) -> list[ProbeSide]:
+def probe_sides(pairs: list, k: int, rng: np.random.Generator, ratio: float) -> list[ProbeSide]:
     """The probe side of each (A, B) product in `pairs`, in order.
 
     Each product draws its own L = rng.integers(0, 2, size=(k, m)), in
@@ -325,20 +325,27 @@ def probe_sides(pairs: list, k: int, rng: np.random.Generator) -> list[ProbeSide
     scan per distinct operand.  Stacking only batches the arithmetic: no
     probe is shared, so each product's escapes stay independent.
 
-    Before any probe is drawn, each product's bound m n max|A| max|B| on
-    an entry of (LA)B is taken in Python floats: if it is not finite, the
-    plaintext operands are past what a probe can check, and an
-    OverflowError is raised whose `index` is that product's in `pairs`.
+    `ratio` bounds the coefficient ratios the products' keys scale an
+    entry by: the key-space size for keys kgen or kslot draw, whose
+    coefficients lie in {1, ..., size}.  Before any probe is drawn, each
+    product's bounds are taken in Python floats: ratio max|A| and ratio
+    max|B| on an entry of the blinded operands, and ratio m n max|A|
+    max|B| on one of the blinded product and of (LA)B.  If one is not
+    finite, the operands are past what a probe can check, whatever the
+    worker returns, and an OverflowError is raised whose `index` is that
+    product's in `pairs`.
     """
     peaks: dict[int, float] = {}
     for x in (x for pair in pairs for x in pair):
         if id(x) not in peaks:
             peaks[id(x)] = max_abs(x)
     for i, (a, b) in enumerate(pairs):
-        bound = a.shape[0] * a.shape[1] * peaks[id(a)] * peaks[id(b)]
-        if not math.isfinite(bound):
-            exc = OverflowError(f"operands of peaks {peaks[id(a)]:.3g} and {peaks[id(b)]:.3g} "
-                                f"are past the range a probe can check")
+        pa, pb = peaks[id(a)], peaks[id(b)]
+        if not all(map(math.isfinite, (ratio * pa, ratio * pb,
+                                       ratio * a.shape[0] * a.shape[1] * pa * pb))):
+            exc = OverflowError(f"operands of peaks {pa:.3g} and {pb:.3g}, blinded by "
+                                f"coefficient ratios up to {ratio:.3g}, are past the "
+                                f"range a probe can check")
             exc.index = i
             raise exc
     probes = [rng.integers(0, 2, size=(k, a.shape[0])).astype(np.float64) for a, _ in pairs]
@@ -377,7 +384,8 @@ def dec(
 
     `probe` is the product's probe side (see probe_sides) when the caller
     computed it ahead of the reply; otherwise dec builds it the same way,
-    drawing its k probes from rng after unblinding.  Raises
+    drawing its k probes from rng after unblinding, with the largest
+    coefficient ratio sk can apply as the ratio.  Raises
     IntegrityFailure (carrying the first failing round and its residual)
     if any of the k probe rounds exceeds tolerance or is not a number;
     otherwise returns the decrypted product, written into `out` when one
@@ -392,7 +400,9 @@ def dec(
         )
     c_dec = dec_only(sk, c_enc, out)
     if probe is None:
-        probe = probe_sides([(a_plain, b_plain)], k, rng)[0]
+        ratio = max(map(max_abs, (s.coeffs for s in sk.slots))) * \
+            max(map(max_abs, (s.recip for s in sk.slots)))
+        probe = probe_sides([(a_plain, b_plain)], k, rng, ratio)[0]
     _check(probe, c_dec)
     return c_dec
 

@@ -586,6 +586,41 @@ def test_a_run_driven_past_float_range_exits_2_and_blames_no_worker(tmp_path):
                         r"\(layer \d+, shard 0, (forward|backward T[12])\)", last), last
 
 
+def run_blindtrain(*argv):
+    """blindtrain in a subprocess, where numpy's overflow warnings (from
+    the run itself or an honest worker thread) are printed, not raised."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    return subprocess.run([sys.executable, "-m", "blindtrain", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_operands_a_blinded_product_may_overflow_exit_2(tmp_path):
+    """2x2 operands of 3e153 fit a plaintext probe, but not once blinding
+    scales them by coefficient ratios up to the key space: infer exits 2,
+    naming the layer, shard and direction but no worker."""
+    net = Network.from_dims([2, 2])
+    net.linears[0].W, net.linears[0].b = np.full((2, 2), 3e153), np.zeros(2)
+    model, csv_path = str(tmp_path / "model.json"), tmp_path / "big.csv"
+    save_model(net, model)
+    csv_path.write_text("0,3e153,3e153\n1,3e153,3e153\n")
+    run = run_blindtrain("infer", "--model", model, "--input", str(csv_path),
+                         "--local-workers", "1")
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.rstrip().splitlines()[-1].endswith(
+        "past the range a probe can check (layer 0, shard 0, forward)")
+
+
+def test_a_diverging_run_exits_2_and_writes_no_model(tmp_path):
+    """A learning rate that drives a step past float range exits 2 from
+    baseline, as from train, and neither writes its model."""
+    cfg = write_config(tmp_path, learning_rate=1e300)
+    for argv in (["baseline"], ["train", "--local-workers", "1"]):
+        out = tmp_path / f"{argv[0]}.json"
+        run = run_blindtrain(*argv, "--config", cfg, "--out", str(out))
+        assert run.returncode == 2, run.stdout + run.stderr
+        assert "final_loss" not in run.stdout and not out.exists()
+
+
 def test_worker_dropping_mid_run_exits_4(tmp_path, capsys):
     from blindtrain.protocol import MultBwd
     from blindtrain.worker import WorkerServer, WorkerSession

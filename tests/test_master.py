@@ -1,7 +1,9 @@
 import hashlib
+import math
 import re
 import socket
 import struct
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -44,7 +46,7 @@ from blindtrain.protocol import (
     encode,
     send_message,
 )
-from blindtrain.tensor import ShapeError, make_rng
+from blindtrain.tensor import ShapeError, make_rng, max_abs
 from blindtrain.worker import WorkerMode, WorkerServer, WorkerSession, spawn_local_workers
 
 
@@ -259,11 +261,20 @@ def test_shard_layout_follows_array_split_and_clips(policy):
         assert [c.stop - c.start for c in cuts] == want
         assert cuts[0].start == 0 and cuts[-1].stop == cut
         assert all(a.stop == b.start for a, b in zip(cuts, cuts[1:]))
+        w, x = np.arange(m * n).reshape(m, n), np.arange(n * p).reshape(n, p)
         for sh in layout:
             kept = sh.cols if policy == "tensor" else sh.rows
             assert (kept.start, kept.stop) == (0, p if policy == "tensor" else m)
             rows, cols = sh.rows.stop - sh.rows.start, sh.cols.stop - sh.cols.start
             assert sh.dims == (rows, n, cols)
+            # the cut is the key slot of the dim cut; the shared operand
+            # comes back as the very object passed in, the cut one sliced
+            assert sh.cut == (0 if policy == "tensor" else 2)
+            wj, xj = sh.operands(w, x)
+            shared, cut_part = (xj, wj) if policy == "tensor" else (wj, xj)
+            assert shared is (x if policy == "tensor" else w)
+            assert np.shares_memory(cut_part, w if policy == "tensor" else x)
+            assert np.array_equal(cut_part, w[sh.rows] if policy == "tensor" else x[:, sh.cols])
 
 
 def _fold(parts):
@@ -478,10 +489,10 @@ def test_the_operand_every_shard_shares_reaches_probe_sides_as_one_object(policy
     x, delta = rng.standard_normal((6, 9)), rng.standard_normal((7, 9))
     events, calls = [], []
 
-    def record_sides(pairs, k, rng):
+    def record_sides(pairs, k, rng, ratio):
         events.append("probe_sides")
         calls.append(pairs)
-        return probe_sides(pairs, k, rng)
+        return probe_sides(pairs, k, rng, ratio)
 
     def record(attr):
         call = getattr(WorkerConnection, attr)
@@ -857,6 +868,80 @@ def serving(session_class):
     return type("Server", (WorkerServer,), {"session_class": session_class})().start()
 
 
+class QuietOverflowSession(WorkerSession):
+    """An honest worker whose product may overflow to inf or nan.  Under
+    tests/ numpy's warning of it is an error, which would end the
+    worker's thread; here it is silenced, as only printed outside."""
+
+    def handle(self, msg):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return super().handle(msg)
+
+
+def test_an_honest_product_past_the_blinded_range_is_refused_under_every_key():
+    """2x2 operands of 3e153 fit a plaintext probe (m n max|A| max|B| is
+    3.6e307), but blinding scales their entries by coefficient ratios up
+    to the key space, 255, so the blinded product may overflow.  Under
+    every key the executor refuses them as an OverflowError that names
+    the layer, shard and direction but no worker."""
+    net = make_net((2, 2))
+    big = np.full((2, 2), 3e153)
+    server = serving(QuietOverflowSession)
+    try:
+        for seed in range(20):
+            with pool_for([server.address], net) as pool:
+                ex = offload_executor(pool, net, seed=seed)
+                with pytest.raises(OverflowError) as info:
+                    ex.multiply_forward(0, big, big)
+            assert str(info.value).endswith(
+                "past the range a probe can check (layer 0, shard 0, forward)")
+            assert info.value.address is None and ex.stats.failures == 0
+    finally:
+        server.stop()
+
+
+def test_honest_products_at_any_scale_and_key_space_check_out_or_are_refused():
+    """A seeded sweep of operand scales from 1e-300 up to the bound, and
+    of key spaces from 2 to 2**63 - 1, forward and backward under both
+    layouts: an honest worker's products either all check out or are
+    refused as an OverflowError, never an IntegrityFailure or a
+    WorkerFault.  W's scale ends near K max|W|'s bound, and X's near the
+    bound K m n max|W| max|X| on the blinded product, or past it by up
+    to the plaintext bound m n max|W| max|X|; every blinded operand stays
+    in float range.  Entries of one sign make the sums reach the bound."""
+    rng = make_rng(41)
+    top = math.log10(sys.float_info.max)
+
+    def scaled(a, exponent):  # a with its peak at 10**exponent, or at 1e-300
+        return a * (10 ** max(-300, exponent) / max_abs(a))
+
+    outcomes = []
+    server = serving(QuietOverflowSession)
+    try:
+        for case in range(48):
+            keyspace = (2, 2**63 - 1)[case] if case < 2 else \
+                min(int(2 ** rng.uniform(1, 63)), 2**63 - 1)
+            room = top - math.log10(keyspace) - 1e-3  # K max|.| is finite below it
+            net = make_net((4, 2), policies=[("tensor", "data")[case % 2]])
+            w = scaled(rng.uniform(0.5, 1, (2, 4)), room - 10 ** rng.uniform(-3, 2.7))
+            edge = min(room, top - math.log10(keyspace * 8 * max_abs(w)))
+            past = rng.uniform(0, math.log10(keyspace)) if case % 3 else -10 ** rng.uniform(-3, 2.5)
+            x = scaled(rng.uniform(0.5, 1, (4, 5)), min(room, edge + past))
+            delta = scaled(rng.uniform(-1, 1, (2, 5)), rng.uniform(-300, room))
+            with pool_for([server.address] * 2, net) as pool:
+                ex = offload_executor(pool, net, keyspace=KeySpaceConfig(keyspace), seed=case)
+                try:
+                    ex.multiply_forward(0, w, x)
+                    ex.multiply_backward(0, delta)
+                    outcomes.append("checked")
+                except OverflowError:
+                    outcomes.append("refused")
+            assert ex.stats.failures == 0
+    finally:
+        server.stop()
+    assert {"checked", "refused"} <= set(outcomes)
+
+
 def test_nan_returning_worker_aborts_training_weights_unchanged():
     ds = gen_blobs(10, 2, 2, separation=8.0, seed=3)
     net = make_net((2, 4, 2), seed=3)
@@ -1169,6 +1254,48 @@ def test_training_over_the_executor_keeps_its_pinned_bytes(monkeypatch):
         "ce3d0124e2fe9ce6313693f9e6f365f316c3601de1a70cf90f631cd5f87d9029"
     assert frames.hexdigest() == \
         "c04793fae1b29a9f78b3a4d5f70e2b10e8df42c024a701ef506c867e3ef9667c"
+
+
+def test_a_grid_of_pools_layouts_and_modes_keeps_its_pinned_digests(monkeypatch):
+    """Sixty runs: pools of 1, 2 and 3 workers, five mixes of layer
+    policies, pipelined or not, and either backward mode.  Each trains
+    a fresh net for two epochs and then runs inference over the pool.
+    The weights, biases, losses, stats and predictions of all sixty
+    hash to one pinned digest, and every frame the coordinator's thread
+    sends hashes to another.  A change meant to keep results bitwise
+    passes both unedited; one that changes the rounding re-pins them,
+    as it re-pins test_training_over_the_executor_keeps_its_pinned_bytes."""
+    ds = gen_blobs(12, 3, 4, separation=3.0, seed=21)
+    results, frames = hashlib.sha256(), hashlib.sha256()
+    send = protocol.send_message
+
+    def record(sock, msg):
+        if threading.current_thread() is threading.main_thread():
+            frames.update(encode(msg))
+        send(sock, msg)
+
+    monkeypatch.setattr(protocol, "send_message", record)
+    mixes = [["tensor"] * 3, ["data"] * 3, ["tensor", "data", "tensor"],
+             ["data", "master", "tensor"], ["master", "tensor", "data"]]
+    for n_workers in (1, 2, 3):
+        with spawn_local_workers(n_workers) as addresses:
+            with WorkerPool.connect(addresses, n_layers=3) as pool:
+                for policies in mixes:
+                    for pipelined in (False, True):
+                        for reuse in (True, False):
+                            net = make_net((4, 7, 5, 3), policies, seed=21)
+                            ex = offload_executor(pool, net, seed=21, pipelined=pipelined,
+                                                  reuse_backward=reuse)
+                            log = train(net, ds, TrainConfig(0.1, 8, 2, seed=21), ex)
+                            for lin in net.linears:
+                                results.update(lin.W.tobytes() + lin.b.tobytes())
+                            results.update(np.array([e["loss"] for e in log]).tobytes())
+                            results.update(repr(ex.stats.as_dict()).encode())
+                            results.update(run_inference(net, ds.features, pool, seed=5).tobytes())
+    assert results.hexdigest() == \
+        "342dbfdedcc8ff68b1da22c3573caccb4d687b985b0ac55872270499f975601f"
+    assert frames.hexdigest() == \
+        "159733dbb35530247bb42d99c5497c1837b07a729aac5bbe44c2d794ab19d95c"
 
 
 def test_raw_peer_wrong_shape_and_error_frames():

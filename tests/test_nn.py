@@ -296,6 +296,22 @@ def test_backward_applies_no_update_on_executor_failure():
         assert np.array_equal(lin.W, w)
 
 
+def test_a_step_past_float_range_is_refused_and_applies_no_update():
+    """A learning rate that drives a new weight past float range is an
+    OverflowError naming it, and the step commits nothing."""
+    rng = make_rng(15)
+    net = Network.from_dims([3, 4, 2])
+    net.init_weights(15)
+    before = [(lin.W.copy(), lin.b.copy()) for lin in net.linears]
+    ex = LocalExecutor()
+    outs = forward(net, 10.0 * rng.standard_normal((3, 5)), ex)
+    with np.errstate(over="ignore", invalid="ignore"):  # the step's own overflow
+        with pytest.raises(OverflowError, match=r"diverged at learning rate 1e\+308"):
+            backward(net, outs, rng.integers(0, 2, size=5), ex, 1e308, 1)
+    for lin, (w, b) in zip(net.linears, before):
+        assert np.array_equal(lin.W, w) and np.array_equal(lin.b, b)
+
+
 # -- training --------------------------------------------------------------
 
 def test_training_reaches_accuracy_and_loss_drops():

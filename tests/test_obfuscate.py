@@ -581,7 +581,7 @@ def test_precomputed_probe_side_gives_the_same_verdict():
         c_enc = enc_left(sk, a) @ enc_right(sk, b)
         c_enc[int(rng.integers(m)), int(rng.integers(p))] += 1.0
         probes = rng.integers(0, 2, size=(k, m))
-        side, = probe_sides([(a, b)], k, FixedProbes(probes))
+        side, = probe_sides([(a, b)], k, FixedProbes(probes), KS.size)
         got = verdict(sk, c_enc, a, b, k, None, probe=side)
         assert got == verdict(sk, c_enc, a, b, k, FixedProbes(probes))
         verdicts.add(got is None)
@@ -616,10 +616,10 @@ def test_probe_sides_of_shared_operands_keep_each_products_probes_and_threshold(
                 cases.append((sk, a, b, c_enc, rng.integers(0, 2, size=(k, m))))
             scans.clear()
             sides = probe_sides([(a, b) for _, a, b, _, _ in cases], k,
-                                QueuedProbes(case[4] for case in cases))
+                                QueuedProbes(case[4] for case in cases), KS.size)
             assert len(scans) == 4 and len({id(x) for x in scans}) == 4
             for side, (sk, a, b, c_enc, probes) in zip(sides, cases):
-                alone, = probe_sides([(a, b)], k, FixedProbes(probes))
+                alone, = probe_sides([(a, b)], k, FixedProbes(probes), KS.size)
                 assert side.probes.tobytes() == alone.probes.tobytes()
                 assert side.threshold == alone.threshold
                 np.testing.assert_allclose(side.expected, alone.expected, rtol=1e-12, atol=1e-12)
@@ -633,18 +633,18 @@ def test_probe_sides_of_shared_operands_keep_each_products_probes_and_threshold(
 
 @pytest.mark.parametrize("peak", [1e160, np.inf, np.nan])
 def test_probe_sides_refuse_operands_past_float_range_before_drawing_a_probe(peak):
-    """A product whose bound m n max|A| max|B| is not finite raises an
-    OverflowError carrying its index, before any probe is drawn; one
+    """A product whose bound 255 m n max|A| max|B| is not finite raises
+    an OverflowError carrying its index, before any probe is drawn; one
     whose bound is finite, however large, is probed."""
     rng = make_rng(37)
     state = rng.bit_generator.state
-    fits = (np.full((2, 3), 1e150), np.full((3, 4), -1e150))  # bound 6e300
+    fits = (np.full((2, 3), 1e150), np.full((3, 4), -1e150))  # bound 1.5e303
     past = (np.full((2, 3), 1e160), np.full((3, 4), peak))
     with pytest.raises(OverflowError, match="past the range a probe can check") as info:
-        probe_sides([fits, past, fits], 4, rng)
+        probe_sides([fits, past, fits], 4, rng, 255)
     assert info.value.index == 1
     assert rng.bit_generator.state == state
-    side, = probe_sides([fits], 4, rng)
+    side, = probe_sides([fits], 4, rng, 255)
     assert np.isfinite(side.expected).all() and math.isfinite(side.threshold)
 
 
