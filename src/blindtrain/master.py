@@ -8,9 +8,11 @@ transposed delta is freshly blinded (one matrix instead of the four a
 from-scratch approach would need), shipped under the key rotated by
 two, and the two returned products decrypt under rotations one and two.
 
-Every offloaded product takes one path.  A call sends all its requests
-first: a freshly blinded pair as a StorePair or, in the reuse backward
-mode, the blinded delta as a MultBwd.  Then one collector receives the
+Every offloaded product takes one path.  A call first checks its
+operands' peaks against the range a probe can check, so a refused
+operand is never blinded or sent.  It then sends all its requests: a
+freshly blinded pair as a StorePair or, in the reuse backward mode, the
+blinded delta as a MultBwd.  Then one collector receives the
 replies in send order, verifies every product each carries and
 unblinds it into its block of the result; the probe sides of the
 checks are computed before the first collect, while the workers
@@ -58,6 +60,7 @@ from .obfuscate import (
     kgen,
     kslot,
     min_rounds,
+    operand_peaks,
     probe_sides,
 )
 from .protocol import Config, Hello, MultBwd, Result, StorePair
@@ -427,11 +430,12 @@ class EncryptedExecutor(nn.MatMulExecutor):
 
     Every request is sent by _queue and queued as (shard, tag, products),
     one _Product per product its reply carries, and _finish collects,
-    verifies and unblinds the queue in send order.  A WorkerFault or
-    IntegrityFailure raised for a request names its layer, shard and
-    worker address (and the product's direction).  A failure that leaves
-    a queued reply unread closes the pool, whose later requests then
-    raise a WorkerFault naming that failure.
+    verifies and unblinds the queue in send order.  Before the first
+    send, _peaks refuses operands past what a probe can check.  A
+    WorkerFault or IntegrityFailure raised for a request names its
+    layer, shard and worker address (and the product's direction).  A
+    failure that leaves a queued reply unread closes the pool, whose
+    later requests then raise a WorkerFault naming that failure.
 
     A forward output is the pool's layer_output for its layer, so a
     layer's previous output is written over once nothing refers to it.
@@ -520,7 +524,21 @@ class EncryptedExecutor(nn.MatMulExecutor):
                 self.pool.close(exc)
             raise
 
-    def _finish(self, pending: list) -> None:
+    def _peaks(self, parts: list) -> list[tuple[float, float]]:
+        """operand_peaks of one call's products, each given as (shard, its
+        _Product fields after the key), in the order _finish meets them.
+        It runs before the call blinds or sends anything, so operands past
+        what a probe can check under the key space never reach a worker:
+        they are an OverflowError that names the product's layer, shard
+        and direction but no worker, and the pool stays usable."""
+        try:
+            return operand_peaks([part[:2] for _, part in parts], self.keys.keyspace.size)
+        except OverflowError as exc:
+            j, (*_, lid, direction) = parts[exc.index]
+            _attribute(exc, lid, j, direction=direction)
+            raise
+
+    def _finish(self, pending: list, peaks: list[tuple[float, float]]) -> None:
         """Collect every queued request's reply in send order, and verify
         and unblind each product a reply carries: into its block, or
         added to it where add is set.  Each is done before the next
@@ -529,19 +547,12 @@ class EncryptedExecutor(nn.MatMulExecutor):
         names the request's layer, shard and worker (see _attribute).
 
         Before the first collect, while the workers multiply, the probe
-        side of every queued product is computed in one probe_sides call,
-        so an operand the call's products share is probed once; each
-        product's dec then only checks its reply.  Operands past what a
-        probe can check under the key space are an OverflowError that
-        names no worker."""
-        queued = [(j, pr) for j, _, products in pending for pr in products]
-        try:
-            sides = iter(probe_sides([(pr.a, pr.b) for _, pr in queued], self.rounds,
-                                     self._rng, self.keys.keyspace.size))
-        except OverflowError as exc:  # operands and key space alone: no worker is at fault
-            j, pr = queued[exc.index]
-            _attribute(exc, pr.layer, j, direction=pr.direction)
-            raise
+        side of every queued product is computed in one probe_sides call
+        from the peaks _peaks took, so an operand the call's products
+        share is probed and scanned once; each product's dec then only
+        checks its reply."""
+        sides = iter(probe_sides([(pr.a, pr.b) for _, _, products in pending for pr in products],
+                                 self.rounds, self._rng, self.keys.keyspace.size, peaks))
         while pending:
             j, tag, products = pending[0]
             conn = self.pool.conn(j)
@@ -564,6 +575,7 @@ class EncryptedExecutor(nn.MatMulExecutor):
                     raise
                 if add:
                     block += c
+                del c  # a summed partial is freed before the next is unblinded
 
     def _pre_encrypt_next(self, lid: int, batch_width: int) -> None:
         """Blind layer lid + 1's weight ahead by the forward's rule, for
@@ -590,10 +602,12 @@ class EncryptedExecutor(nn.MatMulExecutor):
         if not layout:
             return w @ x
         z = self.pool.layer_output(lid, (w.shape[0], p))  # each shard unblinds into its block
+        parts = [(*sh.operands(w, x), z[sh.rows, sh.cols], False, lid, "forward") for sh in layout]
+        peaks = self._peaks(list(enumerate(parts)))
         with self._requests() as pending:
-            for j, sh in enumerate(layout):
+            for j, (sh, part) in enumerate(zip(layout, parts)):
                 sk = self.keys.get(lid, j, *sh.dims, sh.cut)
-                wj, xj = sh.operands(w, x)
+                wj, xj = part[:2]
                 # blinded for shard 0 and each shard it is cut for; a shared
                 # operand goes to every shard as shard 0's bytes (see the class)
                 w_head, x_out = self.pool.wire.matrices(layout[0].dims[:2], xj.shape)
@@ -601,11 +615,10 @@ class EncryptedExecutor(nn.MatMulExecutor):
                     w_enc = pre[j] if pre else self._blind(enc_left, sk, wj, w_head[:len(wj)])
                 if j == 0 or sh.cut == 2:
                     x_enc = self._blind(enc_right, sk, xj, x_out)
-                self._queue(pending, j, StorePair(lid, j, w_enc, x_enc),
-                            [_Product(sk, wj, xj, z[sh.rows, sh.cols], False, lid, "forward")])
+                self._queue(pending, j, StorePair(lid, j, w_enc, x_enc), [_Product(sk, *part)])
             if self.pipelined:
                 self._pre_encrypt_next(lid, p)
-            self._finish(pending)
+            self._finish(pending, peaks)
         return z
 
     # -- backward ------------------------------------------------------
@@ -617,20 +630,24 @@ class EncryptedExecutor(nn.MatMulExecutor):
         if not layout:
             return x @ delta.T, delta.T @ w
         t1, t2 = np.empty((n, m)), np.empty((p, n))
+        parts = []  # per shard, the _Product fields after the key of its T1 and T2
+        for j, sh in enumerate(layout):
+            wj, xj = sh.operands(w, x)
+            d_t = np.ascontiguousarray(delta[sh.rows, sh.cols].T)
+            # A product that contracts over a cut operand is summed across
+            # shards, all writing one block whole: T1 when X is cut, T2 when
+            # W is.  Shard 0 unblinds into it; later shards add theirs in order.
+            parts.append(((xj, d_t, t1[:, sh.rows], j > 0 and sh.cut == 2, lid, "backward T1"),
+                          (d_t, wj, t2[sh.cols], j > 0 and sh.cut == 0, lid, "backward T2")))
+        peaks = self._peaks([(j, part) for j, pair in enumerate(parts) for part in pair])
         with self._requests() as pending:
-            for j, sh in enumerate(layout):
-                wj, xj = sh.operands(w, x)
-                d_t = np.ascontiguousarray(delta[sh.rows, sh.cols].T)
-                # A product that contracts over a cut operand is summed across
-                # shards, all writing one block whole: T1 when X is cut, T2 when
-                # W is.  Shard 0 unblinds into it; later shards add theirs in order.
-                t1_part = (xj, d_t, t1[:, sh.rows], j > 0 and sh.cut == 2, lid, "backward T1")
-                t2_part = (d_t, wj, t2[sh.cols], j > 0 and sh.cut == 0, lid, "backward T2")
+            for j, (sh, (t1_part, t2_part)) in enumerate(zip(layout, parts)):
                 if self.reuse_backward:
                     # the transposed delta under the forward's key rotated by
                     # two; the worker multiplies it against the pair it holds
                     sk = self.keys.get(lid, j, *sh.dims, sh.cut)
                     k2 = key_shift(sk, 2)
+                    d_t = t2_part[0]
                     d_enc = self._blind(enc_left, k2, d_t, self.pool.wire.matrices(d_t.shape)[0])
                     self._queue(pending, j, MultBwd(lid, j, d_enc),
                                 [_Product(key_shift(sk, 1), *t1_part), _Product(k2, *t2_part)])
@@ -644,7 +661,7 @@ class EncryptedExecutor(nn.MatMulExecutor):
                         self._blind(enc_right, k, b, b_enc)
                         self._queue(pending, j, StorePair(lid, j, a_enc, b_enc),
                                     [_Product(k, a, b, *rest)])
-            self._finish(pending)
+            self._finish(pending, peaks)
         return t1, t2
 
 

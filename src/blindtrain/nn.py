@@ -223,11 +223,17 @@ def backward(
     for i in range(len(net.linears) - 1, -1, -1):
         lin = net.linears[i]
         t1, t2 = executor.multiply_backward(lin.layer_id, delta)
-        new_w = lin.W - scale * t1.T
+        # W - s t1.T built in one C-ordered array: (-s) t = -(s t) and
+        # a + (-b) = a - b exactly, so the bytes are the same.  Each
+        # product is let go once read, before the next array is made.
+        new_w = np.multiply(t1.T, -scale, order="C")
+        new_w += lin.W
+        del t1
         new_b = lin.b - scale * delta.sum(axis=1)
         updates.append((lin, new_w, new_b))
         if i > 0:
-            delta = np.ascontiguousarray(t2.T) * (outs[i - 1] > 0.0)
+            delta = np.multiply(t2.T, outs[i - 1] > 0.0, order="C")
+        del t2
     if not (math.isfinite(loss) and all(np.isfinite(w).all() and np.isfinite(b).all()
                                         for _, w, b in updates)):
         raise OverflowError(f"training diverged at learning rate {learning_rate:g}: the "
@@ -293,5 +299,19 @@ def predict(net: Network, x: np.ndarray, executor: MatMulExecutor | None = None)
     return np.argmax(logits, axis=0)
 
 
+_BLOCK_BYTES = 1 << 20  # widest layer output bytes per accuracy block: cache-sized
+
+
 def accuracy(net: Network, dataset) -> float:
-    return float(np.mean(predict(net, dataset.features) == dataset.labels))
+    """The share of the dataset's samples that predict labels right, by
+    a local pass over blocks of columns, each of whose widest layer
+    output fills at most _BLOCK_BYTES: the pass holds one block's layer
+    outputs, not the whole dataset's."""
+    x, labels = dataset.features, dataset.labels
+    n = x.shape[1]
+    if n == 0:
+        return float(np.mean(predict(net, x) == labels))
+    step = max(_BLOCK_BYTES // (8 * max(lin.out_dim for lin in net.linears)), 1)
+    hits = sum(int(np.count_nonzero(predict(net, x[:, lo:lo + step]) == labels[lo:lo + step]))
+               for lo in range(0, n, step))
+    return hits / n

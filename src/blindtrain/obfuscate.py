@@ -23,9 +23,11 @@ while the product is still being computed remotely.  The check (dec)
 needs the reply: it computes LC and compares.  probe_sides does the
 work on an operand that several products share once, by stacking their
 probes; every product still draws its own L and keeps its own
-threshold.  min_rounds() turns a whole-run error budget into the
-per-product k, and brute_force_bound() gives the log2 cost of
-enumerating keys.
+threshold.  Its operands' peaks (operand_peaks) bound the check, and a
+caller may take them before it blinds anything, since operands past
+what a probe can check are refused outright.  min_rounds() turns a
+whole-run error budget into the per-product k, and brute_force_bound()
+gives the log2 cost of enumerating keys.
 """
 from __future__ import annotations
 
@@ -49,6 +51,7 @@ __all__ = [
     "enc_pair",
     "enc_left",
     "enc_right",
+    "operand_peaks",
     "probe_sides",
     "dec",
     "dec_only",
@@ -310,7 +313,39 @@ def _products(lefts: list, rights: list) -> list:
     return out
 
 
-def probe_sides(pairs: list, k: int, rng: np.random.Generator, ratio: float) -> list[ProbeSide]:
+def operand_peaks(pairs: list, ratio: float) -> list[tuple[float, float]]:
+    """(max|A|, max|B|) of each (A, B) product in `pairs`, in order, with
+    one max|.| scan per distinct operand (the same array object).
+
+    `ratio` bounds the coefficient ratios the products' keys scale an
+    entry by: the key-space size for keys kgen or kslot draw, whose
+    coefficients lie in {1, ..., size}.  Each product's bounds are taken
+    in Python floats: ratio max|A| and ratio max|B| on an entry of the
+    blinded operands, and ratio m n max|A| max|B| on one of the blinded
+    product and of (LA)B.  If one is not finite, the operands are past
+    what a probe can check, whatever the worker returns, and an
+    OverflowError is raised whose `index` is that product's in `pairs`.
+    The operands are plaintext, so a caller can check them before it
+    blinds or sends anything.
+    """
+    scanned: dict[int, float] = {}
+    for x in (x for pair in pairs for x in pair):
+        if id(x) not in scanned:
+            scanned[id(x)] = max_abs(x)
+    peaks = [(scanned[id(a)], scanned[id(b)]) for a, b in pairs]
+    for i, ((a, _), (pa, pb)) in enumerate(zip(pairs, peaks)):
+        if not all(map(math.isfinite, (ratio * pa, ratio * pb,
+                                       ratio * a.shape[0] * a.shape[1] * pa * pb))):
+            exc = OverflowError(f"operands of peaks {pa:.3g} and {pb:.3g}, blinded by "
+                                f"coefficient ratios up to {ratio:.3g}, are past the "
+                                f"range a probe can check")
+            exc.index = i
+            raise exc
+    return peaks
+
+
+def probe_sides(pairs: list, k: int, rng: np.random.Generator, ratio: float,
+                peaks: list[tuple[float, float]] | None = None) -> list[ProbeSide]:
     """The probe side of each (A, B) product in `pairs`, in order.
 
     Each product draws its own L = rng.integers(0, 2, size=(k, m)), in
@@ -321,38 +356,21 @@ def probe_sides(pairs: list, k: int, rng: np.random.Generator, ratio: float) -> 
     those faster than k-column ones, so no probe comes from the right.
     Work on an operand that several products share (the same array
     object) is done once: one product of their stacked probes with a
-    shared A, one of their stacked LA with a shared B, and one max|.|
-    scan per distinct operand.  Stacking only batches the arithmetic: no
-    probe is shared, so each product's escapes stay independent.
+    shared A, and one of their stacked LA with a shared B.  Stacking
+    only batches the arithmetic: no probe is shared, so each product's
+    escapes stay independent.
 
-    `ratio` bounds the coefficient ratios the products' keys scale an
-    entry by: the key-space size for keys kgen or kslot draw, whose
-    coefficients lie in {1, ..., size}.  Before any probe is drawn, each
-    product's bounds are taken in Python floats: ratio max|A| and ratio
-    max|B| on an entry of the blinded operands, and ratio m n max|A|
-    max|B| on one of the blinded product and of (LA)B.  If one is not
-    finite, the operands are past what a probe can check, whatever the
-    worker returns, and an OverflowError is raised whose `index` is that
-    product's in `pairs`.
+    `peaks` is operand_peaks(pairs, ratio) when the caller has taken it
+    already; otherwise it is taken here, so operands past the range a
+    probe can check are an OverflowError before any probe is drawn.
     """
-    peaks: dict[int, float] = {}
-    for x in (x for pair in pairs for x in pair):
-        if id(x) not in peaks:
-            peaks[id(x)] = max_abs(x)
-    for i, (a, b) in enumerate(pairs):
-        pa, pb = peaks[id(a)], peaks[id(b)]
-        if not all(map(math.isfinite, (ratio * pa, ratio * pb,
-                                       ratio * a.shape[0] * a.shape[1] * pa * pb))):
-            exc = OverflowError(f"operands of peaks {pa:.3g} and {pb:.3g}, blinded by "
-                                f"coefficient ratios up to {ratio:.3g}, are past the "
-                                f"range a probe can check")
-            exc.index = i
-            raise exc
+    if peaks is None:
+        peaks = operand_peaks(pairs, ratio)
     probes = [rng.integers(0, 2, size=(k, a.shape[0])).astype(np.float64) for a, _ in pairs]
     la = _products(probes, [a for a, _ in pairs])
     expected = _products(la, [b for _, b in pairs])
-    return [ProbeSide(l, e, _TOLERANCE * max(1.0, peaks[id(a)] * peaks[id(b)] * a.shape[1]))
-            for l, e, (a, b) in zip(probes, expected, pairs)]
+    return [ProbeSide(l, e, _TOLERANCE * max(1.0, pa * pb * a.shape[1]))
+            for l, e, (a, _), (pa, pb) in zip(probes, expected, pairs, peaks)]
 
 
 def _check(side: ProbeSide, c_dec: np.ndarray) -> None:

@@ -1,4 +1,5 @@
-"""Every script in demos/ runs to completion against the current package."""
+"""Every script in demos/ runs to completion against the current package,
+with warnings as errors, as the tests under tests/ run."""
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ def test_all_five_demos_are_found():
 
 def _run(script: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, "-W", "error", str(script)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
 
 

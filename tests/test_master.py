@@ -489,10 +489,10 @@ def test_the_operand_every_shard_shares_reaches_probe_sides_as_one_object(policy
     x, delta = rng.standard_normal((6, 9)), rng.standard_normal((7, 9))
     events, calls = [], []
 
-    def record_sides(pairs, k, rng, ratio):
+    def record_sides(pairs, k, rng, ratio, peaks):
         events.append("probe_sides")
         calls.append(pairs)
-        return probe_sides(pairs, k, rng, ratio)
+        return probe_sides(pairs, k, rng, ratio, peaks)
 
     def record(attr):
         call = getattr(WorkerConnection, attr)
@@ -898,6 +898,54 @@ def test_an_honest_product_past_the_blinded_range_is_refused_under_every_key():
             assert info.value.address is None and ex.stats.failures == 0
     finally:
         server.stop()
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward T1"])
+@pytest.mark.parametrize("policy", ["tensor", "data"])
+def test_a_refused_call_sends_nothing_and_leaves_the_pool_usable(policy, direction, monkeypatch):
+    """Operands past the blinded range are refused before the call
+    blinds or sends anything: no worker multiplies them, the pool stays
+    open, and the same pool then multiplies eye @ eye."""
+    net = make_net((2, 2), policies=[policy])
+    eye = np.eye(2)
+    sent = []
+    request = WorkerConnection.request
+
+    def recording(self, msg):
+        sent.append(type(msg).__name__)
+        return request(self, msg)
+
+    monkeypatch.setattr(WorkerConnection, "request", recording)
+    with spawn_local_workers(2) as addresses:
+        with pool_for(addresses, net) as pool:
+            sent.clear()  # the greeting and configuration
+            ex = offload_executor(pool, net, seed=5)
+            with pytest.raises(OverflowError) as info:
+                if direction == "forward":
+                    ex.multiply_forward(0, np.full((2, 2), 3e153), np.full((2, 2), 3e153))
+                else:
+                    ex.multiply_forward(0, eye, eye)
+                    sent.clear()
+                    ex.multiply_backward(0, np.full((2, 2), 1e306))
+            assert str(info.value).endswith(f"(layer 0, shard 0, {direction})")
+            assert sent == [] and ex.stats.failures == 0
+            assert all(conn.failure is None for conn in pool.connections)
+            ex = offload_executor(pool, net, seed=6)
+            assert np.allclose(ex.multiply_forward(0, eye, eye), eye, rtol=0, atol=1e-12)
+            t1, t2 = ex.multiply_backward(0, eye)
+            assert np.allclose(t1, eye, rtol=0, atol=1e-12)
+            assert np.allclose(t2, eye, rtol=0, atol=1e-12)
+
+
+def test_an_offloaded_step_leaves_every_weight_c_contiguous_and_its_own():
+    """Each new weight is one C-ordered array, as enc_left reads fastest."""
+    ds = gen_blobs(4, 2, 3, separation=8.0, seed=9)
+    net = make_net((3, 5, 4, 2), policies=["tensor", "data", "master"])
+    with spawn_local_workers(2) as addresses:
+        with pool_for(addresses, net) as pool:
+            train(net, ds, TrainConfig(0.1, 8, 1, seed=2), offload_executor(pool, net))
+    for lin in net.linears:
+        assert lin.W.flags.c_contiguous and lin.W.flags.owndata
 
 
 def test_honest_products_at_any_scale_and_key_space_check_out_or_are_refused():

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from blindtrain import nn
-from blindtrain.data import gen_blobs
+from blindtrain.data import Dataset, gen_blobs
 from blindtrain.nn import (
     LocalExecutor,
     Linear,
@@ -395,3 +396,90 @@ def test_predict_shape_and_single_sample():
     labels = predict(net, np.array([[1.0], [2.0]]))
     assert labels.shape == (1,)
     assert labels[0] in (0, 1)
+
+
+# -- working set -----------------------------------------------------------
+
+MiB = 1 << 20
+
+
+def wide_net():
+    """The benchmark's wide net, [64, 512, 512, 10]: at width 512 an
+    accuracy block is 256 columns."""
+    net = Network.from_dims([64, 512, 512, 10])
+    net.init_weights(3)
+    return net
+
+
+def traced_peak(fn, *args):
+    """fn(*args)'s peak of Python-traced allocations, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_accuracy_over_column_blocks_counts_as_the_whole_pass():
+    """One sample, one short of a block, one past it, and ten blocks
+    and one column: the count over blocks is the whole pass's mean."""
+    net = wide_net()
+    ds = gen_blobs(257, 10, 64, separation=2.0, seed=5)
+    for n in (1, 255, 257, 2561):
+        part = Dataset(ds.features[:, :n], ds.labels[:n])
+        assert accuracy(net, part) == float(np.mean(predict(net, part.features) == part.labels))
+
+
+@pytest.mark.parametrize("n", [2560, 10240])
+def test_accuracy_holds_one_block_of_layer_outputs_not_the_dataset(n):
+    """The whole pass held two 512 x n hidden outputs: 20 MiB at 2,560
+    samples and 80 MiB at 10,240.  A block's are 1 MiB each."""
+    rng = make_rng(n)
+    ds = Dataset(rng.standard_normal((64, n)), rng.integers(0, 10, n))
+    assert traced_peak(accuracy, wide_net(), ds) < 4 * MiB
+
+
+def test_accuracy_of_an_empty_dataset_is_nan_with_numpys_warning():
+    with np.errstate(invalid="ignore"), pytest.warns(RuntimeWarning, match="Mean of empty slice"):
+        assert math.isnan(accuracy(wide_net(), Dataset(np.zeros((64, 0)), np.zeros(0, int))))
+
+
+def test_a_backward_step_holds_one_batchs_products():
+    """One local step of the wide net at batch 256 allocates each new
+    weight once and lets each product go once read: the step as
+    W - s * t1.T peaked at 8.1 MiB."""
+    net = wide_net()
+    rng = make_rng(16)
+    ex = LocalExecutor()
+    outs = forward(net, rng.standard_normal((64, 256)), ex)
+    assert traced_peak(backward, net, outs, rng.integers(0, 10, 256), ex, 0.1, 256) < 7 * MiB
+
+
+def test_backward_builds_each_update_bitwise_as_the_textbook_step():
+    """W - s t1.T and the upstream delta t2.T * relu' to the bit, even
+    from an F-ordered t1, and every new weight C-contiguous and its own."""
+
+    class Recording(LocalExecutor):
+        def multiply_backward(self, layer_id, delta):
+            t1, t2 = super().multiply_backward(layer_id, delta)
+            seen.append((delta.copy(), t1.copy(), t2.copy()))
+            return np.asfortranarray(t1), t2
+
+    rng = make_rng(17)
+    net = Network.from_dims([5, 7, 6, 3])
+    net.init_weights(17)
+    before = [lin.W.copy() for lin in net.linears]
+    labels = rng.integers(0, 3, size=9)
+    seen, ex = [], Recording()
+    outs = forward(net, rng.standard_normal((5, 9)), ex)
+    hidden = [o.copy() for o in outs[:-1]]
+    backward(net, outs, labels, ex, 0.3, 9)
+    expected_delta = cross_entropy_softmax(outs[-1], labels)[1]
+    for i, (delta, t1, t2) in zip(range(len(net.linears) - 1, -1, -1), seen):
+        assert np.array_equal(delta, expected_delta)
+        lin = net.linears[i]
+        assert np.array_equal(lin.W, before[i] - (0.3 / 9) * t1.T)
+        assert lin.W.flags.c_contiguous and lin.W.flags.owndata
+        if i > 0:
+            expected_delta = np.ascontiguousarray(t2.T) * (hidden[i - 1] > 0.0)
