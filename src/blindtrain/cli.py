@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import secrets
 import sys
 from contextlib import contextmanager
 from typing import get_args, get_origin
@@ -264,10 +265,10 @@ def _at_least(low: int, listed: bool = False):
 
 
 @contextmanager
-def _worker_pool(args, n_layers: int, seed: int, configured=None):
+def _worker_pool(args, n_layers: int, configured=None):
     """The pool over --local-workers, else --workers, else the configured
     addresses; None if there are none."""
-    with spawn_local_workers(args.local_workers, seed=seed) as spawned:  # none for 0
+    with spawn_local_workers(args.local_workers) as spawned:  # none for 0
         addresses = spawned or (_parse_addresses(args.workers) if args.workers else configured)
         if not addresses:
             yield None
@@ -301,7 +302,7 @@ def _finish(net, report: dict, args, counts: str = "") -> int:
 def cmd_train(args) -> int:
     cfg = RunConfig.load(args.config)
     net, dataset = cfg.build_network(), cfg.load_dataset()
-    with _worker_pool(args, len(net.linears), cfg.seed, cfg.workers) as pool:
+    with _worker_pool(args, len(net.linears), cfg.workers) as pool:
         if pool is None:
             raise ConfigError("train offloads: give --workers, --local-workers or a workers "
                               "list in the config, or run baseline to train locally")
@@ -330,15 +331,14 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    _checked(master.EpochKeys, args.seed, KeySpaceConfig())  # the seed's range, before any worker
     net = load_model(args.model)
     dataset = load_csv(args.input)
     if dataset.features.shape[0] != net.in_dim:
         raise ConfigError(f"{args.input} has {dataset.features.shape[0]} features per sample, "
                           f"but the model takes {net.in_dim}")
-    with _worker_pool(args, len(net.linears), args.seed) as pool:
+    with _worker_pool(args, len(net.linears)) as pool:  # keys and probes from a fresh seed
         preds = nn.predict(net, dataset.features) if pool is None else \
-            master.run_inference(net, dataset.features, pool, seed=args.seed)
+            master.run_inference(net, dataset.features, pool, seed=secrets.randbits(63))
     for label in preds:
         print(int(label))
     return 0
@@ -429,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="CSV of label,features rows")
     p.add_argument("--workers")
     p.add_argument("--local-workers", type=_at_least(0), default=0)
-    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("min-k", help="probe count for an error budget")

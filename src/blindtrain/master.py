@@ -8,16 +8,16 @@ transposed delta is freshly blinded (one matrix instead of the four a
 from-scratch approach would need), shipped under the key rotated by
 two, and the two returned products decrypt under rotations one and two.
 
-Every offloaded product takes one path.  A call first checks its
-operands' peaks against the range a probe can check, so a refused
-operand is never blinded or sent.  It then sends all its requests: a
-freshly blinded pair as a StorePair or, in the reuse backward mode, the
-blinded delta as a MultBwd.  Then one collector receives the
-replies in send order, verifies every product each carries and
-unblinds it into its block of the result; the probe sides of the
-checks are computed before the first collect, while the workers
-multiply.  The reuse and the reference backward modes differ only in
-the requests they queue.
+Every offloaded product takes one path, EncryptedExecutor._offload.  A
+call lists its products once and hands them over with a generator of
+its requests: a freshly blinded pair as a StorePair or, in the reuse
+backward mode, the blinded delta as a MultBwd.  _offload checks the
+operands' peaks against the range a probe can check before the first
+request is blinded, so a refused operand is never blinded or sent; it
+then sends every request, computes the probe sides while the workers
+multiply, and collects the replies in send order, verifying and
+unblinding each product into its block of the result.  The reuse and
+the reference backward modes differ only in the requests they yield.
 
 The network is the partition plan: the executor reads each layer's
 policy from the network it serves and cuts the layer by shard_layout,
@@ -40,7 +40,6 @@ import hashlib
 import socket
 import struct
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -406,11 +405,13 @@ class WorkerPool:
 
 
 class _Product(NamedTuple):
-    """One product a queued request's reply carries: its key and plaintext
-    operands, the block of the result it is unblinded into (added to it
-    where add is set), and the layer and direction ("forward",
-    "backward T1" or "backward T2") a failure names."""
+    """One product an offloaded call's reply carries: the shard that
+    computes it, its key and plaintext operands, the block of the result
+    it is unblinded into (added to it where add is set), and the layer
+    and direction ("forward", "backward T1" or "backward T2") a failure
+    names."""
 
+    shard: int
     sk: SecretKey
     a: np.ndarray
     b: np.ndarray
@@ -428,14 +429,9 @@ class EncryptedExecutor(nn.MatMulExecutor):
     delta.T @ w backward.  The seam checks the pairing (_hold, _release);
     the backward asks the key store for the keys the forward used.
 
-    Every request is sent by _queue and queued as (shard, tag, products),
-    one _Product per product its reply carries, and _finish collects,
-    verifies and unblinds the queue in send order.  Before the first
-    send, _peaks refuses operands past what a probe can check.  A
-    WorkerFault or IntegrityFailure raised for a request names its
-    layer, shard and worker address (and the product's direction).  A
-    failure that leaves a queued reply unread closes the pool, whose
-    later requests then raise a WorkerFault naming that failure.
+    Each call lists its products once, in send order, and hands them to
+    _offload with a generator of its requests; _offload refuses, sends,
+    probes, collects and closes the pool on a failure (see there).
 
     A forward output is the pool's layer_output for its layer, so a
     layer's previous output is written over once nothing refers to it.
@@ -498,84 +494,73 @@ class EncryptedExecutor(nn.MatMulExecutor):
         self.stats.matrices_encrypted += 1
         return enc(sk, a, out=out)
 
-    def _queue(self, pending: list, j: int, msg, products: list[_Product]) -> None:
-        """Send msg to shard j and queue it for _finish with the products
-        its reply carries, counted as offloaded.  A WorkerFault names the
-        layer and shard."""
-        conn = self.pool.conn(j)
-        try:
-            tag = conn.request(msg)
-        except WorkerFault as exc:
-            _attribute(exc, products[0].layer, j, conn)
-            raise
-        self.stats.products_offloaded += len(products)
-        pending.append((j, tag, products))
+    def _offload(self, products: list[_Product], requests) -> None:
+        """Offload one call's products, listed in send order.  `requests`
+        yields each request as (message, the products its reply carries),
+        blinding its operands into the wire buffer only when asked for.
 
-    @contextmanager
-    def _requests(self):
-        """The queue of one call's sent requests.  A failure that leaves
-        any of them unread closes the pool: their replies could only be
-        misread as answers to later requests."""
-        pending: list = []
+        First the operand peaks of every product are taken, before the
+        first request is asked for, so operands past what a probe can
+        check under the key space are never blinded or sent: they are an
+        OverflowError that names the product's layer, shard and direction
+        but no worker, and the pool stays usable.  Then every request is
+        sent, and after the last one, while the workers multiply, the
+        probe side of every product is computed in one probe_sides call,
+        so an operand the products share is probed and scanned once.
+        Then the replies are collected in send order, and each product a
+        reply carries is verified and unblinded into its block (added to
+        it where add is set) before the next collect receives over it in
+        the wire buffer.  A failed send, collect or check names the
+        request's layer, shard and worker (see _attribute).  A failure,
+        one raised by `requests` too, that leaves a reply unread closes
+        the pool: that reply could only be misread as the answer to a
+        later request."""
+        pairs = [(pr.a, pr.b) for pr in products]
+        ratio = self.keys.keyspace.size
         try:
-            yield pending
+            peaks = operand_peaks(pairs, ratio)
+        except OverflowError as exc:
+            pr = products[exc.index]
+            _attribute(exc, pr.layer, pr.shard, direction=pr.direction)
+            raise
+        unread: list = []  # (tag, products) of each request sent, its reply not yet read
+        try:
+            for msg, carried in requests:
+                conn = self.pool.conn(carried[0].shard)
+                try:
+                    unread.append((conn.request(msg), carried))
+                except WorkerFault as exc:
+                    _attribute(exc, carried[0].layer, carried[0].shard, conn)
+                    raise
+                self.stats.products_offloaded += len(carried)
+            sides = iter(probe_sides(pairs, self.rounds, self._rng, ratio, peaks))
+            while unread:
+                tag, carried = unread[0]
+                conn = self.pool.conn(carried[0].shard)
+                try:
+                    reply = conn.collect(tag, tuple((pr.a.shape[0], pr.b.shape[1])
+                                                    for pr in carried))
+                except WorkerFault as exc:
+                    _attribute(exc, carried[0].layer, carried[0].shard, conn)
+                    raise
+                del unread[0]
+                for c_enc, pr in zip(reply.matrices, carried):
+                    self.stats.matrices_decrypted += 1
+                    self.stats.verification_rounds += self.rounds
+                    try:
+                        c = dec(pr.sk, c_enc, pr.a, pr.b, self.rounds, self._rng,
+                                out=None if pr.add else pr.block, probe=next(sides))
+                    except IntegrityFailure as exc:
+                        self.stats.failures += 1
+                        _attribute(exc, pr.layer, pr.shard, conn, pr.direction)
+                        raise
+                    if pr.add:
+                        np.add(pr.block, c, out=pr.block)
+                    del c  # a summed partial is freed before the next is unblinded
         except BaseException as exc:
-            if pending:
+            if unread:
                 self.pool.close(exc)
             raise
-
-    def _peaks(self, parts: list) -> list[tuple[float, float]]:
-        """operand_peaks of one call's products, each given as (shard, its
-        _Product fields after the key), in the order _finish meets them.
-        It runs before the call blinds or sends anything, so operands past
-        what a probe can check under the key space never reach a worker:
-        they are an OverflowError that names the product's layer, shard
-        and direction but no worker, and the pool stays usable."""
-        try:
-            return operand_peaks([part[:2] for _, part in parts], self.keys.keyspace.size)
-        except OverflowError as exc:
-            j, (*_, lid, direction) = parts[exc.index]
-            _attribute(exc, lid, j, direction=direction)
-            raise
-
-    def _finish(self, pending: list, peaks: list[tuple[float, float]]) -> None:
-        """Collect every queued request's reply in send order, and verify
-        and unblind each product a reply carries: into its block, or
-        added to it where add is set.  Each is done before the next
-        collect receives over it in the wire buffer, and a request leaves
-        the queue once its reply is read.  A failed collect or check
-        names the request's layer, shard and worker (see _attribute).
-
-        Before the first collect, while the workers multiply, the probe
-        side of every queued product is computed in one probe_sides call
-        from the peaks _peaks took, so an operand the call's products
-        share is probed and scanned once; each product's dec then only
-        checks its reply."""
-        sides = iter(probe_sides([(pr.a, pr.b) for _, _, products in pending for pr in products],
-                                 self.rounds, self._rng, self.keys.keyspace.size, peaks))
-        while pending:
-            j, tag, products = pending[0]
-            conn = self.pool.conn(j)
-            try:
-                reply = conn.collect(tag, tuple((pr.a.shape[0], pr.b.shape[1])
-                                                for pr in products))
-            except WorkerFault as exc:
-                _attribute(exc, products[0].layer, j, conn)
-                raise
-            del pending[0]
-            for c_enc, (sk, a, b, block, add, lid, direction) in zip(reply.matrices, products):
-                self.stats.matrices_decrypted += 1
-                self.stats.verification_rounds += self.rounds
-                try:
-                    c = dec(sk, c_enc, a, b, self.rounds, self._rng,
-                            out=None if add else block, probe=next(sides))
-                except IntegrityFailure as exc:
-                    self.stats.failures += 1
-                    _attribute(exc, lid, j, conn, direction)
-                    raise
-                if add:
-                    block += c
-                del c  # a summed partial is freed before the next is unblinded
 
     def _pre_encrypt_next(self, lid: int, batch_width: int) -> None:
         """Blind layer lid + 1's weight ahead by the forward's rule, for
@@ -602,23 +587,26 @@ class EncryptedExecutor(nn.MatMulExecutor):
         if not layout:
             return w @ x
         z = self.pool.layer_output(lid, (w.shape[0], p))  # each shard unblinds into its block
-        parts = [(*sh.operands(w, x), z[sh.rows, sh.cols], False, lid, "forward") for sh in layout]
-        peaks = self._peaks(list(enumerate(parts)))
-        with self._requests() as pending:
-            for j, (sh, part) in enumerate(zip(layout, parts)):
-                sk = self.keys.get(lid, j, *sh.dims, sh.cut)
-                wj, xj = part[:2]
+        products = [_Product(j, self.keys.get(lid, j, *sh.dims, sh.cut), *sh.operands(w, x),
+                             z[sh.rows, sh.cols], False, lid, "forward")
+                    for j, sh in enumerate(layout)]
+
+        def requests():
+            for sh, pr in zip(layout, products):
+                j = pr.shard
                 # blinded for shard 0 and each shard it is cut for; a shared
                 # operand goes to every shard as shard 0's bytes (see the class)
-                w_head, x_out = self.pool.wire.matrices(layout[0].dims[:2], xj.shape)
+                w_head, x_out = self.pool.wire.matrices(layout[0].dims[:2], pr.b.shape)
                 if j == 0 or sh.cut == 0:
-                    w_enc = pre[j] if pre else self._blind(enc_left, sk, wj, w_head[:len(wj)])
+                    w_enc = pre[j] if pre else \
+                        self._blind(enc_left, pr.sk, pr.a, w_head[:len(pr.a)])
                 if j == 0 or sh.cut == 2:
-                    x_enc = self._blind(enc_right, sk, xj, x_out)
-                self._queue(pending, j, StorePair(lid, j, w_enc, x_enc), [_Product(sk, *part)])
+                    x_enc = self._blind(enc_right, pr.sk, pr.b, x_out)
+                yield StorePair(lid, j, w_enc, x_enc), [pr]
             if self.pipelined:
                 self._pre_encrypt_next(lid, p)
-            self._finish(pending, peaks)
+
+        self._offload(products, requests())
         return z
 
     # -- backward ------------------------------------------------------
@@ -630,38 +618,40 @@ class EncryptedExecutor(nn.MatMulExecutor):
         if not layout:
             return x @ delta.T, delta.T @ w
         t1, t2 = np.empty((n, m)), np.empty((p, n))
-        parts = []  # per shard, the _Product fields after the key of its T1 and T2
+        products = []  # per shard its T1, then its T2
         for j, sh in enumerate(layout):
             wj, xj = sh.operands(w, x)
             d_t = np.ascontiguousarray(delta[sh.rows, sh.cols].T)
+            sk = self.keys.get(lid, j, *sh.dims, sh.cut)
             # A product that contracts over a cut operand is summed across
             # shards, all writing one block whole: T1 when X is cut, T2 when
             # W is.  Shard 0 unblinds into it; later shards add theirs in order.
-            parts.append(((xj, d_t, t1[:, sh.rows], j > 0 and sh.cut == 2, lid, "backward T1"),
-                          (d_t, wj, t2[sh.cols], j > 0 and sh.cut == 0, lid, "backward T2")))
-        peaks = self._peaks([(j, part) for j, pair in enumerate(parts) for part in pair])
-        with self._requests() as pending:
-            for j, (sh, (t1_part, t2_part)) in enumerate(zip(layout, parts)):
+            products += [
+                _Product(j, key_shift(sk, 1), xj, d_t, t1[:, sh.rows], j > 0 and sh.cut == 2,
+                         lid, "backward T1"),
+                _Product(j, key_shift(sk, 2), d_t, wj, t2[sh.cols], j > 0 and sh.cut == 0,
+                         lid, "backward T2")]
+
+        def requests():
+            for t1_pr, t2_pr in zip(products[::2], products[1::2]):
                 if self.reuse_backward:
                     # the transposed delta under the forward's key rotated by
                     # two; the worker multiplies it against the pair it holds
-                    sk = self.keys.get(lid, j, *sh.dims, sh.cut)
-                    k2 = key_shift(sk, 2)
-                    d_t = t2_part[0]
-                    d_enc = self._blind(enc_left, k2, d_t, self.pool.wire.matrices(d_t.shape)[0])
-                    self._queue(pending, j, MultBwd(lid, j, d_enc),
-                                [_Product(key_shift(sk, 1), *t1_part), _Product(k2, *t2_part)])
-                else:
-                    # reference mode: each product under its own fresh key, its
-                    # pair blinded into the wire buffer and sent as a StorePair
-                    for a, b, *rest in (t1_part, t2_part):
-                        k = kgen(*a.shape, b.shape[1], self.keys.keyspace, self._rng)
-                        a_enc, b_enc = self.pool.wire.matrices(a.shape, b.shape)
-                        self._blind(enc_left, k, a, a_enc)
-                        self._blind(enc_right, k, b, b_enc)
-                        self._queue(pending, j, StorePair(lid, j, a_enc, b_enc),
-                                    [_Product(k, a, b, *rest)])
-            self._finish(pending, peaks)
+                    d_t = t2_pr.a
+                    d_enc = self._blind(enc_left, t2_pr.sk, d_t,
+                                        self.pool.wire.matrices(d_t.shape)[0])
+                    yield MultBwd(lid, t2_pr.shard, d_enc), [t1_pr, t2_pr]
+                    continue
+                # reference mode: each product under its own fresh key, its
+                # pair blinded into the wire buffer and sent as a StorePair
+                for pr in (t1_pr, t2_pr):
+                    k = kgen(*pr.a.shape, pr.b.shape[1], self.keys.keyspace, self._rng)
+                    a_enc, b_enc = self.pool.wire.matrices(pr.a.shape, pr.b.shape)
+                    self._blind(enc_left, k, pr.a, a_enc)
+                    self._blind(enc_right, k, pr.b, b_enc)
+                    yield StorePair(lid, pr.shard, a_enc, b_enc), [pr._replace(sk=k)]
+
+        self._offload(products, requests())
         return t1, t2
 
 

@@ -5,12 +5,14 @@ import re
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from blindtrain import protocol
 from blindtrain.cli import ConfigError, RunConfig, load_model, main, save_model
 from blindtrain.nn import Network, predict
 from blindtrain.tensor import make_rng
@@ -290,7 +292,7 @@ def test_train_with_local_workers_and_infer_roundtrip(tmp_path, capsys):
     assert set(local_lines) <= {"0", "1"}
 
     assert main(["infer", "--model", model, "--input", str(csv_path),
-                 "--local-workers", "2", "--seed", "3"]) == 0
+                 "--local-workers", "2"]) == 0
     offloaded_lines = capsys.readouterr().out.strip().splitlines()
     assert offloaded_lines == local_lines
 
@@ -442,6 +444,29 @@ def test_run_config_schema_in_the_readme_is_the_table():
         {key: _RUN_CONFIG[key][1] for key in optional}
 
 
+def test_command_line_synopsis_in_the_readme_is_the_parser():
+    """README's "Command line" block names each subcommand once, and its
+    flags are exactly the options of that subcommand's parser (-h aside)."""
+    import argparse
+
+    from blindtrain.cli import build_parser
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line\n\n```\n")[1].split("```")[0]
+    synopsis: dict[str, set] = {}
+    for line in block.splitlines():
+        if line.startswith("blindtrain "):
+            command = line.split()[1]
+            assert command not in synopsis
+            synopsis[command] = set()
+        synopsis[command] |= set(re.findall(r"--[\w-]+", line))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {command: {flag for action in parser._actions for flag in action.option_strings
+                        if flag not in ("-h", "--help")}
+              for command, parser in sub.choices.items()}
+    assert synopsis == parsed
+
+
 def _exit_code(argv) -> int:
     try:
         return main(argv)
@@ -464,13 +489,11 @@ def _exit_code(argv) -> int:
     "train --config {config} --local-workers -1",
     "train --config {config} --workers 127.0.0.1:\u00b2",
     "infer --model {model} --input {csv} --local-workers -2",
-    "infer --model {model} --input {csv} --local-workers 1 --seed -1",
     "mi-eval --keyspace-sizes 9223372036854775808",
-    "infer --model {model} --input {csv} --local-workers 1 --seed 9223372036854775808",
 ], ids=["min-k-t", "min-k-N", "min-k-batch-size", "mi-eval-keyspace", "mi-eval-bins",
         "verify-k", "verify-k-negative", "verify-trials", "worker-port", "worker-prob",
         "worker-two-listen", "train-local-workers", "train-superscript-port", "infer-local-workers",
-        "infer-seed", "mi-eval-keyspace-beyond-64-bits", "infer-seed-beyond-64-bits"])
+        "mi-eval-keyspace-beyond-64-bits"])
 def test_refused_argument_exits_2_with_an_error_line(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr("blindtrain.cli.run_worker", lambda *a: pytest.fail("worker started"))
     net = Network.from_dims([2, 3, 2])
@@ -524,6 +547,38 @@ def test_infer_labels_each_row_by_its_own_features(tmp_path, capsys):
     expected = str(int(predict(load_model(model), np.array([[8.3], [0.1]]))[0]))
     assert labels["alone"] == [expected]
     assert labels["pair"][1] == expected
+
+
+def test_two_offloaded_infer_runs_agree_from_different_wire_bytes(tmp_path, capsys,
+                                                                monkeypatch):
+    """infer draws its keys and probes from a fresh seed: two runs over
+    one model and one input print the same predictions, while the
+    STORE_PAIR frames the coordinator's thread sends differ."""
+    net = Network.from_dims([2, 5, 2])
+    net.init_weights(4)
+    model = str(tmp_path / "model.json")
+    save_model(net, model)
+    csv_path = tmp_path / "query.csv"
+    csv_path.write_text("".join(f"0,{x:.3f},{y:.3f}\n"
+                                for x, y in make_rng(6).standard_normal((8, 2))))
+    frames, send = [], protocol.send_message
+
+    def record(sock, msg):
+        if isinstance(msg, protocol.StorePair) and \
+                threading.current_thread() is threading.main_thread():
+            frames[-1].append(bytes(protocol.encode(msg)))
+        send(sock, msg)
+
+    monkeypatch.setattr(protocol, "send_message", record)
+    outputs = []
+    for _ in range(2):
+        frames.append([])
+        assert main(["infer", "--model", model, "--input", str(csv_path),
+                     "--local-workers", "1"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and len(outputs[0].split()) == 8
+    assert len(frames[0]) == len(frames[1]) == 2  # one per layer
+    assert all(a != b for a, b in zip(*frames))
 
 
 def test_infer_input_of_the_wrong_width_exits_2_before_any_worker_is_contacted(tmp_path,

@@ -937,6 +937,58 @@ def test_a_refused_call_sends_nothing_and_leaves_the_pool_usable(policy, directi
             assert np.allclose(t2, eye, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("failing", [1, 2], ids=["first-request", "later-request"])
+@pytest.mark.parametrize("mode", ["forward", "backward", "reference backward"])
+def test_a_failure_while_blinding_closes_the_pool_once_a_request_was_sent(mode, failing,
+                                                                         monkeypatch):
+    """Under "tensor" over two workers, each call blinds one left operand
+    per request, so the Nth enc_left call blinds the Nth request.  If the
+    first fails, nothing is sent and the same pool then multiplies
+    eye @ eye forward and backward.  If a later one fails, the earlier
+    request's reply is unread: the pool closes, and the next request
+    names that failure."""
+    net = make_net((2, 2), policies=["tensor"])
+    eye = np.eye(2)
+    sent, blinds = [], []
+    request, enc_left = WorkerConnection.request, master.enc_left
+
+    def recording(self, msg):
+        sent.append(type(msg).__name__)
+        return request(self, msg)
+
+    def failing_blind(*args, **kw):
+        blinds.append(args)
+        if len(blinds) == failing:
+            raise RuntimeError("blinding failed")
+        return enc_left(*args, **kw)
+
+    monkeypatch.setattr(WorkerConnection, "request", recording)
+    with spawn_local_workers(2) as addresses:
+        with pool_for(addresses, net) as pool:
+            ex = offload_executor(pool, net, seed=5, reuse_backward=mode != "reference backward")
+            if mode != "forward":
+                ex.multiply_forward(0, eye, eye)
+            sent.clear()
+            monkeypatch.setattr(master, "enc_left", failing_blind)
+            with pytest.raises(RuntimeError, match="^blinding failed$"):
+                if mode == "forward":
+                    ex.multiply_forward(0, eye, eye)
+                else:
+                    ex.multiply_backward(0, eye)
+            monkeypatch.setattr(master, "enc_left", enc_left)
+            assert len(sent) == failing - 1
+            ex = offload_executor(pool, net, seed=6)
+            if failing > 1:
+                with pytest.raises(WorkerFault, match="closed after RuntimeError: blinding failed"):
+                    ex.multiply_forward(0, eye, eye)
+                return
+            assert all(conn.failure is None for conn in pool.connections)
+            assert np.allclose(ex.multiply_forward(0, eye, eye), eye, rtol=0, atol=1e-12)
+            t1, t2 = ex.multiply_backward(0, eye)
+            assert np.allclose(t1, eye, rtol=0, atol=1e-12)
+            assert np.allclose(t2, eye, rtol=0, atol=1e-12)
+
+
 def test_an_offloaded_step_leaves_every_weight_c_contiguous_and_its_own():
     """Each new weight is one C-ordered array, as enc_left reads fastest."""
     ds = gen_blobs(4, 2, 3, separation=8.0, seed=9)
