@@ -54,16 +54,16 @@ with spawn_local_workers(N_WORKERS) as addresses:
             print(f"layer {lin.layer_id} forward {where}: max error vs local {err:.3e}")
             cur = np.maximum(z, 0.0)
 
-        # the backward products aggregate the opposite way: row-split
-        # shards concatenate T1 by columns and sum T2, batch-split shards
-        # sum T1 and concatenate T2 by rows
+        # the backward products, T1 = delta @ X^T in W's layout and
+        # T2 = W^T @ delta in X's: row-split shards stack T1 by rows and
+        # sum T2, batch-split shards sum T1 and stack T2 by columns
         print()
         for lin in reversed(net.linears):
             delta = rng.standard_normal((lin.out_dim, BATCH))
             t1, t2 = ex.multiply_backward(lin.layer_id, delta)
             inp = inputs[lin.layer_id]
-            err1 = np.max(np.abs(t1 - inp @ delta.T))
-            err2 = np.max(np.abs(t2 - delta.T @ lin.W))
+            err1 = np.max(np.abs(t1 - delta @ inp.T))
+            err2 = np.max(np.abs(t2 - lin.W.T @ delta))
             print(f"layer {lin.layer_id} backward: T1 {t1.shape} err {err1:.3e}, "
                   f"T2 {t2.shape} err {err2:.3e}")
 

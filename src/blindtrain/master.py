@@ -4,9 +4,13 @@ The coordinator owns the plaintext network and data.  For every linear
 layer it blinds the operands under a per-epoch key, ships them to the
 workers, verifies what comes back with randomized probes, and unblinds.
 The backward pass reuses the pair each worker already holds: only the
-transposed delta is freshly blinded (one matrix instead of the four a
-from-scratch approach would need), shipped under the key rotated by
-two, and the two returned products decrypt under rotations one and two.
+delta is freshly blinded (one matrix instead of the four a from-scratch
+approach would need), in the forward product's shape and straight from
+its block of the caller's delta, and the worker multiplies it against
+the transposes of its pair.  The two products come back in the layouts
+the update reads, delta @ X^T like W and W^T @ delta like X, and decrypt
+under the forward key's transposed rotations (obfuscate.key_transpose):
+the coordinator transposes nothing.
 
 Every offloaded product takes one path, EncryptedExecutor._offload.  A
 call lists its products once and hands them over with a generator of
@@ -56,6 +60,7 @@ from .obfuscate import (
     enc_left,
     enc_right,
     key_shift,
+    key_transpose,
     kgen,
     kslot,
     min_rounds,
@@ -167,7 +172,8 @@ class EpochKeys:
     KeySlot objects for them.  Each slot is drawn by kslot from its own
     seed (master seed, epoch, layer, axis, owner, size), the owner being
     the shard for the cut axis and -1 (the layer) for the others: no key
-    depends on the order keys are asked for."""
+    depends on the order keys are asked for.  The keys a forward key's
+    backward products decrypt under (transposed) are kept beside it."""
 
     def __init__(self, master_seed: int, keyspace: KeySpaceConfig):
         if not 0 <= master_seed <= 2**63 - 1:
@@ -176,11 +182,13 @@ class EpochKeys:
         self.keyspace = keyspace
         self.epoch = 0
         self._keys: dict[tuple, SecretKey] = {}
+        self._transposed: dict[tuple, tuple[SecretKey, SecretKey]] = {}
         self._slots: dict[tuple, KeySlot] = {}
 
     def refresh(self, epoch: int) -> None:
         self.epoch = epoch
         self._keys.clear()
+        self._transposed.clear()
         self._slots.clear()
 
     def get(self, layer_id: int, shard_id: int, m: int, n: int, p: int, cut: int) -> SecretKey:
@@ -191,6 +199,19 @@ class EpochKeys:
                 self._slot(layer_id, axis, shard_id if axis == cut else -1, size)
                 for axis, size in enumerate((m, n, p))))
         return sk
+
+    def transposed(self, layer_id: int, shard_id: int, m: int, n: int, p: int,
+                   cut: int) -> tuple[SecretKey, SecretKey]:
+        """The keys of delta @ X^T and W^T @ delta for the product get()
+        keys alike: key_transpose(key_shift(sk, 1)) and
+        key_transpose(key_shift(sk, 2)), built once an epoch."""
+        key = (layer_id, shard_id, m, n, p, cut)
+        pair = self._transposed.get(key)
+        if pair is None:
+            sk = self.get(*key)
+            pair = self._transposed[key] = (key_transpose(key_shift(sk, 1)),
+                                            key_transpose(key_shift(sk, 2)))
+        return pair
 
     def _slot(self, layer_id: int, axis: int, owner: int, size: int) -> KeySlot:
         slot = (layer_id, axis, owner, size)
@@ -425,9 +446,11 @@ class EncryptedExecutor(nn.MatMulExecutor):
     """Offloading backend for the training loop over `net`, whose
     layer `lid` is split by the policy of net.linears[lid] into at most
     pool.size shards (shard_layout).  A layer with no shards ("master")
-    it multiplies itself, in plaintext: w @ x forward, x @ delta.T and
-    delta.T @ w backward.  The seam checks the pairing (_hold, _release);
-    the backward asks the key store for the keys the forward used.
+    it multiplies itself, in plaintext: w @ x forward, delta @ x.T and
+    w.T @ delta backward.  The seam checks the pairing (_hold, _release)
+    and keeps, with the pair, the per-shard operand peaks the forward
+    scanned, so the backward's range check scans only the delta; the
+    backward asks the key store for the transposed keys of the forward's.
 
     Each call lists its products once, in send order, and hands them to
     _offload with a generator of its requests; _offload refuses, sends,
@@ -443,8 +466,8 @@ class EncryptedExecutor(nn.MatMulExecutor):
     cut is 2, and every shard's StorePair sends shard 0's bytes of the
     shared one.  In the pool's wire buffer, W's block comes first and
     X's after shard 0's W block; shard 0's blocks are the largest, so no
-    later shard's overwrites the shared one.  The backward sums T1
-    across shards when X is cut, and T2 when W is.
+    later shard's overwrites the shared one.  The backward sums
+    delta @ X^T across shards when X is cut, and W^T @ delta when W is.
 
     rounds is the per-product probe count (see min_rounds).  With
     pipelined=True the executor blinds the next layer's weight while
@@ -458,8 +481,8 @@ class EncryptedExecutor(nn.MatMulExecutor):
     identical either way because keys derive from (epoch, layer, slot
     axis, owner, size), not from call order.
     reuse_backward=False is the reference accounting mode: the backward
-    products are shipped as two freshly blinded pairs (four matrices)
-    instead of one.
+    products are shipped as two freshly blinded pairs (four matrices,
+    each transposed operand copied contiguous first) instead of one.
     """
 
     def __init__(
@@ -494,31 +517,34 @@ class EncryptedExecutor(nn.MatMulExecutor):
         self.stats.matrices_encrypted += 1
         return enc(sk, a, out=out)
 
-    def _offload(self, products: list[_Product], requests) -> None:
-        """Offload one call's products, listed in send order.  `requests`
-        yields each request as (message, the products its reply carries),
-        blinding its operands into the wire buffer only when asked for.
+    def _offload(self, products: list[_Product], requests,
+                 known: dict[int, float] | None = None) -> list[tuple[float, float]]:
+        """Offload one call's products, listed in send order, and return
+        their operand peaks.  `requests` yields each request as (message,
+        the products its reply carries), blinding its operands into the
+        wire buffer only when asked for.
 
         First the operand peaks of every product are taken, before the
         first request is asked for, so operands past what a probe can
         check under the key space are never blinded or sent: they are an
         OverflowError that names the product's layer, shard and direction
-        but no worker, and the pool stays usable.  Then every request is
-        sent, and after the last one, while the workers multiply, the
-        probe side of every product is computed in one probe_sides call,
-        so an operand the products share is probed and scanned once.
-        Then the replies are collected in send order, and each product a
-        reply carries is verified and unblinded into its block (added to
-        it where add is set) before the next collect receives over it in
-        the wire buffer.  A failed send, collect or check names the
-        request's layer, shard and worker (see _attribute).  A failure,
-        one raised by `requests` too, that leaves a reply unread closes
-        the pool: that reply could only be misread as the answer to a
-        later request."""
+        but no worker, and the pool stays usable.  Operands in `known`
+        (id() to peak, see operand_peaks) are not scanned.  Then every
+        request is sent, and after the last one, while the workers
+        multiply, the probe side of every product is computed in one
+        probe_sides call, so an operand the products share is probed
+        once.  Then the replies are collected in send order, and each
+        product a reply carries is verified and unblinded into its block
+        (added to it, one row block at a time, where add is set) before
+        the next collect receives over it in the wire buffer.  A failed
+        send, collect or check names the request's layer, shard and
+        worker (see _attribute).  A failure, one raised by `requests`
+        too, that leaves a reply unread closes the pool: that reply could
+        only be misread as the answer to a later request."""
         pairs = [(pr.a, pr.b) for pr in products]
         ratio = self.keys.keyspace.size
         try:
-            peaks = operand_peaks(pairs, ratio)
+            peaks = operand_peaks(pairs, ratio, known)
         except OverflowError as exc:
             pr = products[exc.index]
             _attribute(exc, pr.layer, pr.shard, direction=pr.direction)
@@ -548,19 +574,17 @@ class EncryptedExecutor(nn.MatMulExecutor):
                     self.stats.matrices_decrypted += 1
                     self.stats.verification_rounds += self.rounds
                     try:
-                        c = dec(pr.sk, c_enc, pr.a, pr.b, self.rounds, self._rng,
-                                out=None if pr.add else pr.block, probe=next(sides))
+                        dec(pr.sk, c_enc, pr.a, pr.b, self.rounds, self._rng,
+                            out=pr.block, probe=next(sides), add=pr.add)
                     except IntegrityFailure as exc:
                         self.stats.failures += 1
                         _attribute(exc, pr.layer, pr.shard, conn, pr.direction)
                         raise
-                    if pr.add:
-                        np.add(pr.block, c, out=pr.block)
-                    del c  # a summed partial is freed before the next is unblinded
         except BaseException as exc:
             if unread:
                 self.pool.close(exc)
             raise
+        return peaks
 
     def _pre_encrypt_next(self, lid: int, batch_width: int) -> None:
         """Blind layer lid + 1's weight ahead by the forward's rule, for
@@ -606,53 +630,60 @@ class EncryptedExecutor(nn.MatMulExecutor):
             if self.pipelined:
                 self._pre_encrypt_next(lid, p)
 
-        self._offload(products, requests())
+        # the forward's peaks stay with the held pair, for the backward
+        self._held[lid] = (w, x, self._offload(products, requests()))
         return z
 
     # -- backward ------------------------------------------------------
 
     def multiply_backward(self, lid: int, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w, x = self._release(lid, delta)
+        w, x, peaks = self._release(lid, delta)
         (m, n), p = w.shape, x.shape[1]
         layout = shard_layout(self.net.linears[lid].policy, self.pool.size, m, n, p)
         if not layout:
-            return x @ delta.T, delta.T @ w
-        t1, t2 = np.empty((n, m)), np.empty((p, n))
+            return delta @ x.T, w.T @ delta
+        g, d = np.empty((m, n)), np.empty((n, p))
+        w_t, x_t = w.T, x.T  # each shared one is passed as one object (see Shard.operands)
         products = []  # per shard its T1, then its T2
+        known = {}  # id -> the peak the forward scanned; a transposed view has its matrix's
         for j, sh in enumerate(layout):
             wj, xj = sh.operands(w, x)
-            d_t = np.ascontiguousarray(delta[sh.rows, sh.cols].T)
-            sk = self.keys.get(lid, j, *sh.dims, sh.cut)
+            wj_t, xj_t = w_t if wj is w else wj.T, x_t if xj is x else xj.T
+            delta_j = delta[sh.rows, sh.cols]
+            if peaks:
+                known[id(wj_t)], known[id(xj_t)] = peaks[j]
+            k1, k2 = self.keys.transposed(lid, j, *sh.dims, sh.cut)
             # A product that contracts over a cut operand is summed across
             # shards, all writing one block whole: T1 when X is cut, T2 when
             # W is.  Shard 0 unblinds into it; later shards add theirs in order.
             products += [
-                _Product(j, key_shift(sk, 1), xj, d_t, t1[:, sh.rows], j > 0 and sh.cut == 2,
+                _Product(j, k1, delta_j, xj_t, g[sh.rows], j > 0 and sh.cut == 2,
                          lid, "backward T1"),
-                _Product(j, key_shift(sk, 2), d_t, wj, t2[sh.cols], j > 0 and sh.cut == 0,
+                _Product(j, k2, wj_t, delta_j, d[:, sh.cols], j > 0 and sh.cut == 0,
                          lid, "backward T2")]
 
         def requests():
             for t1_pr, t2_pr in zip(products[::2], products[1::2]):
                 if self.reuse_backward:
-                    # the transposed delta under the forward's key rotated by
-                    # two; the worker multiplies it against the pair it holds
-                    d_t = t2_pr.a
-                    d_enc = self._blind(enc_left, t2_pr.sk, d_t,
-                                        self.pool.wire.matrices(d_t.shape)[0])
-                    yield MultBwd(lid, t2_pr.shard, d_enc), [t1_pr, t2_pr]
+                    # the shard's delta block, blinded in the forward product's
+                    # shape; the worker multiplies it against the pair it holds
+                    delta_j = t1_pr.a
+                    d_enc = self._blind(enc_left, t1_pr.sk, delta_j,
+                                        self.pool.wire.matrices(delta_j.shape)[0])
+                    yield MultBwd(lid, t1_pr.shard, d_enc), [t1_pr, t2_pr]
                     continue
                 # reference mode: each product under its own fresh key, its
-                # pair blinded into the wire buffer and sent as a StorePair
+                # pair copied contiguous, blinded into the wire buffer and
+                # sent as a StorePair
                 for pr in (t1_pr, t2_pr):
                     k = kgen(*pr.a.shape, pr.b.shape[1], self.keys.keyspace, self._rng)
                     a_enc, b_enc = self.pool.wire.matrices(pr.a.shape, pr.b.shape)
-                    self._blind(enc_left, k, pr.a, a_enc)
-                    self._blind(enc_right, k, pr.b, b_enc)
+                    self._blind(enc_left, k, np.ascontiguousarray(pr.a), a_enc)
+                    self._blind(enc_right, k, np.ascontiguousarray(pr.b), b_enc)
                     yield StorePair(lid, pr.shard, a_enc, b_enc), [pr._replace(sk=k)]
 
-        self._offload(products, requests())
-        return t1, t2
+        self._offload(products, requests(), known)
+        return g, d
 
 
 def run_training(

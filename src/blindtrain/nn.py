@@ -9,14 +9,15 @@ the same training loop runs against plain local numpy or against the
 blinded remote offload; the two must agree to float tolerance.
 
 The backward pass consumes the pair of products the executor returns
-for each linear layer:
+for each linear layer, each in the layout of what it updates:
 
-    T1 = X @ delta.T    (so the weight gradient is T1.T / batch)
-    T2 = delta.T @ W    (so the upstream delta is T2.T, gated by the
-                         ReLU derivative)
+    T1 = delta @ X.T    (m x n, like W: the weight gradient is T1 / batch)
+    T2 = W.T @ delta    (n x p, like X: the upstream delta is T2, gated
+                         by the ReLU derivative)
 
-and applies all weight updates only after every product verified, so an
-aborted step leaves the network untouched.
+It builds the new weight in T1's memory and the upstream delta in
+T2's, and applies all weight updates only after every product
+verified, so an aborted step leaves the network untouched.
 """
 from __future__ import annotations
 
@@ -54,15 +55,24 @@ class MatMulExecutor:
     operand have all let it go, a later call may return the same array
     again (EncryptedExecutor does, through WorkerPool.layer_output).
 
+    multiply_backward returns (delta @ x.T, w.T @ delta), the first in
+    w's layout and the second in x's, as two C-contiguous arrays that
+    own their data and that nothing else refers to: the caller owns
+    both and may write them, and nn.backward builds the new weight in
+    the first and the next layer's delta in the second.
+
     The seam keeps the pairing: multiply_forward hands its operands to
     _hold, which checks that they chain and keeps them (so the caller
     must not write x after passing it), and the layer's multiply_backward
     takes them back from _release, which checks delta's shape.  A
-    backward with no forward before it raises.
+    backward with no forward before it raises.  The held record is
+    (w, x, peaks): peaks is None, or what an executor's forward put
+    there, the per-shard (max|w_j|, max|x_j|) it scanned (see
+    EncryptedExecutor), so its backward need not scan them again.
     """
 
     def __init__(self):
-        self._held: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._held: dict[int, tuple[np.ndarray, np.ndarray, list | None]] = {}
 
     def start_epoch(self, epoch: int) -> None:
         pass
@@ -77,18 +87,19 @@ class MatMulExecutor:
         """Check that w @ x chains and keep the pair for the layer's backward."""
         if w.shape[1] != x.shape[0]:
             raise ShapeError(f"forward product: {w.shape} x {x.shape}")
-        self._held[layer_id] = (w, x)
+        self._held[layer_id] = (w, x, None)
 
-    def _release(self, layer_id: int, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (w, x) the layer's forward kept, no longer kept; delta must
-        have the shape of their product."""
+    def _release(self, layer_id: int,
+                 delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, list | None]:
+        """The (w, x, peaks) the layer's forward kept, no longer kept;
+        delta must have the shape of w @ x."""
         if layer_id not in self._held:
             raise RuntimeError(f"backward for layer {layer_id} without a matching forward")
-        w, x = self._held.pop(layer_id)
+        w, x, peaks = self._held.pop(layer_id)
         if delta.shape != (w.shape[0], x.shape[1]):
             raise ShapeError(f"backward delta {delta.shape} does not match product shape "
                              f"({w.shape[0]}, {x.shape[1]})")
-        return w, x
+        return w, x, peaks
 
 
 class LocalExecutor(MatMulExecutor):
@@ -99,8 +110,8 @@ class LocalExecutor(MatMulExecutor):
         return w @ x
 
     def multiply_backward(self, layer_id, delta):
-        w, x = self._release(layer_id, delta)
-        return x @ delta.T, delta.T @ w
+        w, x, _ = self._release(layer_id, delta)
+        return delta @ x.T, w.T @ delta
 
 
 class Linear:
@@ -222,18 +233,15 @@ def backward(
     updates = []
     for i in range(len(net.linears) - 1, -1, -1):
         lin = net.linears[i]
-        t1, t2 = executor.multiply_backward(lin.layer_id, delta)
-        # W - s t1.T built in one C-ordered array: (-s) t = -(s t) and
-        # a + (-b) = a - b exactly, so the bytes are the same.  Each
-        # product is let go once read, before the next array is made.
-        new_w = np.multiply(t1.T, -scale, order="C")
-        new_w += lin.W
-        del t1
+        g, d = executor.multiply_backward(lin.layer_id, delta)
+        # W - s g built in g's own memory: (-s) g = -(s g) and
+        # a + (-b) = a - b exactly, so the bytes are those of W - s g.
+        np.multiply(g, -scale, out=g)
+        g += lin.W
         new_b = lin.b - scale * delta.sum(axis=1)
-        updates.append((lin, new_w, new_b))
-        if i > 0:
-            delta = np.multiply(t2.T, outs[i - 1] > 0.0, order="C")
-        del t2
+        updates.append((lin, g, new_b))
+        if i > 0:  # the next delta in d's memory
+            delta = np.multiply(d, outs[i - 1] > 0.0, out=d)
     if not (math.isfinite(loss) and all(np.isfinite(w).all() and np.isfinite(b).all()
                                         for _, w, b in updates)):
         raise OverflowError(f"training diverged at learning rate {learning_rate:g}: the "

@@ -20,14 +20,17 @@ matrix L, and (LA)B is compared against LC.  The check has two sides.
 The probe side (probe_sides) needs only the plaintext operands: it
 draws L and computes (LA)B and the threshold, so a caller can do it
 while the product is still being computed remotely.  The check (dec)
-needs the reply: it computes LC and compares.  probe_sides does the
+needs the reply: it computes LC and compares, and can add the product
+into a caller's block, one row block at a time, so a product summed
+across shards needs no array of its size.  probe_sides does the
 work on an operand that several products share once, by stacking their
 probes; every product still draws its own L and keeps its own
 threshold.  Its operands' peaks (operand_peaks) bound the check, and a
 caller may take them before it blinds anything, since operands past
 what a probe can check are refused outright.  min_rounds() turns a
 whole-run error budget into the per-product k, and brute_force_bound()
-gives the log2 cost of enumerating keys.
+gives the log2 cost of enumerating keys.  key_transpose() gives the key
+a transposed product decrypts under, which the backward pass uses.
 """
 from __future__ import annotations
 
@@ -48,6 +51,7 @@ __all__ = [
     "kgen",
     "kslot",
     "key_shift",
+    "key_transpose",
     "enc_pair",
     "enc_left",
     "enc_right",
@@ -181,15 +185,49 @@ def kslot(size: int, keyspace: KeySpaceConfig, rng: np.random.Generator) -> KeyS
 def key_shift(sk: SecretKey, phi: int) -> SecretKey:
     """Left-rotate the slots: new slot i is old slot (i + phi) mod 3.
 
-    Shifting by 2 turns an (m, n, p) key into the (p, m, n) key that
-    blinds the transposed delta during the backward pass; shifting by 1
-    yields the (n, p, m) key that decrypts the first backward product.
+    Shifting by 1 turns an (m, n, p) key into the (n, p, m) key of
+    X @ delta^T, and shifting by 2 into the (p, m, n) key of delta^T @ W;
+    key_transpose of each is the key of the backward product the
+    coordinator reads, delta @ X^T or W^T @ delta.
     """
     phi %= 3
     return SecretKey(tuple(sk.slots[(i + phi) % 3] for i in range(3)))
 
 
+def _dual(slot: KeySlot) -> KeySlot:
+    """The slot of E^-T: the same permutation, coefficients and
+    reciprocals swapped.  Built from the slot's own arrays, so it is not
+    validated again and divides nothing."""
+    dual = object.__new__(KeySlot)
+    for name, value in (("coeffs", slot.recip), ("perm", slot.perm),
+                        ("inv_perm", slot.inv_perm), ("recip", slot.coeffs)):
+        object.__setattr__(dual, name, value)
+    return dual
+
+
+def key_transpose(sk: SecretKey) -> SecretKey:
+    """The key of the transposed product.  (E1 A E3^-1)^T = F3 A^T F1^-1
+    with F = E^-T, and F is E's slot with its coefficients and
+    reciprocals swapped (see _dual), so the slots come in reverse order,
+    each replaced by its dual.  Applied twice it gives back the slots'
+    own arrays.
+
+    For a forward key sk (m, n, p), key_transpose(key_shift(sk, 1)) is
+    the (m, p, n) key of delta @ X^T, and key_transpose(key_shift(sk, 2))
+    the (n, m, p) key of W^T @ delta.  The first two slots of the one
+    are the last two of the other, so delta is blinded once, by enc_left
+    under the first, and a worker holding W' and X' multiplies that
+    delta' into both: delta' X'^T and W'^T delta'."""
+    return SecretKey(tuple(_dual(s) for s in reversed(sk.slots)))
+
+
 _BLOCK_BYTES = 1 << 18  # output bytes filled per row block: cache-sized
+
+
+def _row_step(n: int) -> int:
+    """Rows per block of an n-column output: at most _BLOCK_BYTES, and
+    at least one row."""
+    return _BLOCK_BYTES // (8 * n) or 1
 
 
 def _gather_scale(a, rows: np.ndarray, cols: np.ndarray,
@@ -224,7 +262,7 @@ def _gather_scale(a, rows: np.ndarray, cols: np.ndarray,
         raise ShapeError(f"output {out.shape} {out.dtype} is not ({m}, {n}) float64")
     elif np.may_share_memory(out, a):
         raise ValueError("output overlaps the operand")
-    step = _BLOCK_BYTES // (8 * n) or 1
+    step = _row_step(n)
     for lo in range(0, m, step):
         hi = lo + step
         block = out[lo:hi]
@@ -313,9 +351,12 @@ def _products(lefts: list, rights: list) -> list:
     return out
 
 
-def operand_peaks(pairs: list, ratio: float) -> list[tuple[float, float]]:
+def operand_peaks(pairs: list, ratio: float,
+                  known: dict[int, float] | None = None) -> list[tuple[float, float]]:
     """(max|A|, max|B|) of each (A, B) product in `pairs`, in order, with
     one max|.| scan per distinct operand (the same array object).
+    `known` maps the id() of operands whose peaks the caller already
+    holds to those peaks; they are not scanned.
 
     `ratio` bounds the coefficient ratios the products' keys scale an
     entry by: the key-space size for keys kgen or kslot draw, whose
@@ -328,7 +369,7 @@ def operand_peaks(pairs: list, ratio: float) -> list[tuple[float, float]]:
     The operands are plaintext, so a caller can check them before it
     blinds or sends anything.
     """
-    scanned: dict[int, float] = {}
+    scanned = dict(known) if known else {}
     for x in (x for pair in pairs for x in pair):
         if id(x) not in scanned:
             scanned[id(x)] = max_abs(x)
@@ -373,7 +414,7 @@ def probe_sides(pairs: list, k: int, rng: np.random.Generator, ratio: float,
             for l, e, (a, _), (pa, pb) in zip(probes, expected, pairs, peaks)]
 
 
-def _check(side: ProbeSide, c_dec: np.ndarray) -> None:
+def _check(side: ProbeSide, lc: np.ndarray) -> None:
     """Compare LC against the probe side's (LA)B, row by row.
 
     Freivalds' check: each probe row lets a corrupted product through
@@ -381,11 +422,35 @@ def _check(side: ProbeSide, c_dec: np.ndarray) -> None:
     fails too, and a NaN or Inf anywhere in C fails every row, as
     0 * NaN and 0 * Inf are NaN.
     """
-    residuals = np.max(np.abs(side.expected - side.probes @ c_dec), axis=1)
+    residuals = np.max(np.abs(side.expected - lc), axis=1)
     failed = np.flatnonzero(~(residuals <= side.threshold))
     if failed.size:
         i = int(failed[0])
         raise IntegrityFailure(i, float(residuals[i]), side.threshold)
+
+
+def _dec_add(sk: SecretKey, c_enc: np.ndarray, out: np.ndarray,
+             probes: np.ndarray) -> np.ndarray:
+    """Unblind c_enc and add it into `out`, one row block of _gather_scale
+    at a time, each block through one block-sized buffer; returns L C,
+    accumulated over the same blocks.  Each entry of `out` gains the
+    bytes dec_only gives for it."""
+    m, _, p = sk.dims
+    if c_enc.shape != (m, p) or out.shape != (m, p):
+        raise ShapeError(f"dec: product {c_enc.shape} and block {out.shape} do not match "
+                         f"key dims ({m}, {p})")
+    row, col = sk.slots[0], sk.slots[2]
+    im, ip = row.inv_perm, col.inv_perm
+    row_f, col_f = row.recip[im], col.coeffs[ip]
+    step = _row_step(p)
+    buf = np.empty((min(step, m), p))
+    lc = np.zeros((len(probes), p))
+    for lo in range(0, m, step):
+        rows = im[lo:lo + step]
+        part = _gather_scale(c_enc, rows, ip, row_f[lo:lo + step], col_f, buf[:rows.size])
+        lc += probes[:, lo:lo + step] @ part
+        out[lo:lo + step] += part
+    return lc
 
 
 def dec(
@@ -397,18 +462,21 @@ def dec(
     rng: np.random.Generator,
     out: np.ndarray | None = None,
     probe: ProbeSide | None = None,
+    add: bool = False,
 ) -> np.ndarray:
     """Unblind a returned product and verify it against the retained operands.
 
     `probe` is the product's probe side (see probe_sides) when the caller
     computed it ahead of the reply; otherwise dec builds it the same way,
-    drawing its k probes from rng after unblinding, with the largest
-    coefficient ratio sk can apply as the ratio.  Raises
+    drawing its k probes from rng after unblinding (before, with add),
+    with the largest coefficient ratio sk can apply as the ratio.  Raises
     IntegrityFailure (carrying the first failing round and its residual)
     if any of the k probe rounds exceeds tolerance or is not a number;
     otherwise returns the decrypted product, written into `out` when one
-    is given (see dec_only).  After a failure `out` holds the unverified
-    product.
+    is given (see dec_only).  With add, the product is added into `out`,
+    which must be given, block by block (see _dec_add): no array of its
+    size is made, and `out` is returned, holding the sum.  After a
+    failure `out` holds the unverified product (with add, the sum).
     """
     m, n, p = sk.dims
     if a_plain.shape != (m, n) or b_plain.shape != (n, p):
@@ -416,12 +484,12 @@ def dec(
             f"dec: plaintext operands {a_plain.shape} x {b_plain.shape} "
             f"do not match key dims {sk.dims}"
         )
-    c_dec = dec_only(sk, c_enc, out)
+    c_dec = out if add else dec_only(sk, c_enc, out)
     if probe is None:
         ratio = max(map(max_abs, (s.coeffs for s in sk.slots))) * \
             max(map(max_abs, (s.recip for s in sk.slots)))
         probe = probe_sides([(a_plain, b_plain)], k, rng, ratio)[0]
-    _check(probe, c_dec)
+    _check(probe, _dec_add(sk, c_enc, out, probe.probes) if add else probe.probes @ c_dec)
     return c_dec
 
 

@@ -3,7 +3,7 @@
 Frame layout, all integers little-endian:
 
     magic    4 bytes  0x54 0x45 0x4D 0x50 ("TEMP")
-    version  1 byte   0x02
+    version  1 byte   0x03
     type     1 byte   message type
     length   8 bytes  payload byte count
     payload  variable
@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 MAGIC = b"TEMP"
-VERSION = 2
+VERSION = 3
 HEADER = struct.Struct("<4sBBQ")  # magic, version, type, payload length
 MAX_PAYLOAD = 1 << 30  # sanity cap; a declared length past this is rejected
 
@@ -184,7 +184,7 @@ _PAYLOADS = {
     MsgType.HELLO: (Hello, struct.Struct("<"), 0),
     MsgType.CONFIG: (Config, struct.Struct("<I"), 0),  # layer count
     MsgType.STORE_PAIR: (StorePair, struct.Struct("<II"), 2),  # layer, shard; A', B'
-    MsgType.MULT_BWD: (MultBwd, struct.Struct("<II"), 1),  # layer, shard; (delta^T)'
+    MsgType.MULT_BWD: (MultBwd, struct.Struct("<II"), 1),  # layer, shard; delta'
     MsgType.RESULT: (Result, _RESULT_HEADER, None),  # request tag, count; products
     MsgType.ERROR: (Error, struct.Struct("<H"), 0),  # code; text to the payload's end
 }

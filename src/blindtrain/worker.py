@@ -1,11 +1,11 @@
 """Untrusted compute node.
 
-A worker answers each blinded operand pair it is sent with the pair's
-product and keeps the pair in its (layer, shard) slot, so the backward
-pass can multiply a blinded delta against it; it never sees a
-plaintext.  Requests on a connection are answered strictly in arrival
-order and every reply carries the sequence number of the request it
-answers.
+A worker answers each blinded operand pair A', B' it is sent with the
+pair's product and keeps the pair in its (layer, shard) slot, so the
+backward pass can multiply a blinded delta D' of the product's shape
+against it, answering D' B'^T and A'^T D'; it never sees a plaintext.
+Requests on a connection are answered strictly in arrival order and
+every reply carries the sequence number of the request it answers.
 
 For experiments the worker can also misbehave on purpose: "tamper"
 perturbs one entry of a result, "lazy" returns a stale product of the
@@ -122,15 +122,15 @@ class WorkerSession:
                     f"no stored pair for layer {msg.layer_id} shard {msg.shard_id}",
                 )
             a_enc, b_enc = slot
-            d = msg.d_enc
-            if d.shape[0] != b_enc.shape[1] or d.shape[1] != a_enc.shape[0]:
+            d = msg.d_enc  # in the shape of the pair's product
+            if d.shape != (a_enc.shape[0], b_enc.shape[1]):
                 return Error(
                     ERR_SHAPE,
                     f"backward operand {d.shape} does not match cached pair "
                     f"{a_enc.shape} x {b_enc.shape}",
                 )
-            t1 = self._emit(b_enc @ d)
-            t2 = self._emit(d @ a_enc)
+            t1 = self._emit(d @ b_enc.T)
+            t2 = self._emit(a_enc.T @ d)
             return Result(tag, (t1, t2))
         return Error(protocol.ERR_UNSUPPORTED, f"unexpected message {type(msg).__name__}")
 

@@ -140,10 +140,9 @@ def test_criterion_04_gradient_check():
     for i in range(len(net.linears) - 1, -1, -1):
         lin = net.linears[i]
         t1, t2 = ex.multiply_backward(lin.layer_id, delta)
-        analytic[lin.layer_id] = (t1.T / 8, delta.sum(axis=1) / 8)
+        analytic[lin.layer_id] = (t1 / 8, delta.sum(axis=1) / 8)
         if i > 0:
-            delta = np.ascontiguousarray(t2.T)
-            delta = delta * (outs[i - 1] > 0.0)
+            delta = t2 * (outs[i - 1] > 0.0)
 
     worst = 0.0
     for lin in net.linears:
@@ -275,7 +274,7 @@ def test_criterion_07_encryption_accounting():
                     lin = net.linears[i]
                     _, t2 = ex.multiply_backward(lin.layer_id, delta)
                     if i > 0:
-                        delta = np.ascontiguousarray(t2.T)
+                        delta = t2
                 return ex.stats.matrices_encrypted - before
 
     shards_per_layer = 2

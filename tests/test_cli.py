@@ -745,26 +745,28 @@ def test_worker_hanging_up_on_shard_1_is_named_on_exit_4(tmp_path, capsys):
     assert err.rstrip().endswith(f"(layer 0, shard 1, worker {host}:{port})")
 
 
-def test_version_one_worker_exits_4(tmp_path, capsys):
+def _train_against_a_worker_of_version(version, tmp_path, capsys):
+    """`train` against a peer that answers HELLO with a RESULT framed as
+    `version`: exit 4, the coordinator hangs up, and stderr names it."""
     import struct
     import threading
     from blindtrain.protocol import HEADER, MAGIC, MsgType
 
     listener = socket.create_server(("127.0.0.1", 0))
 
-    def answer_hello_as_version_one():
+    def answer_hello():
         conn, _ = listener.accept()
         with conn:
             conn.settimeout(5)
             conn.recv(HEADER.size)
-            conn.sendall(HEADER.pack(MAGIC, 1, MsgType.RESULT, 9) + struct.pack("<QB", 0, 0))
+            conn.sendall(HEADER.pack(MAGIC, version, MsgType.RESULT, 9) + struct.pack("<QB", 0, 0))
             try:
                 while conn.recv(1):
                     pass
             except ConnectionResetError:  # closed with the RESULT body unread
                 pass
 
-    peer = threading.Thread(target=answer_hello_as_version_one, daemon=True)
+    peer = threading.Thread(target=answer_hello, daemon=True)
     peer.start()
     try:
         host, port = listener.getsockname()
@@ -774,7 +776,17 @@ def test_version_one_worker_exits_4(tmp_path, capsys):
         assert not peer.is_alive(), "the coordinator never hung up"
     finally:
         listener.close()
-    assert "bad reply to request 0: unsupported version 1" in capsys.readouterr().err
+    assert f"bad reply to request 0: unsupported version {version}" in capsys.readouterr().err
+
+
+def test_version_one_worker_exits_4(tmp_path, capsys):
+    _train_against_a_worker_of_version(1, tmp_path, capsys)
+
+
+def test_version_two_worker_exits_4(tmp_path, capsys):
+    """A worker of the wire before MULT_BWD carried delta in the forward
+    product's shape is refused at its first reply."""
+    _train_against_a_worker_of_version(2, tmp_path, capsys)
 
 
 def test_worker_subprocess_serves_over_tcp(tmp_path):

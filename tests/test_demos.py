@@ -39,6 +39,6 @@ def test_partitioning_demo_prints_its_plan_local_layer_and_counters():
         "  (the row-split 3-row layer is clipped to 3 shards; the local layer takes none)",
     ]
     assert "layer 2 forward locally: max error vs local 0.000e+00" in lines
-    assert "layer 2 backward: T1 (3, 2) err 0.000e+00, T2 (10, 3) err 0.000e+00" in lines
+    assert "layer 2 backward: T1 (2, 3) err 0.000e+00, T2 (3, 10) err 0.000e+00" in lines
     assert lines[-1] == ("offload counters: {'matrices_encrypted': 16, 'matrices_decrypted': 21, "
                          "'products_offloaded': 21, 'verification_rounds': 126, 'failures': 0}")

@@ -1,17 +1,21 @@
 import hashlib
 import math
+import os
 import re
 import socket
 import struct
+import subprocess
 import sys
 import threading
 import tracemalloc
 import weakref
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blindtrain import master, protocol
+from blindtrain import master, obfuscate, protocol
 from blindtrain.data import gen_blobs
 from blindtrain.master import (
     EncryptedExecutor,
@@ -23,7 +27,7 @@ from blindtrain.master import (
     run_training,
     shard_layout,
 )
-from blindtrain.nn import LocalExecutor, Network, TrainConfig, predict, train
+from blindtrain.nn import LocalExecutor, Network, TrainConfig, backward, forward, predict, train
 from blindtrain.obfuscate import (
     IntegrityFailure,
     KeySpaceConfig,
@@ -31,6 +35,8 @@ from blindtrain.obfuscate import (
     dec_only,
     enc_left,
     enc_right,
+    key_shift,
+    key_transpose,
     probe_sides,
 )
 from blindtrain.protocol import (
@@ -91,8 +97,8 @@ def test_executor_cuts_each_layer_by_its_policy_over_the_pool(p, monkeypatch):
                 z = ex.multiply_forward(lin.layer_id, lin.W, inp)
                 assert np.max(np.abs(z - lin.W @ inp)) < 1e-9
                 t1, t2 = ex.multiply_backward(lin.layer_id, delta)
-                assert np.max(np.abs(t1 - inp @ delta.T)) < 1e-9
-                assert np.max(np.abs(t2 - delta.T @ lin.W)) < 1e-9
+                assert np.max(np.abs(t1 - delta @ inp.T)) < 1e-9
+                assert np.max(np.abs(t2 - lin.W.T @ delta)) < 1e-9
     for kind in ("StorePair", "MultBwd"):
         shards = {lid: [j for name, l, j in sent if name == kind and l == lid]
                   for lid in range(3)}
@@ -124,6 +130,20 @@ def test_epoch_keys_differ_across_shards_layers_epochs():
     after = keys.get(0, 0, 4, 3, 2, 0)
     assert after.slots[0].coeffs.tobytes() != before.tobytes() or \
         not np.array_equal(after.slots[0].perm, base.slots[0].perm)
+
+
+def test_epoch_keys_keep_each_keys_transposed_rotations_for_the_epoch():
+    keys = EpochKeys(5, KeySpaceConfig())
+    k1, k2 = keys.transposed(0, 1, 4, 3, 2, 2)
+    assert keys.transposed(0, 1, 4, 3, 2, 2) == (k1, k2)  # the same objects
+    sk = keys.get(0, 1, 4, 3, 2, 2)
+    for got, phi in ((k1, 1), (k2, 2)):
+        want = key_transpose(key_shift(sk, phi))
+        assert got.dims == want.dims
+        assert all(a.coeffs is b.coeffs and a.perm is b.perm and a.recip is b.recip
+                   for a, b in zip(got.slots, want.slots))
+    keys.refresh(1)
+    assert keys.transposed(0, 1, 4, 3, 2, 2)[0] is not k1
 
 
 def test_epoch_keys_reproducible_regardless_of_request_order():
@@ -288,9 +308,10 @@ def _fold(parts):
 def test_forward_unblinds_every_shard_into_its_block_of_one_output(policy, monkeypatch):
     """The layer output and both backward products hold each shard's
     unblinded product, with the bytes dec_only gives on its own, in the
-    block its layout names.  The backward block every shard writes (T2
-    under "tensor", T1 under "data") holds their sum in shard order.
-    Both backward modes assemble alike."""
+    block its layout names: T1 = delta @ X^T by W's rows and
+    T2 = W^T @ delta by X's columns.  The backward block every shard
+    writes (T2 under "tensor", T1 under "data") holds their sum in shard
+    order.  Both backward modes assemble alike."""
     net = make_net((6, 7, 2), policies=[policy, policy])
     w = net.linears[0].W
     rng = make_rng(22)
@@ -316,9 +337,9 @@ def test_forward_unblinds_every_shard_into_its_block_of_one_output(policy, monke
                     want[sh.rows, sh.cols] = part
                 t1_parts, t2_parts = decoded[3::2], decoded[4::2]
                 if policy == "tensor":
-                    want_t1, want_t2 = np.concatenate(t1_parts, axis=1), _fold(t2_parts)
+                    want_t1, want_t2 = np.concatenate(t1_parts, axis=0), _fold(t2_parts)
                 else:
-                    want_t1, want_t2 = _fold(t1_parts), np.concatenate(t2_parts, axis=0)
+                    want_t1, want_t2 = _fold(t1_parts), np.concatenate(t2_parts, axis=1)
                 for got, expected in ((z, want), (t1, want_t1), (t2, want_t2)):
                     assert got.shape == expected.shape
                     assert got.flags["C_CONTIGUOUS"] and got.flags["OWNDATA"]
@@ -346,8 +367,8 @@ def test_offloaded_forward_backward_match_plain_numpy(n_workers, policies):
                 z = ex.multiply_forward(lin.layer_id, lin.W, inp)
                 assert np.max(np.abs(z - lin.W @ inp)) < 1e-9
                 t1, t2 = ex.multiply_backward(lin.layer_id, deltas[lin.layer_id])
-                assert np.max(np.abs(t1 - inp @ deltas[lin.layer_id].T)) < 1e-9
-                assert np.max(np.abs(t2 - deltas[lin.layer_id].T @ lin.W)) < 1e-9
+                assert np.max(np.abs(t1 - deltas[lin.layer_id] @ inp.T)) < 1e-9
+                assert np.max(np.abs(t2 - lin.W.T @ deltas[lin.layer_id])) < 1e-9
 
 
 def test_data_split_clipped_by_batch_width():
@@ -434,7 +455,7 @@ def test_backward_without_forward_raises(policy):
                 ex.multiply_backward(0, np.ones((5, 2)))
             ex.multiply_forward(0, w, np.ones((3, 2)))
             t1, t2 = ex.multiply_backward(0, np.ones((5, 2)))
-            assert t1.shape == (3, 5) and t2.shape == (2, 3)
+            assert t1.shape == (5, 3) and t2.shape == (3, 2)
 
 
 @pytest.mark.parametrize("reuse", [True, False])
@@ -482,7 +503,8 @@ def test_the_operand_every_shard_shares_reaches_probe_sides_as_one_object(policy
     its last request and before its first collect.  The operand every
     shard shares is the caller's own array, not a view per shard, so
     probe_sides can see that it is shared: W under "data" forward and
-    T2, X under "tensor" forward and T1."""
+    X under "tensor" forward, and one transposed view of it, W^T in T2
+    under "data" and X^T in T1 under "tensor"."""
     net = make_net((6, 7, 2), policies=[policy, policy])
     w = net.linears[0].W
     rng = make_rng(23)
@@ -517,9 +539,15 @@ def test_the_operand_every_shard_shares_reaches_probe_sides_as_one_object(policy
                 assert len(fwd) == 3 and len(bwd) == 6
                 t1s, t2s = bwd[0::2], bwd[1::2]
                 if policy == "tensor":
-                    assert all(b is x for _, b in fwd) and all(a is x for a, _ in t1s)
+                    assert all(b is x for _, b in fwd)
+                    x_t = t1s[0][1]
+                    assert x_t.base is x and x_t.shape == x.T.shape
+                    assert all(b is x_t for _, b in t1s)
                 else:
-                    assert all(a is w for a, _ in fwd) and all(b is w for _, b in t2s)
+                    assert all(a is w for a, _ in fwd)
+                    w_t = t2s[0][0]
+                    assert w_t.base is w and w_t.shape == w.T.shape
+                    assert all(a is w_t for a, _ in t2s)
                 requests = 3 if reuse else 6
                 assert events == (["request"] * 3 + ["probe_sides"] + ["collect"] * 3
                                   + ["request"] * requests + ["probe_sides"]
@@ -615,8 +643,8 @@ def test_naive_backward_counts_four_encryptions_per_shard():
             ex.multiply_forward(0, net.linears[0].W, x)
             assert ex.stats.products_offloaded == ex.stats.matrices_decrypted == 2
             t1, t2 = ex.multiply_backward(0, delta)
-            assert np.max(np.abs(t1 - x @ delta.T)) < 1e-9
-            assert np.max(np.abs(t2 - delta.T @ net.linears[0].W)) < 1e-9
+            assert np.max(np.abs(t1 - delta @ x.T)) < 1e-9
+            assert np.max(np.abs(t2 - net.linears[0].W.T @ delta)) < 1e-9
             assert ex.stats.matrices_encrypted == 3 + 8  # 4 per shard backward
             assert ex.stats.products_offloaded == ex.stats.matrices_decrypted == 2 + 4
 
@@ -989,6 +1017,109 @@ def test_a_failure_while_blinding_closes_the_pool_once_a_request_was_sent(mode, 
             assert np.allclose(t2, eye, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("policy", ["tensor", "data"])
+def test_the_backward_scans_only_the_delta(policy, monkeypatch):
+    """The forward's per-shard peaks stay with the held pair, so the
+    backward's range check scans each shard's delta block, a view into
+    the caller's delta, and nothing else, in either backward mode.  A
+    backward whose held pair kept no peaks scans its operands too."""
+    net = make_net((6, 7, 2), policies=[policy, policy])
+    w = net.linears[0].W
+    rng = make_rng(24)
+    x, delta = rng.standard_normal((6, 9)), rng.standard_normal((7, 9))
+    layout = shard_layout(policy, 3, 7, 6, 9)
+    scanned = []
+    max_abs_of = obfuscate.max_abs
+
+    def record(a):
+        scanned.append(a)
+        return max_abs_of(a)
+
+    monkeypatch.setattr(obfuscate, "max_abs", record)
+    with spawn_local_workers(3) as addresses:
+        with pool_for(addresses, net) as pool:
+            for reuse in (True, False):
+                ex = offload_executor(pool, net, seed=4, reuse_backward=reuse)
+                ex.multiply_forward(0, w, x)
+                scanned.clear()
+                ex.multiply_backward(0, delta)
+                assert len(scanned) == len(layout)
+                for a, sh in zip(scanned, layout):
+                    assert a.base is delta and np.array_equal(a, delta[sh.rows, sh.cols])
+            ex.multiply_forward(0, w, x)
+            ex._held[0] = (w, x, None)
+            scanned.clear()
+            ex.multiply_backward(0, delta)
+            assert len(scanned) == 2 * len(layout) + 1  # every W_j^T, X_j^T and delta_j
+
+
+def test_each_new_weight_is_built_in_the_memory_the_backward_returned():
+    ds = gen_blobs(4, 2, 3, separation=8.0, seed=9)
+    net = make_net((3, 5, 4, 2), policies=["tensor", "data", "master"])
+    handed = {}
+
+    class Recording(EncryptedExecutor):
+        def multiply_backward(self, lid, delta):
+            handed[lid] = super().multiply_backward(lid, delta)
+            return handed[lid]
+
+    with spawn_local_workers(2) as addresses:
+        with pool_for(addresses, net) as pool:
+            ex = Recording(pool, net, rounds=6)
+            outs = forward(net, ds.features[:, :8], ex)
+            backward(net, outs, ds.labels[:8], ex, 0.1, 8)
+    for lin in net.linears:
+        assert np.shares_memory(lin.W, handed[lin.layer_id][0])
+
+
+@contextmanager
+def worker_processes(n):
+    """n honest workers, each its own `blindtrain worker` process, so
+    that tracemalloc in this one sees the coordinator's memory alone."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    procs, addresses = [], []
+    try:
+        for _ in range(n):
+            with socket.socket() as probe:
+                probe.bind(("127.0.0.1", 0))
+                port = probe.getsockname()[1]
+            procs.append(subprocess.Popen(
+                [sys.executable, "-m", "blindtrain", "worker", "--listen", f"127.0.0.1:{port}"],
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env))
+            assert "listening" in procs[-1].stdout.readline()
+            addresses.append(("127.0.0.1", port))
+        yield addresses
+    finally:
+        for proc in procs:
+            proc.terminate()
+            proc.wait(timeout=10)
+            proc.stdout.close()
+
+
+def test_a_summed_partial_is_added_without_an_array_of_its_size():
+    """Under "data" over 2 workers, shard 1's T1 = delta_1 @ X_1^T (8 MiB
+    here) is added into the block shard 0 unblinded, one row block at a
+    time: a backward call holds its two results and block-sized buffers,
+    never a second T1-sized array."""
+    net = make_net((1024, 1024), policies=["data"])
+    rng = make_rng(33)
+    x, delta = rng.standard_normal((1024, 8)), rng.standard_normal((1024, 8))
+    with worker_processes(2) as addresses:
+        with pool_for(addresses, net) as pool:
+            ex = offload_executor(pool, net, seed=3)
+            for _ in range(2):  # the first call grows the wire buffer for the replies
+                ex.multiply_forward(0, net.linears[0].W, x)
+                tracemalloc.start()
+                try:
+                    t1, t2 = ex.multiply_backward(0, delta)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+    assert np.max(np.abs(t1 - delta @ x.T)) < 1e-9
+    assert np.max(np.abs(t2 - net.linears[0].W.T @ delta)) < 1e-9
+    assert t1.nbytes + t2.nbytes < peak < t1.nbytes + t2.nbytes + t1.nbytes / 2
+
+
 def test_an_offloaded_step_leaves_every_weight_c_contiguous_and_its_own():
     """Each new weight is one C-ordered array, as enc_left reads fastest."""
     ds = gen_blobs(4, 2, 3, separation=8.0, seed=9)
@@ -1328,8 +1459,9 @@ def test_training_over_the_executor_keeps_its_pinned_bytes(monkeypatch):
     """Two training runs on one pool, the second starting on layer
     outputs the first left free: the weights and biases hash to their
     pinned value (re-pinned when a layer's shard keys came to share key
-    slots, which changed the rounding), and so does every frame the
-    coordinator's thread sends."""
+    slots, and when the backward products came back in the layouts the
+    update reads, each of which changed the rounding), and so does every
+    frame the coordinator's thread sends."""
     ds = gen_blobs(12, 3, 4, separation=3.0, seed=21)
     net = make_net((4, 7, 5, 3), policies=["tensor", "data", "tensor"], seed=21)
     frames = hashlib.sha256()
@@ -1351,9 +1483,9 @@ def test_training_over_the_executor_keeps_its_pinned_bytes(monkeypatch):
         digest.update(lin.W.tobytes())
         digest.update(lin.b.tobytes())
     assert digest.hexdigest() == \
-        "ce3d0124e2fe9ce6313693f9e6f365f316c3601de1a70cf90f631cd5f87d9029"
+        "62f91fb385440eb2c98ee4b668154526996c70be187bcf709d7ac12e3e1452ee"
     assert frames.hexdigest() == \
-        "c04793fae1b29a9f78b3a4d5f70e2b10e8df42c024a701ef506c867e3ef9667c"
+        "5453a0fc51f46b7afa5b89924f99353bae99bb0a8f618f71c6d06e7e8e56a921"
 
 
 def test_a_grid_of_pools_layouts_and_modes_keeps_its_pinned_digests(monkeypatch):
@@ -1393,9 +1525,9 @@ def test_a_grid_of_pools_layouts_and_modes_keeps_its_pinned_digests(monkeypatch)
                             results.update(repr(ex.stats.as_dict()).encode())
                             results.update(run_inference(net, ds.features, pool, seed=5).tobytes())
     assert results.hexdigest() == \
-        "342dbfdedcc8ff68b1da22c3573caccb4d687b985b0ac55872270499f975601f"
+        "b4e7bd809468becfbe444233dbe6e817debd4709e4aacb1e5789f7afe8afc8d5"
     assert frames.hexdigest() == \
-        "159733dbb35530247bb42d99c5497c1837b07a729aac5bbe44c2d794ab19d95c"
+        "42657f19ee7284f94300fd465124c7057ee8e971d58ea0af8c0b75b8dcd4b185"
 
 
 def test_raw_peer_wrong_shape_and_error_frames():
@@ -1754,7 +1886,7 @@ def test_version_one_worker_is_a_worker_fault():
             WorkerPool.connect([peer.address], n_layers=1, timeout=5)
     finally:
         peer.stop()
-    assert peer.greeting == HEADER.pack(MAGIC, 2, MsgType.HELLO, 0)
+    assert peer.greeting == HEADER.pack(MAGIC, 3, MsgType.HELLO, 0)
 
 
 # -- secrecy ---------------------------------------------------------------

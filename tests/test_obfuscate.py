@@ -20,6 +20,7 @@ from blindtrain.obfuscate import (
     encryption_matrix,
     inverse_encryption_matrix,
     key_shift,
+    key_transpose,
     kgen,
     min_rounds,
     probe_sides,
@@ -452,6 +453,72 @@ def test_backward_reuse_identities():
         t2 = dec_only(key_shift(sk, 2), d_enc @ w_enc)
         assert np.max(np.abs(t1 - x @ delta.T)) <= 1e-9 * max(1.0, np.max(np.abs(x @ delta.T)))
         assert np.max(np.abs(t2 - delta.T @ w)) <= 1e-9 * max(1.0, np.max(np.abs(delta.T @ w)))
+
+
+def test_transposed_backward_products_decrypt_under_transposed_shifted_keys():
+    """Over 200 shapes, as criterion 3: a delta blinded in the forward
+    product's shape multiplies the held pair into delta @ X^T and
+    W^T @ delta, which decrypt under key_transpose(key_shift(sk, 1)) and
+    key_transpose(key_shift(sk, 2)) within criterion 3's bound, and one
+    blinded delta serves both."""
+    rng = make_rng(2)
+    worst = 0.0
+    for _ in range(200):
+        m, n, p = (int(v) for v in rng.integers(1, 13, size=3))
+        w, x = rng.standard_normal((m, n)), rng.standard_normal((n, p))
+        delta = rng.standard_normal((m, p))
+        sk = kgen(m, n, p, KS, rng)
+        w_enc, x_enc = enc_pair(sk, w, x)
+        k1, k2 = key_transpose(key_shift(sk, 1)), key_transpose(key_shift(sk, 2))
+        assert k1.dims == (m, p, n) and k2.dims == (n, m, p)
+        d_enc = enc_left(k1, delta)
+        assert d_enc.tobytes() == enc_right(k2, delta).tobytes()
+        for got, want in ((dec(k1, d_enc @ x_enc.T, delta, x.T, 4, rng), delta @ x.T),
+                          (dec(k2, w_enc.T @ d_enc, w.T, delta, 4, rng), w.T @ delta)):
+            worst = max(worst, float(np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))))
+    assert worst <= 1e-9
+
+
+def test_key_transpose_twice_gives_back_the_slots_own_arrays():
+    sk = kgen(2, 3, 4, KS, make_rng(27))
+    t = key_transpose(sk)
+    assert t.dims == (4, 3, 2)
+    for dual, slot in zip(t.slots, reversed(sk.slots)):  # reversed, each its dual
+        assert dual.coeffs is slot.recip and dual.recip is slot.coeffs
+        assert dual.perm is slot.perm and dual.inv_perm is slot.inv_perm
+        assert np.allclose(encryption_matrix(dual), inverse_encryption_matrix(slot).T,
+                           rtol=1e-15, atol=0)
+    for back, slot in zip(key_transpose(t).slots, sk.slots):
+        assert all(getattr(back, f) is getattr(slot, f)
+                   for f in ("coeffs", "perm", "inv_perm", "recip"))
+
+
+def test_dec_adds_into_its_block_with_dec_onlys_bytes_and_no_array_of_its_size():
+    """dec(..., add=True) adds the unblinded product into `out` one row
+    block at a time: each entry gains dec_only's bytes for it, and the
+    call allocates nothing near the product's size."""
+    rng = make_rng(30)
+    m, n, p = 600, 3, 500  # a 2.3 MiB product: ten row blocks of 65 rows
+    a, b = rng.standard_normal((m, n)), rng.standard_normal((n, p))
+    sk = kgen(m, n, p, KS, rng)
+    c_enc = enc_left(sk, a) @ enc_right(sk, b)
+    base = rng.standard_normal((m, p))
+    out = base.copy()
+    side = probe_sides([(a, b)], 4, rng, KS.size)[0]
+    tracemalloc.start()
+    try:
+        got = dec(sk, c_enc, a, b, 4, rng, out=out, probe=side, add=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is out
+    assert out.tobytes() == (base + dec_only(sk, c_enc)).tobytes()
+    # the block buffer, plus _gather_scale's own row gather and ratios
+    assert peak <= 4 * obfuscate._BLOCK_BYTES < out.nbytes / 2
+    bad = c_enc.copy()
+    bad[7, 7] += 1.0
+    with pytest.raises(IntegrityFailure):
+        dec(sk, bad, a, b, 30, rng, out=base.copy(), add=True)
 
 
 # -- verification ----------------------------------------------------------

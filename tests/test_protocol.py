@@ -1,3 +1,4 @@
+import re
 import socket
 import struct
 import threading
@@ -55,14 +56,14 @@ def test_hello_frame_bytes():
     frame = encode(Hello())
     assert len(frame) == 14
     assert frame[:4] == b"TEMP"
-    assert frame[4] == 2          # version
+    assert frame[4] == 3          # version
     assert frame[5] == 0x01       # HELLO
     assert frame[6:14] == struct.pack("<Q", 0)
 
 
 def test_header_constants():
     assert MAGIC == b"TEMP"
-    assert VERSION == 2
+    assert VERSION == 3
     assert HEADER.size == 14
     assert MsgType.HELLO == 0x01
     assert MsgType.CONFIG == 0x02
@@ -99,7 +100,7 @@ def test_store_pair_golden_frame():
     payload = (struct.pack("<II", 3, 1)
                + struct.pack("<II", 2, 3) + struct.pack("<6d", 0, 1, 2, 3, 4, 5)
                + struct.pack("<II", 3, 2) + struct.pack("<6d", 6, 7, 8, 9, 10, 11))
-    frame = b"TEMP\x02\x10" + struct.pack("<Q", len(payload)) + payload
+    frame = b"TEMP\x03\x10" + struct.pack("<Q", len(payload)) + payload
     assert len(payload) == 8 + 2 * (8 + 48)
     assert bytes(encode(msg)) == frame
     assert decode(frame) == msg
@@ -109,7 +110,7 @@ def test_mult_bwd_golden_frame():
     msg = MultBwd(layer_id=7, shard_id=2, d_enc=np.arange(1.0, 9.0).reshape(4, 2))
     payload = (struct.pack("<II", 7, 2)
                + struct.pack("<II", 4, 2) + struct.pack("<8d", 1, 2, 3, 4, 5, 6, 7, 8))
-    frame = b"TEMP\x02\x12" + struct.pack("<Q", len(payload)) + payload
+    frame = b"TEMP\x03\x12" + struct.pack("<Q", len(payload)) + payload
     assert bytes(encode(msg)) == frame
     assert decode(frame) == msg
 
@@ -148,6 +149,13 @@ def test_bad_version_rejected():
     frame = bytearray(encode(Hello()))
     frame[4] = 1  # a version-1 peer
     with pytest.raises(BadVersion):
+        decode(bytes(frame))
+
+
+def test_version_two_frame_rejected():
+    frame = bytearray(encode(Hello()))
+    frame[4] = 2  # a peer from before MULT_BWD carried delta in the product's shape
+    with pytest.raises(BadVersion, match="unsupported version 2"):
         decode(bytes(frame))
 
 
@@ -485,3 +493,16 @@ def test_send_message_allocates_no_frame_buffer():
         right.close()
     assert drained == [nbytes]
     assert peak < 64 << 10
+
+
+def test_readme_frame_tables_are_the_protocols():
+    """README's "Wire format" names protocol.VERSION as the version byte
+    and lists exactly protocol.MsgType's (type code, name) rows."""
+    from pathlib import Path
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## Wire format\n")[1].split("\n## ")[0]
+    assert re.findall(r"^\| 4 \| 1 \| version, `0x([0-9A-F]{2})` \|$", section, re.M) == \
+        [f"{VERSION:02X}"]
+    rows = re.findall(r"^\| 0x([0-9A-F]{2}) \| (\w+) \|", section, re.M)
+    assert rows == [(f"{t.value:02X}", t.name) for t in MsgType]

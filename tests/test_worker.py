@@ -122,16 +122,18 @@ def test_forward_product_matches_numpy():
 
 
 def test_backward_products_match_numpy():
+    """A delta in the shape of the pair's product is answered with
+    d @ B'^T (A's shape) and A'^T @ d (B's shape), to the bit."""
     s = honest_session()
     rng = make_rng(7)
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((4, 5))
-    d = rng.standard_normal((5, 3))
+    d = rng.standard_normal((3, 5))
     s.handle(StorePair(1, 2, a, b))
     reply = s.handle(MultBwd(1, 2, d))
     assert len(reply.matrices) == 2
-    assert np.max(np.abs(reply.matrices[0] - b @ d)) < 1e-12
-    assert np.max(np.abs(reply.matrices[1] - d @ a)) < 1e-12
+    assert reply.matrices[0].tobytes() == (d @ b.T).tobytes()
+    assert reply.matrices[1].tobytes() == (a.T @ d).tobytes()
 
 
 def test_store_rejects_mismatched_pair():
@@ -146,7 +148,7 @@ def test_forward_without_store_is_cache_miss():
     s = honest_session()
     fwd = s.handle(StorePair(0, 0, np.ones((2, 3)), np.ones((2, 4))))
     assert isinstance(fwd, Error) and fwd.code == ERR_SHAPE
-    reply = s.handle(MultBwd(0, 0, np.ones((4, 2))))
+    reply = s.handle(MultBwd(0, 0, np.ones((2, 4))))
     assert isinstance(reply, Error) and reply.code == ERR_CACHE_MISS
     assert "layer 0" in reply.text
 
@@ -159,16 +161,20 @@ def test_backward_without_store_is_cache_miss():
 
 
 def test_backward_rejects_wrong_delta_shape():
+    """Only the (2, 4) shape of the stored pair's product is served: the
+    transposed shape version 2 sent, and any other, is ERROR 1."""
     s = honest_session()
     s.handle(StorePair(0, 0, np.ones((2, 3)), np.ones((3, 4))))
-    reply = s.handle(MultBwd(0, 0, np.ones((2, 4))))
-    assert isinstance(reply, Error) and reply.code == ERR_SHAPE
+    for shape in [(4, 2), (2, 3), (3, 4), (2, 5)]:
+        reply = s.handle(MultBwd(0, 0, np.ones(shape)))
+        assert isinstance(reply, Error) and reply.code == ERR_SHAPE == 1
+    assert isinstance(s.handle(MultBwd(0, 0, np.ones((2, 4)))), Result)
 
 
 def test_store_reply_is_the_product_and_backward_uses_the_latest_pair():
     s = honest_session()
     rng = make_rng(10)
-    d = rng.standard_normal((5, 3))
+    d = rng.standard_normal((3, 5))
     for tag in (0, 1):  # the second store replaces the first in the slot
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal((4, 5))
@@ -176,8 +182,8 @@ def test_store_reply_is_the_product_and_backward_uses_the_latest_pair():
         assert fwd.request_tag == tag
         assert fwd.matrices[0].tobytes() == (a @ b).tobytes()
     bwd = s.handle(MultBwd(0, 0, d))
-    assert bwd.matrices[0].tobytes() == (b @ d).tobytes()
-    assert bwd.matrices[1].tobytes() == (d @ a).tobytes()
+    assert bwd.matrices[0].tobytes() == (d @ b.T).tobytes()
+    assert bwd.matrices[1].tobytes() == (a.T @ d).tobytes()
 
 
 def test_store_that_does_not_chain_keeps_the_slots_pair():
@@ -186,20 +192,20 @@ def test_store_that_does_not_chain_keeps_the_slots_pair():
     s.handle(StorePair(0, 0, a, b))
     reply = s.handle(StorePair(0, 0, np.ones((2, 3)), np.ones((2, 4))))
     assert isinstance(reply, Error) and reply.code == ERR_SHAPE
-    d = np.ones((4, 2))
+    d = np.ones((2, 4))
     bwd = s.handle(MultBwd(0, 0, d))
-    assert np.array_equal(bwd.matrices[0], b @ d)
-    assert np.array_equal(bwd.matrices[1], d @ a)
+    assert np.array_equal(bwd.matrices[0], d @ b.T)
+    assert np.array_equal(bwd.matrices[1], a.T @ d)
 
 
 def test_slots_are_independent():
     s = honest_session()
-    a0, a1 = np.ones((2, 2)), np.full((2, 2), 2.0)
+    a0, a1 = np.ones((2, 2)), np.arange(4.0).reshape(2, 2)
     s.handle(StorePair(0, 0, a0, np.ones((2, 2))))
     s.handle(StorePair(0, 1, a1, np.ones((2, 2))))
     d = np.eye(2)
     # each slot's backward products use its own pair
-    assert np.array_equal(s.handle(MultBwd(0, 1, d)).matrices[1], a1)
+    assert np.array_equal(s.handle(MultBwd(0, 1, d)).matrices[1], a1.T)
     assert np.array_equal(s.handle(MultBwd(0, 0, d)).matrices[1], a0)
     assert isinstance(s.handle(MultBwd(1, 0, d)), Error)
 
@@ -270,6 +276,19 @@ def test_server_reports_protocol_garbage_then_closes():
                 assert sock.recv(1) == b""  # server hung up
             finally:
                 sock.close()
+
+
+def test_a_version_two_coordinator_gets_error_4_and_a_hang_up():
+    """A coordinator of the wire before MULT_BWD carried delta in the
+    forward product's shape is refused at its HELLO: ERROR 4 naming the
+    version, then a close, before any operand reaches the worker."""
+    with spawn_local_workers(1) as addresses:
+        with socket.create_connection(addresses[0], timeout=5) as sock:
+            sock.sendall(HEADER.pack(MAGIC, 2, MsgType.HELLO, 0))
+            reply = read_message(sock)
+            assert isinstance(reply, Error) and reply.code == ERR_UNSUPPORTED == 4
+            assert reply.text == "unsupported version 2"
+            assert sock.recv(1) == b""  # server hung up
 
 
 def test_accepted_connections_disable_nagle():
