@@ -175,11 +175,15 @@ def kgen(m: int, n: int, p: int, keyspace: KeySpaceConfig, rng: np.random.Genera
 def kslot(size: int, keyspace: KeySpaceConfig, rng: np.random.Generator) -> KeySlot:
     """Sample one fresh slot of `size`: its coefficients, then its
     permutation.  Keys whose slots are drawn apart, some of them shared
-    by several keys (see master.EpochKeys), are built from these."""
+    by several keys (see master.EpochKeys), are built from these.  The
+    slot is valid as drawn, so KeySlot's checks are not run again."""
     if size < 1:
         raise ValueError(f"slot size must be positive, got {size}")
     coeffs = rng.integers(1, keyspace.size + 1, size=size).astype(np.float64)
-    return KeySlot(coeffs, rng.permutation(size))
+    perm = rng.permutation(size)
+    inv_perm = np.empty_like(perm)
+    inv_perm[perm] = np.arange(size)
+    return _unchecked_slot(coeffs, perm, inv_perm, 1.0 / coeffs)
 
 
 def key_shift(sk: SecretKey, phi: int) -> SecretKey:
@@ -194,15 +198,19 @@ def key_shift(sk: SecretKey, phi: int) -> SecretKey:
     return SecretKey(tuple(sk.slots[(i + phi) % 3] for i in range(3)))
 
 
+def _unchecked_slot(coeffs, perm, inv_perm, recip) -> KeySlot:
+    """A KeySlot of arrays valid by construction: KeySlot's checks and
+    derivations are skipped, so the caller owes it every field."""
+    slot = object.__new__(KeySlot)
+    slot.__dict__.update(coeffs=coeffs, perm=perm, inv_perm=inv_perm, recip=recip)
+    return slot
+
+
 def _dual(slot: KeySlot) -> KeySlot:
     """The slot of E^-T: the same permutation, coefficients and
     reciprocals swapped.  Built from the slot's own arrays, so it is not
     validated again and divides nothing."""
-    dual = object.__new__(KeySlot)
-    for name, value in (("coeffs", slot.recip), ("perm", slot.perm),
-                        ("inv_perm", slot.inv_perm), ("recip", slot.coeffs)):
-        object.__setattr__(dual, name, value)
-    return dual
+    return _unchecked_slot(slot.recip, slot.perm, slot.inv_perm, slot.coeffs)
 
 
 def key_transpose(sk: SecretKey) -> SecretKey:

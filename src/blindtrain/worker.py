@@ -9,7 +9,9 @@ every reply carries the sequence number of the request it answers.
 
 For experiments the worker can also misbehave on purpose: "tamper"
 perturbs one entry of a result, "lazy" returns a stale product of the
-right shape (or zeros) instead of computing.
+right shape (or zeros) instead of computing.  Only these two modes draw
+randomness, so only they get a per-connection generator; an honest
+worker builds none, and so does not import numpy.random either.
 """
 from __future__ import annotations
 
@@ -90,9 +92,10 @@ def apply_adversary(
 
 class WorkerSession:
     """Message handler for one connection; no sockets in here so the
-    logic is testable directly."""
+    logic is testable directly.  `rng` is None in the honest mode, which
+    draws nothing."""
 
-    def __init__(self, mode: WorkerMode, rng: np.random.Generator):
+    def __init__(self, mode: WorkerMode, rng: np.random.Generator | None):
         self.mode = mode
         self.rng = rng
         self.cache: dict[tuple[int, int], tuple] = {}  # (layer, shard) -> (a_enc, b_enc)
@@ -139,7 +142,12 @@ class WorkerSession:
 
 
 class WorkerServer:
-    """Threaded TCP server; one `session_class` instance per connection."""
+    """Threaded TCP server; one `session_class` instance per connection.
+
+    In an adversary mode each connection's session draws from its own
+    generator, seeded `seed + 1000003 * i` for the i-th connection
+    accepted, so its corruptions are reproducible; an honest session
+    gets None."""
 
     session_class = WorkerSession
 
@@ -178,8 +186,9 @@ class WorkerServer:
             except OSError:
                 conn.close()  # the peer is already gone
                 continue
-            # distinct rng per connection keeps adversary draws reproducible
-            rng = make_rng(self.seed + 1000003 * self._conn_count)
+            # counted in every mode, so a connection's seed is set by its index
+            rng = (make_rng(self.seed + 1000003 * self._conn_count)
+                   if self.mode.kind != "honest" else None)
             self._conn_count += 1
             t = threading.Thread(target=self._serve, args=(conn, rng), daemon=True)
             # listed before it runs: once a reply is out, stop() must see it;
@@ -188,7 +197,7 @@ class WorkerServer:
             self._threads = [u for u in self._threads if u.is_alive()] + [t]
             t.start()
 
-    def _serve(self, conn: socket.socket, rng: np.random.Generator):
+    def _serve(self, conn: socket.socket, rng: np.random.Generator | None):
         session = self.session_class(self.mode, rng)
         try:
             with conn:

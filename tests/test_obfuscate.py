@@ -99,6 +99,22 @@ def test_key_slot_derives_reciprocals_and_the_inverse_permutation():
         assert slot.inv_perm.tobytes() == np.argsort(slot.perm).tobytes()
 
 
+@pytest.mark.parametrize("keyspace", [2, 255, 2**63 - 1])
+@pytest.mark.parametrize("size", [1, 5, 1024])
+def test_drawn_slot_is_the_validated_slot_of_its_draws(size, keyspace):
+    """kslot skips KeySlot's checks, yet gives the slot KeySlot builds
+    from the same draws: every field of the same dtype and bytes."""
+    drawn = obfuscate.kslot(size, KeySpaceConfig(keyspace), make_rng(14))
+    rng = make_rng(14)
+    coeffs = rng.integers(1, keyspace + 1, size=size).astype(np.float64)
+    built = KeySlot(coeffs, rng.permutation(size))
+    for name in ("coeffs", "perm", "inv_perm", "recip"):
+        got, want = getattr(drawn, name), getattr(built, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+    assert drawn.size == size
+
+
 # -- blinding --------------------------------------------------------------
 
 def test_enc_left_hand_case():

@@ -1,7 +1,12 @@
+import hashlib
+import os
 import queue
 import socket
 import struct
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -377,3 +382,94 @@ def test_spawn_local_workers_stops_the_servers_it_started_when_a_later_one_fails
     assert not first._accept_thread.is_alive()
     with pytest.raises(ConnectionRefusedError):
         socket.create_connection(first.address, timeout=2).close()
+
+
+# -- adversary draws ---------------------------------------------------------
+
+@pytest.mark.parametrize("kind,digest", [
+    ("tamper", "1888fcabadaf6d08a189f91061ee9f5e550a8e817de74cae9e6e2d145ffaa880"),
+    ("lazy", "a7209ea74e8efd2d8087551fa8089ad5b31657ae11742f2c0c29e230e3337cdb"),
+])
+def test_adversary_draws_are_pinned_per_connection(kind, digest):
+    """Over two connections to one adversarial worker, which replies are
+    corrupted, and where, is the same on every run: each connection
+    draws from its own generator, seeded by the worker's seed and the
+    connection's index, and the two draw differently."""
+    rng = make_rng(40)
+    pairs = [(rng.standard_normal((3, 4)), rng.standard_normal((4, 5))) for _ in range(16)]
+    corrupted = []
+    with spawn_local_workers(1, WorkerMode(kind, 0.5, 1.0), seed=41) as addresses:
+        for _ in range(2):
+            with socket.create_connection(addresses[0], timeout=5) as sock:
+                hits = []
+                for i, (a, b) in enumerate(pairs):
+                    send_message(sock, StorePair(0, i, a, b))
+                    got = read_message(sock).matrices[0]
+                    hits += [(i, *map(int, ij)) for ij in np.argwhere(np.abs(got - a @ b) > 1e-9)]
+                corrupted.append(hits)
+    assert corrupted[0] and corrupted[0] != corrupted[1]
+    assert hashlib.sha256(repr(corrupted).encode()).hexdigest() == digest
+
+
+# -- start-up ------------------------------------------------------------------
+
+SRC = Path(__file__).parent.parent / "src"
+
+
+def fresh_interpreter(code, **kw):
+    """`code` in a fresh interpreter that imports the package from src/."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    return subprocess.Popen([sys.executable, "-c", code], env=env, text=True, **kw)
+
+
+def test_importing_the_worker_loads_no_coordinator_module():
+    code = ("import sys; from blindtrain import protocol, worker; "
+            "print(*sorted(m for m in sys.modules if m.startswith('blindtrain')))")
+    with fresh_interpreter(code, stdout=subprocess.PIPE) as proc:
+        loaded = proc.communicate(timeout=60)[0].split()
+    assert proc.returncode == 0
+    assert sorted(loaded) == ["blindtrain", "blindtrain.protocol", "blindtrain.tensor",
+                              "blindtrain.worker"]
+
+
+WORKER_PROCESS = """
+import sys
+import numpy
+preloaded = "numpy.random" in sys.modules  # where numpy itself loads it
+from blindtrain import protocol, worker
+server = worker.WorkerServer().start()
+print(server.address[1], flush=True)
+sys.stdin.read()  # serves until the test closes stdin
+server.stop()
+print(preloaded, "numpy.random" in sys.modules, *sorted(sys.modules))
+"""
+
+
+def test_an_honest_worker_process_serves_a_run_without_drawing_randomness():
+    """A worker in its own process serves one training epoch and one
+    inference call, and has imported no generator and no module of the
+    coordinator.  It needs its own process: this one runs the coordinator."""
+    from blindtrain.data import gen_blobs
+    from blindtrain.master import WorkerPool, run_inference, run_training
+    from blindtrain.nn import Network
+
+    ds = gen_blobs(20, 2, 2, separation=8.0, seed=42)
+    net = Network.from_dims([2, 4, 2])
+    net.init_weights(43)
+    with fresh_interpreter(WORKER_PROCESS, stdin=subprocess.PIPE, stdout=subprocess.PIPE) as proc:
+        try:
+            port = int(proc.stdout.readline())
+            with WorkerPool.connect([("127.0.0.1", port)], n_layers=2) as pool:
+                _, stats, _ = run_training(net, ds, pool, learning_rate=0.1,
+                                           batch_size=16, epochs=1, seed=44)
+                preds = run_inference(net, ds.features, pool, seed=45)
+            proc.stdin.close()
+            preloaded, drew, *loaded = proc.stdout.read().split()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+    assert proc.wait(timeout=30) == 0
+    assert stats.products_offloaded > 0 and stats.failures == 0 and preds.shape == (40,)
+    assert drew == preloaded  # serving imported no numpy.random of its own
+    coordinator = {"blindtrain.master", "blindtrain.obfuscate", "blindtrain.nn", "blindtrain.data"}
+    assert not coordinator & set(loaded)
